@@ -47,6 +47,34 @@ def _shifted_complexification(R: RealLinearOperator, lam: complex) -> np.ndarray
     return M
 
 
+# Complex entries per stack of shifted copies handed to one batched det
+# (256 KiB), so the kernel's working memory stays bounded at any n.
+_DET_STACK_ENTRIES = 1 << 14
+
+
+def _charpoly_dets(R: RealLinearOperator, lams) -> np.ndarray:
+    """Complex determinants of the shifted complexification at each of ``lams``.
+
+    The complexification is built once; diagonally shifted copies are
+    stacked and passed to one batched ``np.linalg.det`` per chunk.  Each
+    matrix gets the same LU as a one-point call, so the values are
+    identical to ``det(_shifted_complexification(R, lam))`` bit for bit.
+    """
+    lams = np.asarray(lams, dtype=complex).ravel()
+    n = R.n
+    M = complexify(R)
+    idx = np.arange(n)
+    chunk = max(1, _DET_STACK_ENTRIES // M.size)
+    dets = np.empty(lams.size, dtype=complex)
+    for start in range(0, lams.size, chunk):
+        lam = lams[start:start + chunk, None]
+        S = np.repeat(M[None], lam.shape[0], axis=0)
+        S[:, idx, idx] -= lam
+        S[:, n + idx, n + idx] -= np.conj(lam)
+        dets[start:start + chunk] = np.linalg.det(S)
+    return dets
+
+
 def _real_part(value: complex, what: str, tol: float = 1e-6) -> float:
     if abs(value.imag) > tol * (1.0 + abs(value.real)):
         raise NumericalFailure(
@@ -62,8 +90,7 @@ def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:
     Computed as the determinant of the shifted 2n x 2n complexification;
     the result is real up to roundoff and returned as a float.
     """
-    det = complex(np.linalg.det(_shifted_complexification(R, lam)))
-    return _real_part(det, "characteristic polynomial value")
+    return _real_part(complex(_charpoly_dets(R, [lam])[0]), "characteristic polynomial value")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,10 +148,7 @@ def _coeff_interpolation(R: RealLinearOperator, cond_limit: float) -> np.ndarray
     N = 2 * n + 1
     thetas = 2.0 * np.pi * np.arange(N) / N
 
-    P = np.empty((radii.size, N), dtype=complex)
-    for a, r in enumerate(radii):
-        for t, th in enumerate(thetas):
-            P[a, t] = np.linalg.det(_shifted_complexification(R, r * np.exp(1j * th)))
+    P = _charpoly_dets(R, radii[:, None] * np.exp(1j * thetas)).reshape(radii.size, N)
 
     # Angular DFT isolates the diagonals k = j - i of H (frequencies -n..n
     # are exactly resolved by 2n+1 angles); the factor r**|k| is then
@@ -146,13 +170,13 @@ def _coeff_interpolation(R: RealLinearOperator, cond_limit: float) -> np.ndarray
         Aw = A / sigma[:, None]
         cn = np.linalg.norm(Aw, axis=0)
         Aw = Aw / cn
-        cond = np.linalg.cond(Aw)
+        c, _, _, sv = np.linalg.lstsq(Aw, rhs / sigma, rcond=None)
+        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
         if cond > cond_limit:
             raise NumericalFailure(
                 f"radial interpolation system for diagonal {q} is ill-conditioned "
                 f"(cond estimate {cond:.3e} > limit {cond_limit:.1e})"
             )
-        c, *_ = np.linalg.lstsq(Aw, rhs / sigma, rcond=None)
         c = c / cn / s ** (2 * np.arange(ncoef))
         if q >= 0:
             for i in range(ncoef):
@@ -210,16 +234,18 @@ def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float) -> None:
     s = 1.0 + operator_norm(R)
     radii = np.linspace(0.6 * s, 1.9 * s, n + 2)
     thetas = 2.0 * np.pi * (np.arange(2 * n + 3) + 0.37) / (2 * n + 3)
-    for r in radii:
-        for th in thetas:
-            lam = r * np.exp(1j * th)
-            got = coeff_poly_eval(H, lam)
-            ref = charpoly_eval(R, lam)
-            if abs(got - ref) > tol * (s + r) ** (2 * n):
-                raise NumericalFailure(
-                    f"extracted coefficients disagree with the determinant at lam={lam:.4g}: "
-                    f"|{got:.6e} - {ref:.6e}| exceeds tolerance"
-                )
+    lams = (radii[:, None] * np.exp(1j * thetas)).ravel()
+    V = lams[:, None] ** np.arange(n + 1)
+    gots = np.einsum("ki,ij,kj->k", V.conj(), H, V).real
+    dets = _charpoly_dets(R, lams)
+    # Checked in radius-major order so the first failing point is reported.
+    for lam, got, det, r in zip(lams, gots, dets, np.repeat(radii, thetas.size)):
+        ref = _real_part(complex(det), "characteristic polynomial value")
+        if abs(got - ref) > tol * (s + r) ** (2 * n):
+            raise NumericalFailure(
+                f"extracted coefficients disagree with the determinant at lam={lam:.4g}: "
+                f"|{got:.6e} - {ref:.6e}| exceeds tolerance"
+            )
 
 
 def coeff_matrix(
@@ -239,7 +265,10 @@ def coeff_matrix(
     mode : str
         ``"interpolation"`` evaluates the determinant on a polar grid
         (2n+1 angles, n+3 radii) and solves for the coefficients; it is the
-        fast production path.  ``"exact"`` expands the determinant symbolically
+        fast production path.  Grid and validation determinants are
+        evaluated in batched stacks of shifted copies of one
+        complexification, about 2**14 complex entries per stack, so memory
+        stays bounded at any n.  ``"exact"`` expands the determinant symbolically
         with ``lam`` and ``conj(lam)`` treated as independent indeterminates;
         exponential in n, intended as an independent oracle for small n.
     validate : bool
@@ -330,6 +359,11 @@ def cholesky_sos(H, *, pd_threshold: float = 1e-10) -> SosDecomposition:
             f"coefficient matrix is not positive definite: smallest eigenvalue {w[0]:.6e}",
             min_eigenvalue=float(w[0]),
         )
+    return _cholesky_rows(A)
+
+
+def _cholesky_rows(A: np.ndarray) -> SosDecomposition:
+    """Cholesky sum of squares of a coefficient matrix already known to be PD."""
     Arev = A[::-1, ::-1]
     L = np.linalg.cholesky((Arev + Arev.conj().T) / 2.0)
     T = L.conj().T
@@ -395,12 +429,13 @@ def emptiness_certificates(
     """
     cm = coeff if coeff is not None else coeff_matrix(R, mode=mode)
     det0 = charpoly_eval(R, 0.0)
-    w = np.linalg.eigvalsh(cm.H)
+    # The same PD test as cholesky_sos, so its rows can be built directly.
+    w = np.linalg.eigvalsh((cm.H + cm.H.conj().T) / 2.0)
 
     pd_cert = None
     scale = max(float(np.max(np.abs(w))), 1e-300)
     if w[0] > pd_threshold * scale:
-        pd_cert = cholesky_sos(cm, pd_threshold=pd_threshold)
+        pd_cert = _cholesky_rows(cm.H)
 
     zero = None
     if det0 <= 0.0:

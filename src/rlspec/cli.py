@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,26 +23,29 @@ from .operators import operator_norm, schatten_norm
 from .spectrum import spectrum_sweep
 from .traceclass import charfun_convergence, disk_truncation, hankel_truncation
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the analysis commands."""
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
-    tol_imag: float = 1e-8
-    tol_residual: float = 1e-8
-    pd_threshold: float = 1e-10
-    validate_tol: float = 1e-6
-    n_rays: int = 64
-    seed: int = 0
 
-    def __post_init__(self):
-        for name in ("tol_imag", "tol_residual", "pd_threshold", "validate_tol"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.n_rays < 1:
-            raise ValidationError("n_rays must be >= 1")
+def _ray_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Report argument errors as ValidationError, so they exit 2 through main's handler."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
 
 
 def _out(path: str, content: str) -> None:
@@ -54,10 +56,9 @@ def _out(path: str, content: str) -> None:
 
 
 def _cmd_info(args) -> int:
-    cfg = RunConfig(pd_threshold=args.pd_threshold, validate_tol=args.validate_tol, seed=args.seed)
     R = ser.load_operator(args.opfile)
-    cm = coeff_matrix(R, validate_tol=cfg.validate_tol)
-    cert = emptiness_certificates(R, pd_threshold=cfg.pd_threshold, coeff=cm)
+    cm = coeff_matrix(R, validate_tol=args.validate_tol)
+    cert = emptiness_certificates(R, pd_threshold=args.pd_threshold, coeff=cm)
     eigs = np.linalg.eigvalsh(cm.H)
 
     if cert.pd_certificate is not None:
@@ -97,10 +98,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    cfg = RunConfig(validate_tol=args.validate_tol, seed=args.seed)
     R = ser.load_operator(args.opfile)
     mode = "exact" if args.exact else "interpolation"
-    cm = coeff_matrix(R, mode=mode, validate_tol=cfg.validate_tol)
+    cm = coeff_matrix(R, mode=mode, validate_tol=args.validate_tol)
     _out(args.out, ser.dump_json(ser.coeff_to_dict(cm)))
     if args.sos is not None:
         from .charpoly import sos_decompose
@@ -110,9 +110,8 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    cfg = RunConfig(tol_imag=args.tol, tol_residual=args.tol, n_rays=args.rays, seed=args.seed)
     R = ser.load_operator(args.opfile)
-    cloud = spectrum_sweep(R, cfg.n_rays, tol_imag=cfg.tol_imag, tol_residual=cfg.tol_residual)
+    cloud = spectrum_sweep(R, args.rays, tol_imag=args.tol, tol_residual=args.tol)
     _out(args.out, ser.spectrum_csv(cloud))
     if args.svg is not None:
         ser.write_text(args.svg, ser.spectrum_svg(cloud, operator_norm(R)))
@@ -120,19 +119,18 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_numfun(args) -> int:
-    cfg = RunConfig(n_rays=args.rays, validate_tol=args.validate_tol, seed=args.seed)
     R = ser.load_operator(args.opfile)
-    cm = coeff_matrix(R, validate_tol=cfg.validate_tol)
+    cm = coeff_matrix(R, validate_tol=args.validate_tol)
     if args.out.endswith(".csv"):
         rows = []
-        for k in range(cfg.n_rays):
-            theta = 2.0 * math.pi * k / cfg.n_rays
+        for k in range(args.rays):
+            theta = 2.0 * math.pi * k / args.rays
             ext = ray_extrema(cm, theta)
             r_min, f_min = min(ext, key=lambda t: t[1])
             rows.append((theta, r_min, f_min))
         _out(args.out, ser.ray_minima_csv(rows))
     else:
-        rep = range_and_coverage(cm, n_rays=cfg.n_rays)
+        rep = range_and_coverage(cm, n_rays=args.rays)
         _out(args.out, ser.dump_json(ser.report_to_dict(rep)))
     return 0
 
@@ -179,14 +177,13 @@ def _cmd_charfun(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rlspec",
         description="Spectral analyses of finite-rank real linear operators z -> Cz + B conj(z).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in the run config")
         p.add_argument(
             "--error-json",
             action="store_true",
@@ -196,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info", help="norms, determinant, coefficient spectrum, certificates")
     p.add_argument("opfile")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.add_argument("--pd-threshold", type=float, default=1e-10)
-    p.add_argument("--validate-tol", type=float, default=1e-6)
+    p.add_argument("--pd-threshold", type=_positive_float, default=1e-10)
+    p.add_argument("--validate-tol", type=_positive_float, default=1e-6)
     common(p)
     p.set_defaults(fn=_cmd_info)
 
@@ -206,14 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="use the exact minor-expansion oracle")
     p.add_argument("--out", default="-", help="coefficient JSON path ('-' for stdout)")
     p.add_argument("--sos", default=None, help="also write the eigen-kind SOS JSON here")
-    p.add_argument("--validate-tol", type=float, default=1e-6)
+    p.add_argument("--validate-tol", type=_positive_float, default=1e-6)
     common(p)
     p.set_defaults(fn=_cmd_charpoly)
 
     p = sub.add_parser("spectrum", help="ray-sweep the spectrum into CSV (and optional SVG)")
     p.add_argument("opfile")
-    p.add_argument("--rays", type=int, default=64, help="ray directions on the full circle")
-    p.add_argument("--tol", type=float, default=1e-8, help="eigenvalue realness / residual tolerance")
+    p.add_argument("--rays", type=_ray_count, default=64, help="ray directions on the full circle")
+    p.add_argument(
+        "--tol", type=_positive_float, default=1e-8, help="eigenvalue realness / residual tolerance"
+    )
     p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
     p.add_argument("--svg", default=None, help="optional scatter SVG path")
     common(p)
@@ -221,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("numfun", help="numerical function range and field-of-values coverage")
     p.add_argument("opfile")
-    p.add_argument("--rays", type=int, default=128)
+    p.add_argument("--rays", type=_ray_count, default=128)
     p.add_argument(
         "--out",
         default="-",
         help="report path: *.csv emits per-ray minima, anything else the JSON report",
     )
-    p.add_argument("--validate-tol", type=float, default=1e-6)
+    p.add_argument("--validate-tol", type=_positive_float, default=1e-6)
     common(p)
     p.set_defaults(fn=_cmd_numfun)
 
@@ -255,20 +254,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ValidationError as exc:
-        return _fail(args, exc, 2)
+        return _fail(args, argv, exc, 2)
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
-        return _fail(args, exc, 3)
+        return _fail(args, argv, exc, 3)
     except OSError as exc:
-        return _fail(args, exc, 2)
+        return _fail(args, argv, exc, 2)
 
 
-def _fail(args, exc: Exception, code: int) -> int:
-    if getattr(args, "error_json", False):
+def _fail(args, argv: list, exc: Exception, code: int) -> int:
+    # Before parsing succeeds there is no namespace; look for the flag itself.
+    if getattr(args, "error_json", "--error-json" in argv):
         sys.stdout.write(
             ser.dump_json({"error": str(exc), "type": type(exc).__name__, "exit_code": code})
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import ordered_map
-from .charpoly import charpoly_eval
+from .charpoly import _charpoly_dets, _real_part
 from .errors import NumericalFailure, ValidationError
 from .operators import (
     RealLinearOperator,
@@ -141,16 +141,18 @@ def spectrum_sweep(
     n = R.n
     results = ordered_map(lambda th: ray_spectrum(R, th, tol_imag), lines, workers)
 
+    hits = [
+        (th, r, complex(r * np.exp(1j * th))) for th, line in zip(lines, results) for r, _ in line
+    ]
+    dets = _charpoly_dets(R, [lam for _, _, lam in hits])
     points = []
-    for th, hits in zip(lines, results):
-        for r, imag_res in hits:
-            lam = complex(r * np.exp(1j * th))
-            rr = abs(r)
-            residual = abs(charpoly_eval(R, lam))
-            if residual > tol_residual * (1.0 + rr) ** (2 * n):
-                continue
-            th_pt = th if r >= 0 else th + math.pi
-            points.append(SpectralPoint(theta=th_pt, r=rr, lam=lam, residual=residual))
+    for (th, r, lam), det in zip(hits, dets):
+        rr = abs(r)
+        residual = abs(_real_part(complex(det), "characteristic polynomial value"))
+        if residual > tol_residual * (1.0 + rr) ** (2 * n):
+            continue
+        th_pt = th if r >= 0 else th + math.pi
+        points.append(SpectralPoint(theta=th_pt, r=rr, lam=lam, residual=residual))
     points.sort(key=lambda p: (p.theta, p.r))
     return SpectrumCloud(
         points=tuple(points),

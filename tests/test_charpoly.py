@@ -1,5 +1,7 @@
 """Characteristic polynomial extraction, sums of squares, certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,12 @@ from rlspec import (
     scalar_operator,
     sos_decompose,
     sos_eval,
+)
+from rlspec.charpoly import (
+    _DET_STACK_ENTRIES,
+    _charpoly_dets,
+    _shifted_complexification,
+    _validate_coeff,
 )
 
 
@@ -152,6 +160,64 @@ def test_coeff_matrix_reports_ill_conditioning():
     R = random_operator(np.random.default_rng(8), 4)
     with pytest.raises(NumericalFailure):
         coeff_matrix(R, cond_limit=1.0)
+
+
+# -------------------------------------------------------- batched determinants
+
+def test_charpoly_dets_equal_pointwise_determinants():
+    rng = np.random.default_rng(9)
+    per_stack = _DET_STACK_ENTRIES // (2 * 32) ** 2
+    for n, count in ((1, 11), (7, 40), (32, 3 * per_stack + 1)):
+        R = random_operator(rng, n)
+        lams = crandn(rng, count)
+        ref = np.array([np.linalg.det(_shifted_complexification(R, lam)) for lam in lams])
+        got = _charpoly_dets(R, lams)
+        assert got.shape == (count,)
+        assert np.all(got == ref)
+    assert _charpoly_dets(random_operator(rng, 3), []).shape == (0,)
+
+
+def test_coeff_matrix_memory_stays_bounded_at_n32():
+    # The unchunked n = 32 grid alone would take 149 MB.
+    R = random_operator(np.random.default_rng(3), 32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalFailure):
+            coeff_matrix(R)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_validate_coeff_reports_first_failing_point():
+    n, tol = 4, 1e-6
+    R = random_operator(np.random.default_rng(10), n)
+    s = 1.0 + operator_norm(R)
+    radii = np.linspace(0.6 * s, 1.9 * s, n + 2)
+    thetas = 2.0 * np.pi * (np.arange(2 * n + 3) + 0.37) / (2 * n + 3)
+    # Perturbing H[n-1, n] by delta adds Re(delta * |lam|**(2n-2) * lam) to
+    # v* H v, which fails on the two outer radii in different angle windows:
+    # the first failure in radius-major order differs from angle-major order.
+    mag = 2.0 * tol * (s + radii[-1]) ** (2 * n) / radii[-1] ** (2 * n - 1)
+    H = coeff_matrix(R).H.copy()
+    H[n - 1, n] += mag * np.exp(-1j * thetas[thetas.size // 2])
+
+    first = None
+    for r in radii:
+        for th in thetas:
+            lam = r * np.exp(1j * th)
+            if abs(coeff_poly_eval(H, lam) - charpoly_eval(R, lam)) > tol * (s + r) ** (2 * n):
+                first = lam
+                break
+        if first is not None:
+            break
+    assert first is not None and abs(first) < radii[-1]
+
+    with pytest.raises(NumericalFailure) as info:
+        _validate_coeff(R, H, tol)
+    assert f"at lam={first:.4g}:" in str(info.value)
+    _validate_coeff(R, coeff_matrix(R).H, tol)
 
 
 # ------------------------------------------------------------------------ sos

@@ -268,6 +268,29 @@ def test_cli_bad_rays_exits_2(tmp_path):
     assert main(["spectrum", op, "--rays", "0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("spectrum", "--tol", "0"),
+        ("spectrum", "--rays", "0"),
+        ("info", "--pd-threshold", "0"),
+        ("info", "--validate-tol", "-1e-6"),
+        ("charpoly", "--validate-tol", "0"),
+        ("numfun", "--validate-tol", "nan"),
+        ("numfun", "--rays", "-3"),
+    ],
+)
+def test_cli_bad_option_value_exits_2_with_error_json(tmp_path, capsys, command, option, value):
+    op = write_operator(tmp_path / "tau.json", conjugation(1))
+    assert main([command, op, option, value, "--error-json"]) == 2
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["exit_code"] == 2
+    assert payload["type"] == "ValidationError"
+    assert option in payload["error"]
+    assert "error:" in captured.err
+
+
 def test_cli_numerical_failure_exits_3_with_error_json(tmp_path, capsys):
     rng = np.random.default_rng(7)
     op = write_operator(tmp_path / "r.json", random_operator(rng, 4))
