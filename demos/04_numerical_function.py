@@ -46,12 +46,7 @@ print("fov of H   :", rep.fov)
 print("uncovered  : low", rep.uncovered_low, " high", rep.uncovered_high)
 
 # Per-ray minima (flat here by radial symmetry) as a CSV artifact.
-rows = []
-for k in range(64):
-    theta = 2 * np.pi * k / 64
-    ext = rl.ray_extrema(H, theta)
-    r_min, f_min = min(ext, key=lambda t: t[1])
-    rows.append((theta, r_min, f_min))
+rows = rl.range_and_coverage(H, n_rays=64).ray_minima
 path = os.path.join(OUT, "eps_ray_minima.csv")
 ser.write_text(path, ser.ray_minima_csv(rows))
 print("\nwrote", path)

@@ -395,12 +395,17 @@ class EmptinessCertificates:
     ``pd_certificate`` is a Cholesky sum of squares proving the spectrum
     empty; ``real_axis_zero`` is a radius r with ``p(r, r) = 0`` proving it
     nonempty.  Both may be absent: the criteria are one-sided.
+    ``h_eigenvalues`` is the ascending spectrum of H behind the PD test.
     """
 
     pd_certificate: SosDecomposition | None
     real_axis_zero: float | None
     det_complexification: float
-    h_min_eigenvalue: float
+    h_eigenvalues: tuple[float, ...]
+
+    @property
+    def h_min_eigenvalue(self) -> float:
+        return self.h_eigenvalues[0]
 
     @property
     def verdict(self) -> str:
@@ -464,7 +469,7 @@ def emptiness_certificates(
         pd_certificate=pd_cert,
         real_axis_zero=zero,
         det_complexification=det0,
-        h_min_eigenvalue=float(w[0]),
+        h_eigenvalues=tuple(w.tolist()),
     )
 
 

@@ -3,14 +3,12 @@
 Subcommands load operator/symbol JSON files, run the library analyses, and
 emit JSON/CSV/SVG artifacts.  Outputs are deterministic: identical inputs
 and options produce byte-identical files.  Exit codes: 0 success, 2 input
-validation failure, 3 numerical failure.  The RLSPEC_THREADS environment
-variable caps internal parallelism.
+validation failure, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -18,7 +16,7 @@ import numpy as np
 from . import serialize as ser
 from .charpoly import coeff_matrix, emptiness_certificates
 from .errors import NumericalFailure, ValidationError
-from .numfun import range_and_coverage, ray_extrema
+from .numfun import range_and_coverage
 from .operators import operator_norm, schatten_norm
 from .spectrum import spectrum_sweep
 from .traceclass import charfun_convergence, disk_truncation, hankel_truncation
@@ -59,7 +57,7 @@ def _cmd_info(args) -> int:
     R = ser.load_operator(args.opfile)
     cm = coeff_matrix(R, validate_tol=args.validate_tol)
     cert = emptiness_certificates(R, pd_threshold=args.pd_threshold, coeff=cm)
-    eigs = np.linalg.eigvalsh(cm.H)
+    eigs = cert.h_eigenvalues
 
     if cert.pd_certificate is not None:
         classification = "positive definite (spectrum empty)"
@@ -74,7 +72,7 @@ def _cmd_info(args) -> int:
         "schatten_1": schatten_norm(R, 1.0),
         "schatten_2": schatten_norm(R, 2.0),
         "det_complexification": cert.det_complexification,
-        "h_eigenvalues": [float(x) for x in eigs],
+        "h_eigenvalues": list(eigs),
         "h_asymmetry": cm.asymmetry,
         "classification": classification,
         "real_axis_zero": cert.real_axis_zero,
@@ -121,16 +119,10 @@ def _cmd_spectrum(args) -> int:
 def _cmd_numfun(args) -> int:
     R = ser.load_operator(args.opfile)
     cm = coeff_matrix(R, validate_tol=args.validate_tol)
+    rep = range_and_coverage(cm, n_rays=args.rays)
     if args.out.endswith(".csv"):
-        rows = []
-        for k in range(args.rays):
-            theta = 2.0 * math.pi * k / args.rays
-            ext = ray_extrema(cm, theta)
-            r_min, f_min = min(ext, key=lambda t: t[1])
-            rows.append((theta, r_min, f_min))
-        _out(args.out, ser.ray_minima_csv(rows))
+        _out(args.out, ser.ray_minima_csv(rep.ray_minima))
     else:
-        rep = range_and_coverage(cm, n_rays=args.rays)
         _out(args.out, ser.dump_json(ser.report_to_dict(rep)))
     return 0
 

@@ -5,8 +5,11 @@ zero set of the characteristic polynomial), and a line through the origin
 meets it in finitely many points.  Sweeping the line angle and solving one
 ordinary eigenvalue problem per line therefore samples the whole curve:
 after rotating the complex linear part by ``exp(-i theta)``, the real
-eigenvalues of the 2n x 2n complexification are exactly the signed radii of
-the spectral points on that line.
+eigenvalues of the real 2n x 2n matrix ``realify`` of the rotated operator
+(similar to its complexification) are exactly the signed radii of the
+spectral points on that line.  A sweep stacks these real matrices for all
+lines and solves them with one batched ``np.linalg.eigvals`` per
+memory-bounded chunk.
 """
 
 from __future__ import annotations
@@ -16,17 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._threads import ordered_map
-from .charpoly import _charpoly_dets, _real_part
+from .charpoly import _DET_STACK_ENTRIES, _charpoly_dets, _real_part
 from .errors import NumericalFailure, ValidationError
 from .operators import (
     RealLinearOperator,
     apply,
-    complexify,
     min_modulus,
     operator_norm,
     realify,
-    rotate,
 )
 
 __all__ = [
@@ -70,43 +70,62 @@ class SpectrumCloud:
         return np.array([p.lam for p in self.points], dtype=complex)
 
 
-def ray_spectrum(R: RealLinearOperator, theta: float, tol: float = 1e-8) -> list[tuple[float, float]]:
-    """Spectral radii (signed) on the line through the origin at angle ``theta``.
+def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
+    """Eigenvalues of ``realify(rotate(R, theta))``, one row per line angle.
 
-    Solves the eigenproblem of the complexification of the rotated operator
-    and keeps eigenvalues with relative imaginary part within ``tol``.  A
-    returned pair ``(r, res)`` is the point ``r * exp(i theta)`` (negative r
-    lands on the opposite ray at ``theta + pi``) with ``res`` the imaginary
-    defect of the eigenvalue.  Coincident hits on the line are collapsed.
+    The real matrices are built straight from ``P = e^{-i theta} C + B`` and
+    ``Q = e^{-i theta} C - B``, stacked in chunks of at most
+    ``_DET_STACK_ENTRIES`` entries and solved by one batched
+    ``np.linalg.eigvals`` per chunk.  A chunk that fails is solved line by
+    line, so that the failure names its angle.
     """
-    M = complexify(rotate(R, theta))
-    try:
-        eigs = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
+    lines = np.asarray(lines, dtype=float)
+    chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
+    eigs = np.empty((lines.size, 2 * R.n), dtype=complex)
+    for start in range(0, lines.size, chunk):
+        th = lines[start:start + chunk]
+        phase = np.exp(-1j * th)[:, None, None]
+        P, Q = phase * R.C + R.B, phase * R.C - R.B
+        S = np.block([[P.real, -Q.imag], [P.imag, Q.real]])
         try:
-            cond = float(np.linalg.cond(M))
-        except Exception:
-            cond = float("nan")
-        raise NumericalFailure(
-            f"eigenvalue solve failed on the line theta={theta:.6g} "
-            f"(matrix condition estimate {cond:.3e}): {exc}"
-        ) from exc
+            eigs[start:start + chunk] = np.linalg.eigvals(S)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        for k, (theta, M) in enumerate(zip(th, S)):
+            try:
+                eigs[start + k] = np.linalg.eigvals(M)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(
+                    f"eigenvalue solve failed on the line theta={theta:.6g}: {exc}"
+                ) from exc
+    return eigs
 
-    hits = [
-        (float(e.real), float(abs(e.imag)))
-        for e in eigs
-        if abs(e.imag) <= tol * (1.0 + abs(e))
-    ]
-    hits.sort(key=lambda h: h[0])
 
+def _line_hits(eigs: np.ndarray, tol: float) -> list[tuple[float, float]]:
+    # eigenvalues within the relative imaginary tolerance, by real part, with
+    # coincident ones collapsed
+    keep = np.abs(eigs.imag) <= tol * (1.0 + np.abs(eigs))
     merged: list[tuple[float, float]] = []
-    for r, res in hits:
+    for r, res in sorted(zip(eigs.real[keep].tolist(), np.abs(eigs.imag[keep]).tolist())):
         if merged and abs(r - merged[-1][0]) <= 1e-9 * (1.0 + abs(r)):
-            prev_r, prev_res = merged[-1]
-            merged[-1] = (prev_r, min(prev_res, res))
+            merged[-1] = (merged[-1][0], min(merged[-1][1], res))
         else:
             merged.append((r, res))
     return merged
+
+
+def ray_spectrum(R: RealLinearOperator, theta: float, tol: float = 1e-8) -> list[tuple[float, float]]:
+    """Spectral radii (signed) on the line through the origin at angle ``theta``.
+
+    Solves the eigenproblem of the real 2n x 2n matrix of the rotated
+    operator and keeps eigenvalues with relative imaginary part within
+    ``tol``.  A returned pair ``(r, res)`` is the point ``r * exp(i theta)``
+    (negative r lands on the opposite ray at ``theta + pi``) with ``res`` the
+    imaginary defect of the eigenvalue.  Coincident hits on the line are
+    collapsed.
+    """
+    return _line_hits(_line_eigvals(R, [theta])[0], tol)
 
 
 def spectrum_sweep(
@@ -116,7 +135,6 @@ def spectrum_sweep(
     tol_imag: float = 1e-8,
     tol_residual: float = 1e-8,
     thetas=None,
-    workers: int | None = None,
 ) -> SpectrumCloud:
     """Sample the spectrum by sweeping rays through the origin.
 
@@ -125,8 +143,8 @@ def spectrum_sweep(
     performed on [0, pi) and negative radii are remapped to ``theta + pi``.
     Odd ray counts are rounded up to the next even number.  Explicit line
     angles can be passed via ``thetas`` (reduced mod pi), which overrides
-    ``n_rays``.  Lines are independent and may be solved by worker threads;
-    the merged cloud is sorted by (theta, r) either way.
+    ``n_rays``.  All lines are solved in batched, memory-bounded stacks, and
+    the merged cloud is sorted by (theta, r).
     """
     if thetas is None:
         if n_rays < 1:
@@ -139,10 +157,12 @@ def spectrum_sweep(
             raise ValidationError("thetas must contain at least one angle")
 
     n = R.n
-    results = ordered_map(lambda th: ray_spectrum(R, th, tol_imag), lines, workers)
+    eigs = _line_eigvals(R, lines)
 
     hits = [
-        (th, r, complex(r * np.exp(1j * th))) for th, line in zip(lines, results) for r, _ in line
+        (th, r, complex(r * np.exp(1j * th)))
+        for th, row in zip(lines, eigs)
+        for r, _ in _line_hits(row, tol_imag)
     ]
     dets = _charpoly_dets(R, [lam for _, _, lam in hits])
     points = []

@@ -333,6 +333,8 @@ def test_certificates_eps_inconclusive():
     assert cert.verdict == "inconclusive"
     assert cert.det_complexification == pytest.approx(1.0)
     assert cert.h_min_eigenvalue == pytest.approx(-2 * eps, abs=1e-9)
+    assert cert.h_eigenvalues == tuple(np.linalg.eigvalsh(coeff_matrix(R).H).tolist())
+    assert cert.h_min_eigenvalue == cert.h_eigenvalues[0]
     mus = np.roots([1.0, -2 * eps, 1.0])
     assert np.all(np.abs(mus.imag) > 0.1)
     grid = [r * np.exp(1j * t) for r in np.linspace(0, 3, 40) for t in np.linspace(0, np.pi, 7)]

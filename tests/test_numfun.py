@@ -1,9 +1,12 @@
 """Numerical function: evaluation, convexity, per-ray extrema, coverage."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from randops import crandn, random_antilinear, random_operator
 from rlspec import (
@@ -22,6 +25,7 @@ from rlspec import (
     sos_decompose,
     spectrum_sweep,
 )
+from rlspec.numfun import _ray_extrema
 
 
 def eps_operator(eps):
@@ -184,6 +188,102 @@ def test_ray_extrema_bracket_true_minimum():
         grid = [numfun_eval(H, r * np.exp(1j * th)) for r in np.linspace(0, 20, 4000)]
         assert min(vals) <= min(grid) + 1e-6
         assert max(vals) >= max(grid) - 1e-6
+
+
+def reference_extrema(A, theta):
+    # one ray at a time: antidiagonal sums, N' D - N D', trim, polyroots;
+    # also returns the length of the trimmed critical polynomial
+    n = A.shape[0] - 1
+    ph = np.exp(1j * theta * np.arange(n + 1))
+    W = np.outer(ph.conj(), ph) * A
+    num = np.array([
+        np.real(sum(W[i, d - i] for i in range(max(0, d - n), min(d, n) + 1)))
+        for d in range(2 * n + 1)
+    ])
+    den = np.zeros(2 * n + 1)
+    den[::2] = 1.0
+    E = npoly.polysub(npoly.polymul(npoly.polyder(num), den),
+                      npoly.polymul(num, npoly.polyder(den)))
+    scale = max(float(np.max(np.abs(E))), 1e-300)
+    E = np.trim_zeros(np.where(np.abs(E) > 1e-14 * scale, E, 0.0), "b")
+    crit = []
+    if E.size > 1:
+        for rt in npoly.polyroots(E):
+            r = float(rt.real)
+            if abs(rt.imag) > 1e-8 * (1 + abs(rt)) or r <= 0:
+                continue
+            if not crit or abs(r - crit[-1]) > 1e-10 * (1 + r):
+                crit.append(r)
+    inner = [(r, float(npoly.polyval(r, num) / npoly.polyval(r, den))) for r in sorted(crit)]
+    return [(0.0, float(A[0, 0].real))] + inner + [(math.inf, float(A[n, n].real))], E.size
+
+
+def assert_extrema_close(got, ref):
+    assert len(got) == len(ref)
+    for (r, v), (r_ref, v_ref) in zip(got, ref):
+        assert r == r_ref or abs(r - r_ref) <= 1e-12 * max(1.0, abs(r_ref))
+        assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
+
+
+@pytest.mark.parametrize(
+    "H, sizes",
+    [
+        # n = 1 with H00 = H11: on the ray theta = 0 the function is flat and
+        # the critical polynomial trims to nothing; elsewhere it has degree 2
+        (np.array([[0.5, 0.3j], [-0.3j, 0.5]]), {0, 3}),
+        # n = 1 with H00 != H11: at theta = 0 and pi it has degree 1 (root r = 0)
+        (np.array([[0.2, 0.3j], [-0.3j, 1.0]]), {2, 3}),
+        # random operators: mixed high degrees
+        (coeff_matrix(random_operator(np.random.default_rng(20), 3)).H, None),
+        (coeff_matrix(random_operator(np.random.default_rng(21), 4)).H, None),
+    ],
+)
+def test_batched_extrema_match_per_ray_reference(H, sizes):
+    # sizes are trimmed lengths of the critical polynomial.  One H gives
+    # flat or degree-1 rays, never both, so the two n = 1 cases together
+    # cover the zero polynomial and degrees 1 and 2 next to higher degrees.
+    thetas = 2 * np.pi * np.arange(64) / 64
+    got = _ray_extrema(H, thetas)
+    seen = set()
+    for theta, ext in zip(thetas, got):
+        ref, size = reference_extrema(H, theta)
+        seen.add(size)
+        assert_extrema_close(ext, ref)
+        assert_extrema_close(ray_extrema(H, theta), ref)
+    if sizes is not None:
+        assert sizes <= seen and len(seen) >= 2
+
+
+def test_ray_extrema_r_max_cuts_critical_radii():
+    H = coeff_matrix(eps_operator(0.5))
+    assert [r for r, _ in ray_extrema(H, 0.4, r_max=0.5)] == [0.0, math.inf]
+    assert len(ray_extrema(H, 0.4, r_max=2.0)) == 3
+
+
+def test_companion_batch_failure_falls_back_per_ray(monkeypatch):
+    H = coeff_matrix(random_operator(np.random.default_rng(22), 3)).H
+    thetas = 2 * np.pi * np.arange(8) / 8
+    expected = _ray_extrema(H, thetas)
+    real_eigvals = np.linalg.eigvals
+    singles = []
+
+    def failing(a):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        singles.append(a)
+        if len(singles) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _ray_extrema(H, thetas)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1
+    assert re.match(rf"critical point solve failed on ray theta={thetas[2]:.6g}: ", messages[0])
+    assert got[2] == [expected[2][0], expected[2][-1]]
+    assert got[:2] + got[3:] == expected[:2] + expected[3:]
 
 
 # ------------------------------------------------------------------- coverage

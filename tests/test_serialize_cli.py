@@ -14,6 +14,7 @@ from rlspec import (
     coeff_matrix,
     conjugation,
     identity,
+    ray_extrema,
     spectrum_sweep,
 )
 from rlspec import serialize as ser
@@ -209,6 +210,27 @@ def test_cli_numfun_ray_csv(tmp_path):
         _, rmin, fmin = row.split(",")
         assert float(rmin) == pytest.approx(1.0, abs=1e-8)
         assert float(fmin) == pytest.approx(1.0 / 3.0, abs=1e-10)
+
+
+def test_cli_numfun_ray_csv_matches_per_ray_minima(tmp_path):
+    R = random_operator(np.random.default_rng(12), 3)
+    op = write_operator(tmp_path / "r.json", R)
+    out = tmp_path / "rays.csv"
+    assert main(["numfun", op, "--rays", "12", "--out", str(out)]) == 0
+    rows = []
+    for k in range(12):
+        theta = 2.0 * np.pi * k / 12
+        r_min, f_min = min(ray_extrema(coeff_matrix(R), theta), key=lambda t: t[1])
+        rows.append((theta, r_min, f_min))
+    assert out.read_text() == ser.ray_minima_csv(rows)
+
+
+def test_cli_info_reports_certificate_spectrum(tmp_path, capsys):
+    R = random_operator(np.random.default_rng(13), 3)
+    op = write_operator(tmp_path / "r.json", R)
+    assert main(["info", op, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["h_eigenvalues"] == np.linalg.eigvalsh(coeff_matrix(R).H).tolist()
 
 
 def test_cli_friedrichs_hankel(tmp_path):

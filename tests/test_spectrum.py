@@ -1,15 +1,21 @@
 """Ray sweeps, eigenvectors, eigenvalue-free certificates, invariant structure."""
 
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from randops import crandn, random_antilinear, random_operator
 from rlspec import (
+    NumericalFailure,
     RealLinearOperator,
     ValidationError,
     apply,
     charpoly_eval,
     common_invariant_1d,
+    complexify,
     conjugation,
     eigenvector,
     emptiness_certificates,
@@ -18,6 +24,7 @@ from rlspec import (
     no_eigenvalue_certificate,
     operator_norm,
     ray_spectrum,
+    rotate,
     scale,
     spectrum_sweep,
 )
@@ -140,14 +147,109 @@ def test_sweep_rejects_bad_ray_count():
         spectrum_sweep(conjugation(1), 0)
 
 
-def test_sweep_deterministic_under_threads(monkeypatch):
-    monkeypatch.setenv("RLSPEC_THREADS", "4")
+def test_sweep_deterministic():
     rng = np.random.default_rng(7)
     A = random_antilinear(rng, 5)
     c1 = spectrum_sweep(A, 32)
-    monkeypatch.setenv("RLSPEC_THREADS", "1")
     c2 = spectrum_sweep(A, 32)
-    assert c1.points == c2.points
+    assert c1.points and c1.points == c2.points
+
+
+def reference_sweep(R, lines, tol=1e-8):
+    # one complex eigenvalue solve per line, then the sweep's filter, merge
+    # and residual bound, point by point
+    points = []
+    for th in lines:
+        eigs = np.linalg.eigvals(complexify(rotate(R, th)))
+        hits = sorted(e.real for e in eigs if abs(e.imag) <= tol * (1 + abs(e)))
+        merged = []
+        for r in hits:
+            if not merged or abs(r - merged[-1]) > 1e-9 * (1 + abs(r)):
+                merged.append(r)
+        for r in merged:
+            lam = r * np.exp(1j * th)
+            if abs(charpoly_eval(R, lam)) <= tol * (1 + abs(r)) ** (2 * R.n):
+                points.append((th if r >= 0 else th + math.pi, abs(r)))
+    return sorted(points)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("antilinear", [False, True])
+def test_sweep_matches_complex_line_reference(n, antilinear):
+    rng = np.random.default_rng(100 + n)
+    R = (random_antilinear if antilinear else random_operator)(rng, n)
+    thetas = [0.3, 2.0, 4.0, -1.0, 7.5]
+    for cloud, lines in (
+        (spectrum_sweep(R, 63), [math.pi * j / 32 for j in range(32)]),
+        (spectrum_sweep(R, thetas=thetas), sorted({t % math.pi for t in thetas})),
+    ):
+        ref = reference_sweep(R, lines)
+        assert cloud.n_rays == 2 * len(lines)
+        assert len(cloud.points) == len(ref)
+        for p, (th, r) in zip(cloud.points, ref):
+            assert p.theta == th
+            assert abs(p.r - r) <= 1e-9 * (1 + abs(r))
+
+
+def test_sweep_solves_each_chunk_in_one_call(monkeypatch):
+    real_eigvals = np.linalg.eigvals
+    shapes = []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return real_eigvals(a)
+
+    R = random_operator(np.random.default_rng(12), 16)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    spectrum_sweep(R, 64)
+    # 32 real 32 x 32 lines in stacks of 2**14 entries: two calls of 16
+    assert shapes == [(16, 32, 32), (16, 32, 32)]
+
+
+def test_sweep_falls_back_to_single_lines(monkeypatch):
+    R = random_operator(np.random.default_rng(13), 3)
+    expected = spectrum_sweep(R, 16)
+    real_eigvals = np.linalg.eigvals
+
+    def no_stacks(a):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_stacks)
+    assert spectrum_sweep(R, 16).points == expected.points
+
+
+def test_sweep_failure_names_the_line(monkeypatch):
+    R = random_operator(np.random.default_rng(14), 3)
+    real_eigvals = np.linalg.eigvals
+    singles = []
+
+    def failing(a):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        singles.append(a)
+        if len(singles) == 3:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    theta = math.pi * 2 / 8
+    with pytest.raises(NumericalFailure, match=re.escape(f"theta={theta:.6g}")):
+        spectrum_sweep(R, 16)
+
+
+def test_sweep_memory_stays_bounded_at_n64():
+    # Unchunked, the 128 real 128 x 128 line matrices alone would take 16 MiB.
+    R = random_antilinear(np.random.default_rng(12), 64)
+    tracemalloc.start()
+    try:
+        cloud = spectrum_sweep(R, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cloud.points
+    assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------- eigenvector
