@@ -30,7 +30,8 @@ print("\nH of the indefinite example:\n", np.round(cme.H.real, 9))
 print("p(lam) on the unit circle:", rl.charpoly_eval(E, np.exp(0.7j)))
 print("certificates:", rl.emptiness_certificates(E).verdict)
 
-# The interpolation extraction agrees with the exact minor-expansion oracle.
+# The torus-grid extraction (one 2-D DFT of determinants) agrees with the
+# exact minor-expansion oracle.
 rng = np.random.default_rng(1)
 W = rl.RealLinearOperator(
     (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / 5.0,
@@ -54,8 +55,8 @@ cert = rl.emptiness_certificates(skew)
 print("\nskew operator verdict:", cert.verdict)
 print("cholesky polynomial rows:\n", np.round(cert.pd_certificate.U.real, 9))
 
-# Conjugation has determinant -1 <= 0, so bisection finds the real-axis
-# spectral point r = 1.
+# Conjugation has determinant -1 <= 0, so p(r, r) has a nonnegative root:
+# the smallest nonnegative real eigenvalue of realify(tau), r = 1.
 tau = rl.conjugation(1)
 cert = rl.emptiness_certificates(tau)
 print("\nconjugation verdict:", cert.verdict, " real-axis zero:", cert.real_axis_zero)

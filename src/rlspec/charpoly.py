@@ -7,10 +7,10 @@ polynomial is the real-valued bivariate polynomial ::
 
 whose zero set is exactly the spectrum.  Collecting coefficients gives a
 Hermitian (n+1) x (n+1) matrix H with ``p = v* H v`` against the monomial
-vector ``v = (1, lam, ..., lam**n)``.  This module extracts H (fast polar
-interpolation, or an exact minor-expansion oracle), produces weighted and
-Cholesky sum-of-squares decompositions, and derives spectrum
-emptiness/nonemptiness certificates from H.
+vector ``v = (1, lam, ..., lam**n)``.  This module extracts H (one 2-D DFT
+of determinants sampled on a torus grid of (n+1)**2 points, or an exact
+minor-expansion oracle), produces weighted and Cholesky sum-of-squares
+decompositions, and derives spectrum emptiness/nonemptiness certificates.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, NumericalFailure, ValidationError
-from .operators import RealLinearOperator, adjoint, complexify, operator_norm
+from .operators import RealLinearOperator, complexify, operator_norm, realify
 
 __all__ = [
     "CoeffMatrix",
@@ -34,7 +34,6 @@ __all__ = [
     "common_zero_free",
     "EmptinessCertificates",
     "emptiness_certificates",
-    "adjoint_coeff_check",
 ]
 
 
@@ -52,15 +51,19 @@ def _shifted_complexification(R: RealLinearOperator, lam: complex) -> np.ndarray
 _DET_STACK_ENTRIES = 1 << 14
 
 
-def _charpoly_dets(R: RealLinearOperator, lams) -> np.ndarray:
+def _charpoly_dets(R: RealLinearOperator, lams, mus=None) -> np.ndarray:
     """Complex determinants of the shifted complexification at each of ``lams``.
 
-    The complexification is built once; diagonally shifted copies are
-    stacked and passed to one batched ``np.linalg.det`` per chunk.  Each
-    matrix gets the same LU as a one-point call, so the values are
-    identical to ``det(_shifted_complexification(R, lam))`` bit for bit.
+    The upper diagonal block is shifted by ``lams`` and the lower one by
+    ``mus`` (default ``conj(lams)``), so ``p(lam, mu)`` can be sampled with
+    ``lam`` and ``mu`` independent.  The complexification is built once;
+    diagonally shifted copies are stacked and passed to one batched
+    ``np.linalg.det`` per chunk.  Each matrix gets the same LU as a
+    one-point call, so the values are identical to
+    ``det(_shifted_complexification(R, lam))`` bit for bit.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
+    mus = lams.conj() if mus is None else np.asarray(mus, dtype=complex).ravel()
     n = R.n
     M = complexify(R)
     idx = np.arange(n)
@@ -70,7 +73,7 @@ def _charpoly_dets(R: RealLinearOperator, lams) -> np.ndarray:
         lam = lams[start:start + chunk, None]
         S = np.repeat(M[None], lam.shape[0], axis=0)
         S[:, idx, idx] -= lam
-        S[:, n + idx, n + idx] -= np.conj(lam)
+        S[:, n + idx, n + idx] -= mus[start:start + chunk, None]
         dets[start:start + chunk] = np.linalg.det(S)
     return dets
 
@@ -135,56 +138,21 @@ def coeff_poly_eval(H, lam: complex) -> float:
     return float(np.real(v.conj() @ A @ v))
 
 
-def _interp_radii(n: int, s: float) -> np.ndarray:
-    # n+3 Chebyshev-spaced radii in [0.5 s, 2 s], s = 1 + operator norm
-    k = np.arange(n + 3)
-    return 1.25 * s + 0.75 * s * np.cos(np.pi * (2 * k + 1) / (2 * (n + 3)))
+def _coeff_torus(R: RealLinearOperator) -> tuple[np.ndarray, float]:
+    """``G[i, j] = H[i, j] * rho**(i + j)`` from one 2-D DFT, and ``rho``.
 
-
-def _coeff_interpolation(R: RealLinearOperator, cond_limit: float) -> np.ndarray:
+    ``p(lam, mu)`` has degree <= n in each variable, so its values at
+    ``(rho w**a, rho w**b)``, with ``w`` a primitive (n+1)-th root of unity
+    and ``a, b = 0..n``, determine every coefficient: the 2-D DFT of the
+    samples (rows indexed by ``b``) is ``(n+1)**2 * G``.  ``rho`` is the
+    operator norm (1 for the zero operator), which puts every entry of G on
+    the common scale ``rho**(2n)``.
+    """
     n = R.n
-    s = 1.0 + operator_norm(R)
-    radii = _interp_radii(n, s)
-    N = 2 * n + 1
-    thetas = 2.0 * np.pi * np.arange(N) / N
-
-    P = _charpoly_dets(R, radii[:, None] * np.exp(1j * thetas)).reshape(radii.size, N)
-
-    # Angular DFT isolates the diagonals k = j - i of H (frequencies -n..n
-    # are exactly resolved by 2n+1 angles); the factor r**|k| is then
-    # stripped and each diagonal solved as a Vandermonde system in (r/s)^2.
-    G = np.fft.fft(P, axis=1) / N
-    pmax = np.max(np.abs(P), axis=1)  # roundoff scale of each radius row
-    xs = (radii / s) ** 2
-
-    H = np.zeros((n + 1, n + 1), dtype=complex)
-    for q in range(-n, n + 1):
-        aq = abs(q)
-        ncoef = n - aq + 1
-        A = np.vander(xs, ncoef, increasing=True)
-        rhs = G[:, q % N] / radii**aq
-        # Rows are whitened by their determinant roundoff scale so the huge
-        # outer-radius samples cannot contaminate the small coefficients;
-        # columns are equilibrated before the solve.
-        sigma = pmax / radii**aq
-        Aw = A / sigma[:, None]
-        cn = np.linalg.norm(Aw, axis=0)
-        Aw = Aw / cn
-        c, _, _, sv = np.linalg.lstsq(Aw, rhs / sigma, rcond=None)
-        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-        if cond > cond_limit:
-            raise NumericalFailure(
-                f"radial interpolation system for diagonal {q} is ill-conditioned "
-                f"(cond estimate {cond:.3e} > limit {cond_limit:.1e})"
-            )
-        c = c / cn / s ** (2 * np.arange(ncoef))
-        if q >= 0:
-            for i in range(ncoef):
-                H[i, i + q] = c[i]
-        else:
-            for i in range(ncoef):
-                H[i + aq, i] = c[i]
-    return H
+    rho = operator_norm(R) or 1.0
+    z = rho * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    P = _charpoly_dets(R, np.tile(z, n + 1), mus=np.repeat(z, n + 1))
+    return np.fft.fft2(P.reshape(n + 1, n + 1)) / (n + 1) ** 2, rho
 
 
 def _coeff_exact(R: RealLinearOperator) -> np.ndarray:
@@ -238,10 +206,11 @@ def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float) -> None:
     V = lams[:, None] ** np.arange(n + 1)
     gots = np.einsum("ki,ij,kj->k", V.conj(), H, V).real
     dets = _charpoly_dets(R, lams)
-    # Checked in radius-major order so the first failing point is reported.
+    # Checked in radius-major order so the first failing point is reported;
+    # the comparison is negated so that a NaN fails.
     for lam, got, det, r in zip(lams, gots, dets, np.repeat(radii, thetas.size)):
         ref = _real_part(complex(det), "characteristic polynomial value")
-        if abs(got - ref) > tol * (s + r) ** (2 * n):
+        if not abs(got - ref) <= tol * (s + r) ** (2 * n):
             raise NumericalFailure(
                 f"extracted coefficients disagree with the determinant at lam={lam:.4g}: "
                 f"|{got:.6e} - {ref:.6e}| exceeds tolerance"
@@ -255,7 +224,6 @@ def coeff_matrix(
     validate: bool = True,
     validate_tol: float = 1e-6,
     herm_tol: float = 1e-6,
-    cond_limit: float = 1e12,
 ) -> CoeffMatrix:
     """Extract the Hermitian coefficient matrix of the characteristic polynomial.
 
@@ -263,20 +231,23 @@ def coeff_matrix(
     ----------
     R : RealLinearOperator
     mode : str
-        ``"interpolation"`` evaluates the determinant on a polar grid
-        (2n+1 angles, n+3 radii) and solves for the coefficients; it is the
-        fast production path.  Grid and validation determinants are
-        evaluated in batched stacks of shifted copies of one
-        complexification, about 2**14 complex entries per stack, so memory
-        stays bounded at any n.  ``"exact"`` expands the determinant symbolically
-        with ``lam`` and ``conj(lam)`` treated as independent indeterminates;
-        exponential in n, intended as an independent oracle for small n.
+        ``"interpolation"`` samples ``p(lam, mu)`` with ``lam`` and ``mu``
+        independent on the torus grid ``|lam| = |mu| = ||R||`` at the
+        (n+1)-th roots of unity, (n+1)**2 points, and reads the coefficients
+        off one 2-D DFT; it is the fast production path.  Grid and
+        validation determinants are evaluated in batched stacks of shifted
+        copies of one complexification, about 2**14 complex entries per
+        stack, so memory stays bounded at any n.  ``"exact"`` expands the
+        determinant symbolically with ``lam`` and ``conj(lam)`` treated as
+        independent indeterminates; exponential in n, intended as an
+        independent oracle for small n.
     validate : bool
         Compare ``v* H v`` against fresh determinant evaluations on an
         off-grid set of points and fail loudly on disagreement.
-    validate_tol, herm_tol, cond_limit : float
-        Tolerances for the validation grid, the pre-projection Hermitian
-        asymmetry, and the radial solve conditioning.
+    validate_tol, herm_tol : float
+        Tolerances for the validation grid and for the pre-projection
+        Hermitian asymmetry of ``H[i, j] * rho**(i + j)``, relative to its
+        largest entry.
 
     Returns
     -------
@@ -285,23 +256,26 @@ def coeff_matrix(
         ``H[0][0] = det`` of the complexification.
     """
     if mode == "interpolation":
-        Hraw = _coeff_interpolation(R, cond_limit)
+        G, rho = _coeff_torus(R)
     elif mode == "exact":
-        Hraw = _coeff_exact(R)
+        G, rho = _coeff_exact(R), 1.0
     else:
         raise ValidationError(f"unknown mode {mode!r}, expected 'interpolation' or 'exact'")
 
-    asym = float(np.max(np.abs(Hraw - Hraw.conj().T)))
-    hscale = max(1.0, float(np.max(np.abs(Hraw))))
-    if asym > herm_tol * hscale:
+    gasym = float(np.max(np.abs(G - G.conj().T)))
+    gscale = float(np.max(np.abs(G)))
+    # Strict and negated, so a NaN or an all-zero (underflowed) G fails too.
+    if not gasym < herm_tol * gscale:
         raise NumericalFailure(
-            f"coefficient matrix violates Hermitian symmetry by {asym:.3e} "
-            f"(scale {hscale:.3e}); extraction is unreliable"
+            f"coefficient matrix violates Hermitian symmetry by {gasym:.3e} "
+            f"(scale {gscale:.3e}); extraction is unreliable"
         )
+    k = np.arange(R.n + 1)
+    Hraw = G / rho ** np.add.outer(k, k)
     H = (Hraw + Hraw.conj().T) / 2.0
     if validate:
         _validate_coeff(R, H, validate_tol)
-    return CoeffMatrix(n=R.n, H=H, asymmetry=asym)
+    return CoeffMatrix(n=R.n, H=H, asymmetry=float(np.max(np.abs(Hraw - Hraw.conj().T))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,9 +367,10 @@ class EmptinessCertificates:
     """Outcome of the two spectrum emptiness/nonemptiness criteria.
 
     ``pd_certificate`` is a Cholesky sum of squares proving the spectrum
-    empty; ``real_axis_zero`` is a radius r with ``p(r, r) = 0`` proving it
-    nonempty.  Both may be absent: the criteria are one-sided.
-    ``h_eigenvalues`` is the ascending spectrum of H behind the PD test.
+    empty; ``real_axis_zero`` is the smallest nonnegative real root r of
+    ``p(r, r) = 0``, a spectral point proving the spectrum nonempty.  Both
+    may be absent: the criteria are one-sided.  ``h_eigenvalues`` is the
+    ascending spectrum of H behind the PD test.
     """
 
     pd_certificate: SosDecomposition | None
@@ -419,9 +394,7 @@ class EmptinessCertificates:
 def emptiness_certificates(
     R: RealLinearOperator,
     *,
-    mode: str = "interpolation",
     pd_threshold: float = 1e-10,
-    bisect_tol: float = 1e-10,
     coeff: CoeffMatrix | None = None,
 ) -> EmptinessCertificates:
     """Run both spectrum certificates on ``R``.
@@ -429,10 +402,13 @@ def emptiness_certificates(
     If the coefficient matrix is positive definite, return the Cholesky sum
     of squares (spectrum empty).  If the determinant of the complexification
     is <= 0, the restriction ``f(r) = p(r, r)`` starts nonpositive and grows
-    like ``r**(2n)``, so bisection on ``[0, 1 + ||R||]`` locates a real-axis
-    spectral point (spectral points cannot exceed the operator norm).
+    like ``r**(2n)``, so it has a nonnegative root.  Since
+    ``p(r, r) = det(realify(R) - r I)``, those roots are the real
+    eigenvalues of the real matrix ``realify(R)``, which LAPACK returns as
+    exactly real; the smallest nonnegative one is reported.  ``coeff``
+    supplies an already extracted H (for example ``mode="exact"``).
     """
-    cm = coeff if coeff is not None else coeff_matrix(R, mode=mode)
+    cm = coeff if coeff is not None else coeff_matrix(R)
     det0 = charpoly_eval(R, 0.0)
     # The same PD test as cholesky_sos, so its rows can be built directly.
     w = np.linalg.eigvalsh((cm.H + cm.H.conj().T) / 2.0)
@@ -443,27 +419,17 @@ def emptiness_certificates(
         pd_cert = _cholesky_rows(cm.H)
 
     zero = None
-    if det0 <= 0.0:
-        if det0 == 0.0:
-            zero = 0.0
-        else:
-            lo = 0.0
-            hi = 1.0 + operator_norm(R)
-            fhi = charpoly_eval(R, hi)
-            for _ in range(64):
-                if fhi > 0.0:
-                    break
-                hi *= 2.0
-                fhi = charpoly_eval(R, hi)
-            else:
-                raise NumericalFailure("could not bracket a positive value of p(r, r)")
-            while hi - lo > bisect_tol:
-                mid = 0.5 * (lo + hi)
-                if charpoly_eval(R, mid) <= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            zero = 0.5 * (lo + hi)
+    if det0 == 0.0:
+        zero = 0.0
+    elif det0 < 0.0:
+        ev = np.linalg.eigvals(realify(R))
+        roots = ev.real[(ev.imag == 0.0) & (ev.real >= 0.0)]
+        if roots.size == 0:
+            raise NumericalFailure(
+                f"det of the complexification is {det0:.3e} < 0, yet realify(R) "
+                "has no exactly real nonnegative eigenvalue"
+            )
+        zero = float(roots.min())
 
     return EmptinessCertificates(
         pd_certificate=pd_cert,
@@ -471,16 +437,3 @@ def emptiness_certificates(
         det_complexification=det0,
         h_eigenvalues=tuple(w.tolist()),
     )
-
-
-def adjoint_coeff_check(R: RealLinearOperator, tol: float = 1e-9, mode: str = "interpolation") -> bool:
-    """Verify that the adjoint's coefficients are the complex conjugates.
-
-    ``p_adj(lam, conj(lam)) = p(conj(lam), lam)`` entrywise conjugates the
-    coefficient matrix; in particular a self-adjoint operator has a real
-    one.  Returns True when the identity holds within ``tol`` (absolute,
-    entrywise).
-    """
-    Ha = coeff_matrix(adjoint(R), mode=mode).H
-    Hr = coeff_matrix(R, mode=mode).H
-    return bool(np.max(np.abs(Ha - Hr.conj())) <= tol)

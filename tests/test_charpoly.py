@@ -11,7 +11,6 @@ from rlspec import (
     NumericalFailure,
     RealLinearOperator,
     adjoint,
-    adjoint_coeff_check,
     charpoly_eval,
     cholesky_sos,
     coeff_matrix,
@@ -20,11 +19,13 @@ from rlspec import (
     conjugation,
     emptiness_certificates,
     operator_norm,
+    realify,
     rotate,
     scalar_operator,
     sos_decompose,
     sos_eval,
 )
+import rlspec.charpoly as charpoly_module
 from rlspec.charpoly import (
     _DET_STACK_ENTRIES,
     _charpoly_dets,
@@ -41,6 +42,17 @@ def eps_operator(eps: float) -> RealLinearOperator:
 
 def skew_operator() -> RealLinearOperator:
     return RealLinearOperator(np.zeros((2, 2)), [[0.0, 1.0], [-1.0, 0.0]])
+
+
+def with_norm(R: RealLinearOperator, norm: float) -> RealLinearOperator:
+    s = norm / operator_norm(R)
+    return RealLinearOperator(s * R.C, s * R.B)
+
+
+def torus_weights(n: int, rho: float) -> np.ndarray:
+    # rho**(i + j): the torus extraction's G[i, j] is H[i, j] times this
+    k = np.arange(n + 1)
+    return float(rho) ** np.add.outer(k, k)
 
 
 # ---------------------------------------------------------------- charpoly_eval
@@ -156,10 +168,45 @@ def test_coeff_matrix_rejects_unknown_mode():
         coeff_matrix(conjugation(1), mode="symbolic")
 
 
-def test_coeff_matrix_reports_ill_conditioning():
+def test_coeff_torus_matches_exact_oracle_across_norms():
+    # Entry (i, j) is compared on the scale rho**(i + j) at which the torus
+    # grid sees it, relative to the largest weighted coefficient.
+    rng = np.random.default_rng(18)
+    cases = [(n, norm) for n in (1, 3, 6) for norm in (1e-3, 1.0, 10.0, 100.0)]
+    for n, norm in cases + [(8, 1e-3), (8, 100.0)]:
+        R = with_norm(random_operator(rng, n), norm)
+        W = torus_weights(n, operator_norm(R))
+        Hi = coeff_matrix(R).H
+        Hx = coeff_matrix(R, mode="exact").H
+        assert np.max(np.abs(Hi - Hx) * W) <= 1e-12 * np.max(np.abs(Hx) * W), (n, norm)
+
+
+def test_coeff_scaling_equivariance():
+    # p_{sR}(lam, mu) = s**(2n) p_R(lam / s, mu / s), so
+    # H(sR)[i, j] = s**(2n - i - j) H(R)[i, j]
+    rng = np.random.default_rng(19)
+    for n in (1, 2, 5, 11, 16):
+        R = random_operator(rng, n)
+        H = coeff_matrix(R).H
+        k = np.arange(n + 1)
+        for s in (1e-3, 1e-1, 3.0, 1e2, 1e3):
+            Hs = coeff_matrix(RealLinearOperator(s * R.C, s * R.B)).H
+            W = torus_weights(n, s * operator_norm(R))
+            ref = s ** (2 * n - np.add.outer(k, k)) * H
+            assert np.max(np.abs(Hs - ref) * W) <= 1e-12 * np.max(np.abs(ref) * W), (n, s)
+
+
+def test_coeff_matrix_reports_hermitian_violation(monkeypatch):
     R = random_operator(np.random.default_rng(8), 4)
-    with pytest.raises(NumericalFailure):
-        coeff_matrix(R, cond_limit=1.0)
+    exact = charpoly_module._charpoly_dets
+
+    def perturbed(R, lams, mus=None):
+        P = exact(R, lams, mus)
+        return P + 1e-3 * np.max(np.abs(P)) * np.cos(np.arange(P.size))
+
+    monkeypatch.setattr(charpoly_module, "_charpoly_dets", perturbed)
+    with pytest.raises(NumericalFailure, match="Hermitian symmetry"):
+        coeff_matrix(R)
 
 
 # -------------------------------------------------------- batched determinants
@@ -178,15 +225,16 @@ def test_charpoly_dets_equal_pointwise_determinants():
 
 
 def test_coeff_matrix_memory_stays_bounded_at_n32():
-    # The unchunked n = 32 grid alone would take 149 MB.
+    # Unchunked, the n = 32 torus grid would take 71 MB and the validation
+    # grid 149 MB.
     R = random_operator(np.random.default_rng(3), 32)
     tracemalloc.start()
     try:
-        with pytest.raises(NumericalFailure):
-            coeff_matrix(R)
+        cm = coeff_matrix(R)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert cm.H[32, 32] == pytest.approx(1.0)
     assert peak < 8 * 2**20
 
 
@@ -347,6 +395,47 @@ def test_certificates_zero_determinant_edge():
     assert cert.real_axis_zero == 0.0
 
 
+def test_real_axis_zero_is_a_root_on_the_hadamard_scale():
+    # p(r, r) = det(realify(R) - r I); the Hadamard bound (product of the
+    # column norms) is the scale that roundoff in that determinant lives on.
+    rng = np.random.default_rng(20)
+    found = 0
+    for n in (1, 2, 3, 5, 8, 12, 16):
+        for norm in (1e-3, 1.0, 10.0, 100.0):
+            for _ in range(3):
+                R = with_norm(random_operator(rng, n), norm)
+                cert = emptiness_certificates(R)
+                if cert.real_axis_zero is None:
+                    continue
+                found += 1
+                A = realify(R) - cert.real_axis_zero * np.eye(2 * n)
+                bound = np.prod(np.linalg.norm(A, axis=0))
+                assert abs(np.linalg.det(A)) <= 1e-12 * bound, (n, norm)
+    assert found >= 20
+
+
+def test_real_axis_zero_is_the_smallest_nonnegative_root():
+    # conjugation(1) + 0.5 z has p(r, r) = (r - 1.5)(r + 0.5): the negative
+    # root is skipped
+    R = RealLinearOperator([[0.5]], [[1.0]])
+    cert = emptiness_certificates(R)
+    assert cert.det_complexification == pytest.approx(-0.75)
+    assert cert.real_axis_zero == pytest.approx(1.5, rel=1e-14)
+    # p(r, r) = (r - 1)(r - 2)(r - 3)(r + 2) has three positive roots
+    R = RealLinearOperator(np.diag([1.5, 0.5]), np.diag([-0.5, 2.5]))
+    cert = emptiness_certificates(R)
+    assert cert.det_complexification == pytest.approx(-12.0)
+    assert cert.real_axis_zero == pytest.approx(1.0, rel=1e-14)
+
+
+def test_certificates_report_missing_real_eigenvalue(monkeypatch):
+    # det0 < 0 forces a nonnegative real root; if the eigen solve returns
+    # none (say, a near-double root split into a complex pair) it must fail
+    monkeypatch.setattr(charpoly_module, "realify", lambda R: np.array([[0.0, -1.0], [1.0, 0.0]]))
+    with pytest.raises(NumericalFailure, match="no exactly real nonnegative eigenvalue"):
+        emptiness_certificates(conjugation(1))
+
+
 # -------------------------------------------------------------------- adjoint
 
 def test_adjoint_coeff_scalar_formula():
@@ -364,11 +453,15 @@ def test_adjoint_coeff_self_adjoint_real():
     assert np.max(np.abs(H.imag)) < 1e-10
 
 
-def test_adjoint_coeff_check_random():
+def test_adjoint_coefficients_are_conjugate():
+    # p_adj(lam, conj(lam)) = p(conj(lam), lam) conjugates H entrywise
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        n = int(rng.integers(1, 6))
-        assert adjoint_coeff_check(random_operator(rng, n), tol=1e-9)
+    for n in (1, 2, 3, 5, 8, 12, 16):
+        R = random_operator(rng, n)
+        W = torus_weights(n, operator_norm(R))
+        H = coeff_matrix(R).H
+        Ha = coeff_matrix(adjoint(R)).H
+        assert np.max(np.abs(Ha - H.conj()) * W) <= 1e-12 * np.max(np.abs(H) * W), n
 
 
 # --------------------------------------------------------------------- rotate

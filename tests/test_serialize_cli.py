@@ -244,6 +244,20 @@ def test_cli_friedrichs_hankel(tmp_path):
     assert np.allclose(R.B, [[1.0, 0.5], [0.5, 0.25]])
 
 
+def test_cli_friedrichs_n16_then_info(tmp_path, capsys):
+    # the README flow: truncate a Hankel symbol at n = 16, then certify it
+    sym = write_symbol(
+        tmp_path / "sym.json",
+        SymbolSeries.circle_hankel(0.5 ** np.arange(40), DecaySpec("geometric", 0.5)),
+    )
+    op = tmp_path / "op.json"
+    assert main(["friedrichs", "--symbol", sym, "--n", "16", "--out", str(op)]) == 0
+    capsys.readouterr()
+    assert main(["info", str(op), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 16 and len(payload["h_eigenvalues"]) == 17
+
+
 def test_cli_friedrichs_disk(tmp_path):
     sym = write_symbol(tmp_path / "sym.json", SymbolSeries.disk_monomial(1))
     out = tmp_path / "op.json"

@@ -128,7 +128,7 @@ def test_sweep_points_bounded_by_norm():
             assert p.r <= nrm + 1e-8
 
 
-def test_sweep_consistent_with_bisection_zero():
+def test_sweep_consistent_with_real_axis_zero():
     rng = np.random.default_rng(6)
     found = 0
     for _ in range(20):
