@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, NumericalFailure, ValidationError
-from .operators import RealLinearOperator, complexify, operator_norm, realify
+from .operators import RealLinearOperator, _real_block, complexify, operator_norm, realify
 
 __all__ = [
     "CoeffMatrix",
@@ -37,17 +37,8 @@ __all__ = [
 ]
 
 
-def _shifted_complexification(R: RealLinearOperator, lam: complex) -> np.ndarray:
-    n = R.n
-    M = complexify(R)
-    idx = np.arange(n)
-    M[idx, idx] -= lam
-    M[n + idx, n + idx] -= np.conj(lam)
-    return M
-
-
-# Complex entries per stack of shifted copies handed to one batched det
-# (256 KiB), so the kernel's working memory stays bounded at any n.
+# Entries per stack of shifted matrices handed to one batched LAPACK call
+# (256 KiB complex), so the kernels' working memory stays bounded at any n.
 _DET_STACK_ENTRIES = 1 << 14
 
 
@@ -59,8 +50,8 @@ def _charpoly_dets(R: RealLinearOperator, lams, mus=None) -> np.ndarray:
     ``lam`` and ``mu`` independent.  The complexification is built once;
     diagonally shifted copies are stacked and passed to one batched
     ``np.linalg.det`` per chunk.  Each matrix gets the same LU as a
-    one-point call, so the values are identical to
-    ``det(_shifted_complexification(R, lam))`` bit for bit.
+    one-point call, so the values are identical bit for bit to ``det`` of
+    each shifted complexification on its own.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     mus = lams.conj() if mus is None else np.asarray(mus, dtype=complex).ravel()
@@ -76,6 +67,23 @@ def _charpoly_dets(R: RealLinearOperator, lams, mus=None) -> np.ndarray:
         S[:, n + idx, n + idx] -= mus[start:start + chunk, None]
         dets[start:start + chunk] = np.linalg.det(S)
     return dets
+
+
+def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log-modulus of ``p(lam, conj(lam)) = det(realify(R - lam I))`` at ``lams``.
+
+    The real 2n x 2n matrices are stacked in chunks of at most
+    ``_DET_STACK_ENTRIES`` entries, one batched ``np.linalg.slogdet`` each.
+    """
+    lams = np.asarray(lams, dtype=complex).ravel()
+    P, Q, eye = R.C + R.B, R.C - R.B, np.eye(R.n)
+    chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
+    sign, logabs = np.empty(lams.size), np.empty(lams.size)
+    for start in range(0, lams.size, chunk):
+        shift = lams[start:start + chunk, None, None] * eye
+        part = slice(start, start + chunk)
+        sign[part], logabs[part] = np.linalg.slogdet(_real_block(P - shift, Q - shift))
+    return sign, logabs
 
 
 def _real_part(value: complex, what: str, tol: float = 1e-6) -> float:
@@ -198,23 +206,35 @@ def _coeff_exact(R: RealLinearOperator) -> np.ndarray:
 
 
 def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float) -> None:
+    """Check ``v* H v`` against ``det(realify(R - lam I))`` at 2n+3 off-grid points.
+
+    Point k = 0..2n+2 has radius k of ``linspace(0.6 s, 1.9 s, 2n+3)``,
+    ``s = 1 + ||R||``, and angle ``2 pi (k + 0.37) / (2n+3)``.  The first
+    point where the two differ by more than ``tol * (s + |lam|)**(2n)`` is
+    reported.  Both are divided by that scale in the log domain (the
+    monomials taken as ``lam**j / (s + |lam|)**n``), so nothing overflows.
+    """
     n = R.n
     s = 1.0 + operator_norm(R)
-    radii = np.linspace(0.6 * s, 1.9 * s, n + 2)
-    thetas = 2.0 * np.pi * (np.arange(2 * n + 3) + 0.37) / (2 * n + 3)
-    lams = (radii[:, None] * np.exp(1j * thetas)).ravel()
-    V = lams[:, None] ** np.arange(n + 1)
+    m = 2 * n + 3
+    radii = np.linspace(0.6 * s, 1.9 * s, m)
+    thetas = 2.0 * np.pi * (np.arange(m) + 0.37) / m
+    lams = radii * np.exp(1j * thetas)
+    logt = np.log(s + radii)
+    j = np.arange(n + 1)
+    V = np.exp(np.outer(np.log(radii), j) - n * logt[:, None] + 1j * np.outer(thetas, j))
     gots = np.einsum("ki,ij,kj->k", V.conj(), H, V).real
-    dets = _charpoly_dets(R, lams)
-    # Checked in radius-major order so the first failing point is reported;
-    # the comparison is negated so that a NaN fails.
-    for lam, got, det, r in zip(lams, gots, dets, np.repeat(radii, thetas.size)):
-        ref = _real_part(complex(det), "characteristic polynomial value")
-        if not abs(got - ref) <= tol * (s + r) ** (2 * n):
-            raise NumericalFailure(
-                f"extracted coefficients disagree with the determinant at lam={lam:.4g}: "
-                f"|{got:.6e} - {ref:.6e}| exceeds tolerance"
-            )
+    sign, logabs = _real_slogdets(R, lams)
+    refs = sign * np.exp(logabs - 2 * n * logt)
+    # Negated, so that a NaN fails.
+    bad = ~(np.abs(gots - refs) <= tol)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericalFailure(
+            f"extracted coefficients disagree with the determinant at lam={lams[k]:.4g}: "
+            f"|{gots[k]:.6e} - {refs[k]:.6e}| exceeds tolerance "
+            f"(both divided by (1 + ||R|| + |lam|)**{2 * n})"
+        )
 
 
 def coeff_matrix(
@@ -234,20 +254,24 @@ def coeff_matrix(
         ``"interpolation"`` samples ``p(lam, mu)`` with ``lam`` and ``mu``
         independent on the torus grid ``|lam| = |mu| = ||R||`` at the
         (n+1)-th roots of unity, (n+1)**2 points, and reads the coefficients
-        off one 2-D DFT; it is the fast production path.  Grid and
-        validation determinants are evaluated in batched stacks of shifted
-        copies of one complexification, about 2**14 complex entries per
-        stack, so memory stays bounded at any n.  ``"exact"`` expands the
+        off one 2-D DFT; it is the fast production path.  The grid
+        determinants are evaluated in batched stacks of shifted copies of
+        one complexification, about 2**14 complex entries per stack, so
+        memory stays bounded at any n.  ``"exact"`` expands the
         determinant symbolically with ``lam`` and ``conj(lam)`` treated as
         independent indeterminates; exponential in n, intended as an
         independent oracle for small n.
     validate : bool
-        Compare ``v* H v`` against fresh determinant evaluations on an
-        off-grid set of points and fail loudly on disagreement.
+        Compare ``v* H v`` with the exactly real ``det(realify(R - lam I))``
+        at 2n+3 off-grid points, one per radius between ``0.6 s`` and
+        ``1.9 s`` (``s = 1 + ||R||``), and fail loudly on disagreement.  The
+        real 2n x 2n matrices are stacked like the grid's, one batched
+        ``slogdet`` per stack.
     validate_tol, herm_tol : float
-        Tolerances for the validation grid and for the pre-projection
-        Hermitian asymmetry of ``H[i, j] * rho**(i + j)``, relative to its
-        largest entry.
+        Tolerances for validation, relative to ``(s + |lam|)**(2n)`` and
+        applied in the log domain so the bound stays finite at any norm,
+        and for the pre-projection Hermitian asymmetry of
+        ``H[i, j] * rho**(i + j)``, relative to its largest entry.
 
     Returns
     -------

@@ -3,12 +3,15 @@
 Subcommands load operator/symbol JSON files, run the library analyses, and
 emit JSON/CSV/SVG artifacts.  Outputs are deterministic: identical inputs
 and options produce byte-identical files.  Exit codes: 0 success, 2 input
-validation failure, 3 numerical failure.
+validation failure, 3 numerical failure.  The argument parser is built once
+per process, on the first ``main`` call, and reused by later calls; parsing
+keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -168,7 +171,9 @@ def _cmd_charfun(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later ``main`` call."""
     parser = _Parser(
         prog="rlspec",
         description="Spectral analyses of finite-rank real linear operators z -> Cz + B conj(z).",

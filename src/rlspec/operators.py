@@ -197,11 +197,14 @@ def complexify(R: RealLinearOperator) -> np.ndarray:
     return np.block([[R.C, R.B], [R.B.conj(), R.C.conj()]])
 
 
+def _real_block(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``[[Re P, -Im Q], [Im P, Re Q]]`` for ``P = C + B``, ``Q = C - B``; stacks map to stacks."""
+    return np.block([[P.real, -Q.imag], [P.imag, Q.real]])
+
+
 def realify(R: RealLinearOperator) -> np.ndarray:
     """The 2n x 2n real matrix acting on stacked (Re z, Im z) coordinates."""
-    P = R.C + R.B
-    Q = R.C - R.B
-    return np.block([[P.real, -Q.imag], [P.imag, Q.real]])
+    return _real_block(R.C + R.B, R.C - R.B)
 
 
 def operator_norm(R: RealLinearOperator) -> float:
@@ -209,20 +212,13 @@ def operator_norm(R: RealLinearOperator) -> float:
     return float(np.linalg.svd(realify(R), compute_uv=False)[0])
 
 
-def min_modulus(R) -> float:
+def min_modulus(R: RealLinearOperator) -> float:
     """Injectivity modulus ``inf ||R z||`` over unit vectors.
 
-    Accepts a :class:`RealLinearOperator` or a plain (complex or real)
-    square matrix; computed as the smallest singular value of the real
-    2n x 2n representation (equivalently of the matrix itself).
+    Computed as the smallest singular value of the real 2n x 2n
+    representation ``realify(R)``.
     """
-    if isinstance(R, RealLinearOperator):
-        M = realify(R)
-    else:
-        M = np.asarray(R)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionMismatch(f"square matrix expected, got shape {M.shape}")
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
+    return float(np.linalg.svd(realify(R), compute_uv=False)[-1])
 
 
 def schatten_norm(R: RealLinearOperator, p: float) -> float:

@@ -23,6 +23,7 @@ from .charpoly import _DET_STACK_ENTRIES, _charpoly_dets, _real_part
 from .errors import NumericalFailure, ValidationError
 from .operators import (
     RealLinearOperator,
+    _real_block,
     apply,
     min_modulus,
     operator_norm,
@@ -86,7 +87,7 @@ def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
         th = lines[start:start + chunk]
         phase = np.exp(-1j * th)[:, None, None]
         P, Q = phase * R.C + R.B, phase * R.C - R.B
-        S = np.block([[P.real, -Q.imag], [P.imag, Q.real]])
+        S = _real_block(P, Q)
         try:
             eigs[start:start + chunk] = np.linalg.eigvals(S)
             continue

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charpoly import _real_part, _shifted_complexification
+from .charpoly import _real_slogdets
 from .errors import ValidationError
 from .operators import RealLinearOperator
 
@@ -208,17 +208,15 @@ def charfun_eval(R: RealLinearOperator, lam: complex) -> float:
     """Characteristic function of a truncation: ``p(lam, conj(lam)) / |lam|**(2n)``.
 
     Equals ``det[I - (1/r)(e^{-i theta} C + A)]`` of the complexification at
-    ``lam = r e^{i theta}``; computed through a log-determinant so very
-    large truncations neither overflow nor underflow.  Not defined at 0.
+    ``lam = r e^{i theta}``; computed through the log-determinant of the
+    exactly real ``realify(R - lam I)``, so very large truncations neither
+    overflow nor underflow.  Not defined at 0.
     """
     lam = complex(lam)
     if lam == 0:
         raise ValidationError("the characteristic function is defined on the punctured plane only")
-    sign, logabs = np.linalg.slogdet(_shifted_complexification(R, lam))
-    if sign == 0:
-        return 0.0
-    val = sign * np.exp(logabs - 2 * R.n * math.log(abs(lam)))
-    return _real_part(complex(val), "characteristic function value")
+    sign, logabs = _real_slogdets(R, [lam])
+    return float(sign[0] * np.exp(logabs[0] - 2 * R.n * math.log(abs(lam))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """Characteristic polynomial extraction, sums of squares, certificates."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rlspec import (
     coeff_matrix,
     coeff_poly_eval,
     common_zero_free,
+    complexify,
     conjugation,
     emptiness_certificates,
     operator_norm,
@@ -29,7 +31,6 @@ import rlspec.charpoly as charpoly_module
 from rlspec.charpoly import (
     _DET_STACK_ENTRIES,
     _charpoly_dets,
-    _shifted_complexification,
     _validate_coeff,
 )
 
@@ -217,11 +218,39 @@ def test_charpoly_dets_equal_pointwise_determinants():
     for n, count in ((1, 11), (7, 40), (32, 3 * per_stack + 1)):
         R = random_operator(rng, n)
         lams = crandn(rng, count)
-        ref = np.array([np.linalg.det(_shifted_complexification(R, lam)) for lam in lams])
+        M = complexify(R)
+        ref = np.array([np.linalg.det(M - np.diag([lam] * n + [np.conj(lam)] * n)) for lam in lams])
         got = _charpoly_dets(R, lams)
         assert got.shape == (count,)
         assert np.all(got == ref)
     assert _charpoly_dets(random_operator(rng, 3), []).shape == (0,)
+
+
+def test_validation_takes_2n_plus_3_real_determinants_in_bounded_stacks(monkeypatch):
+    rng = np.random.default_rng(11)
+    R = random_operator(rng, 3)
+    lams = crandn(rng, 7)
+    sign, logabs = charpoly_module._real_slogdets(R, lams)
+    for lam, sg, la in zip(lams, sign, logabs):
+        ref_sign, ref_log = np.linalg.slogdet(realify(RealLinearOperator(R.C - lam * np.eye(3), R.B)))
+        assert sg == ref_sign and la == pytest.approx(ref_log, rel=1e-12, abs=1e-12)
+
+    n = 32
+    R = random_operator(rng, n)
+    H = coeff_matrix(R).H
+    stacks = []
+    slogdet = np.linalg.slogdet
+
+    def counted(S):
+        stacks.append(S.shape)
+        return slogdet(S)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted)
+    _validate_coeff(R, H, 1e-6)
+    per_stack = _DET_STACK_ENTRIES // (2 * n) ** 2
+    assert sum(shape[0] for shape in stacks) == 2 * n + 3
+    assert len(stacks) == -(-(2 * n + 3) // per_stack)
+    assert all(shape[0] <= per_stack and shape[1:] == (2 * n, 2 * n) for shape in stacks)
 
 
 def test_coeff_matrix_memory_stays_bounded_at_n32():
@@ -241,31 +270,56 @@ def test_coeff_matrix_memory_stays_bounded_at_n32():
 def test_validate_coeff_reports_first_failing_point():
     n, tol = 4, 1e-6
     R = random_operator(np.random.default_rng(10), n)
+    # The documented points, in their order: point k has radius k of
+    # linspace(0.6 s, 1.9 s, 2n+3) and angle 2 pi (k + 0.37) / (2n+3).
     s = 1.0 + operator_norm(R)
-    radii = np.linspace(0.6 * s, 1.9 * s, n + 2)
-    thetas = 2.0 * np.pi * (np.arange(2 * n + 3) + 0.37) / (2 * n + 3)
+    m = 2 * n + 3
+    radii = np.linspace(0.6 * s, 1.9 * s, m)
+    thetas = 2.0 * np.pi * (np.arange(m) + 0.37) / m
     # Perturbing H[n-1, n] by delta adds Re(delta * |lam|**(2n-2) * lam) to
-    # v* H v, which fails on the two outer radii in different angle windows:
-    # the first failure in radius-major order differs from angle-major order.
-    mag = 2.0 * tol * (s + radii[-1]) ** (2 * n) / radii[-1] ** (2 * n - 1)
+    # v* H v.  Aimed at a middle point, it fails there or just before, and by
+    # more at larger radii later on: the first failure is neither the worst
+    # nor the last one.
+    k0 = m // 2
+    mag = 2.0 * tol * (s + radii[k0]) ** (2 * n) / radii[k0] ** (2 * n - 1)
     H = coeff_matrix(R).H.copy()
-    H[n - 1, n] += mag * np.exp(-1j * thetas[thetas.size // 2])
+    H[n - 1, n] += mag * np.exp(-1j * thetas[k0])
 
-    first = None
-    for r in radii:
-        for th in thetas:
-            lam = r * np.exp(1j * th)
-            if abs(coeff_poly_eval(H, lam) - charpoly_eval(R, lam)) > tol * (s + r) ** (2 * n):
-                first = lam
-                break
-        if first is not None:
-            break
-    assert first is not None and abs(first) < radii[-1]
+    lams, excess = [], []
+    for r, th in zip(radii, thetas):
+        lam = r * np.exp(1j * th)
+        lams.append(lam)
+        err = abs(coeff_poly_eval(H, lam) - charpoly_eval(R, lam))
+        excess.append(err / (tol * (s + r) ** (2 * n)))
+    failing = [k for k, e in enumerate(excess) if e > 1.0]
+    first = failing[0]
+    assert 0 < first < failing[-1] and excess[first] < max(excess)
 
     with pytest.raises(NumericalFailure) as info:
         _validate_coeff(R, H, tol)
-    assert f"at lam={first:.4g}:" in str(info.value)
+    assert f"at lam={lams[first]:.4g}:" in str(info.value)
     _validate_coeff(R, coeff_matrix(R).H, tol)
+    H[0, 0] = np.nan
+    with pytest.raises(NumericalFailure):
+        _validate_coeff(R, H, tol)
+
+
+def test_validate_coeff_bound_stays_finite_beyond_double_range():
+    # At n = 46 and norm 1e3, (s + r)**(2n) is about 1e318: a bound formed
+    # directly overflows to inf and accepts any H.  The leading coefficient
+    # dominates v* H v at the outer radii; the bound still sits 1e17 above
+    # its term there, so it is corrupted by more than that.
+    n, tol = 46, 1e-6
+    R = with_norm(random_operator(np.random.default_rng(0), n), 1e3)
+    assert 2 * n * np.log10(2.9 * (1.0 + operator_norm(R))) > 308
+    H = coeff_matrix(R, validate=False).H
+    bad = H.copy()
+    bad[n, n] += 1e20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _validate_coeff(R, H, tol)
+        with pytest.raises(NumericalFailure, match="disagree with the determinant"):
+            _validate_coeff(R, bad, tol)
 
 
 # ------------------------------------------------------------------------ sos

@@ -215,8 +215,6 @@ def test_min_modulus_examples():
     assert abs(min_modulus(conjugation(2)) - 1.0) < 1e-14
     singular = RealLinearOperator(np.diag([1.0, 0.0]), np.zeros((2, 2)))
     assert min_modulus(singular) < 1e-14
-    # plain matrix input
-    assert abs(min_modulus(np.diag([3.0, 2.0])) - 2.0) < 1e-14
 
 
 def test_min_modulus_lower_bounds_samples():

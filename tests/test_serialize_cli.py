@@ -1,5 +1,6 @@
 """Wire formats and the command line front end."""
 
+import importlib.util
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from rlspec import (
     spectrum_sweep,
 )
 from rlspec import serialize as ser
-from rlspec.cli import main
+from rlspec.cli import build_parser, main
 
 
 def eps_operator(eps=0.5):
@@ -337,6 +338,34 @@ def test_cli_numerical_failure_exits_3_with_error_json(tmp_path, capsys):
     assert payload["exit_code"] == 3
     assert payload["type"] == "NumericalFailure"
     assert "error:" in captured.err
+
+
+def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    op = write_operator(tmp_path / "r.json", random_operator(np.random.default_rng(14), 3))
+    calls = [
+        ["info", op, "--json"],
+        ["info", op, "--validate-tol", "0", "--error-json"],
+        ["charpoly", op],
+        ["info", op, "--json"],
+    ]
+
+    def run(cli_main, argv):
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh_main():
+        # a new copy of the module, with a parser not yet built
+        spec = importlib.util.find_spec("rlspec.cli")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.main
+
+    shared = [run(main, argv) for argv in calls]
+    assert shared == [run(fresh_main(), argv) for argv in calls]
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert json.loads(shared[1][1])["type"] == "ValidationError"
 
 
 def test_cli_charfun_bad_grid_spec(tmp_path):
