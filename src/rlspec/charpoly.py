@@ -86,22 +86,15 @@ def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]
     return sign, logabs
 
 
-def _real_part(value: complex, what: str, tol: float = 1e-6) -> float:
-    if abs(value.imag) > tol * (1.0 + abs(value.real)):
-        raise NumericalFailure(
-            f"{what} should be real but has imaginary part {value.imag:.3e} "
-            f"(real part {value.real:.3e})"
-        )
-    return float(value.real)
-
-
 def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:
     """Evaluate the characteristic polynomial at ``lam``.
 
-    Computed as the determinant of the shifted 2n x 2n complexification;
-    the result is real up to roundoff and returned as a float.
+    Computed as ``det(realify(R - lam I))``, the determinant of a real
+    2n x 2n matrix similar to the shifted complexification, so the value is
+    exactly real; a singular matrix gives exactly 0.0.
     """
-    return _real_part(complex(_charpoly_dets(R, [lam])[0]), "characteristic polynomial value")
+    sign, logabs = _real_slogdets(R, [lam])
+    return float(sign[0] * np.exp(logabs[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,18 +139,18 @@ def coeff_poly_eval(H, lam: complex) -> float:
     return float(np.real(v.conj() @ A @ v))
 
 
-def _coeff_torus(R: RealLinearOperator) -> tuple[np.ndarray, float]:
+def _coeff_torus(R: RealLinearOperator, norm: float) -> tuple[np.ndarray, float]:
     """``G[i, j] = H[i, j] * rho**(i + j)`` from one 2-D DFT, and ``rho``.
 
     ``p(lam, mu)`` has degree <= n in each variable, so its values at
     ``(rho w**a, rho w**b)``, with ``w`` a primitive (n+1)-th root of unity
     and ``a, b = 0..n``, determine every coefficient: the 2-D DFT of the
     samples (rows indexed by ``b``) is ``(n+1)**2 * G``.  ``rho`` is the
-    operator norm (1 for the zero operator), which puts every entry of G on
-    the common scale ``rho**(2n)``.
+    operator norm ``norm`` (1 for the zero operator), which puts every entry
+    of G on the common scale ``rho**(2n)``.
     """
     n = R.n
-    rho = operator_norm(R) or 1.0
+    rho = norm or 1.0
     z = rho * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     P = _charpoly_dets(R, np.tile(z, n + 1), mus=np.repeat(z, n + 1))
     return np.fft.fft2(P.reshape(n + 1, n + 1)) / (n + 1) ** 2, rho
@@ -205,17 +198,17 @@ def _coeff_exact(R: RealLinearOperator) -> np.ndarray:
     return level[(1 << m) - 1]
 
 
-def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float) -> None:
+def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float, norm: float) -> None:
     """Check ``v* H v`` against ``det(realify(R - lam I))`` at 2n+3 off-grid points.
 
     Point k = 0..2n+2 has radius k of ``linspace(0.6 s, 1.9 s, 2n+3)``,
-    ``s = 1 + ||R||``, and angle ``2 pi (k + 0.37) / (2n+3)``.  The first
-    point where the two differ by more than ``tol * (s + |lam|)**(2n)`` is
-    reported.  Both are divided by that scale in the log domain (the
+    ``s = 1 + norm`` (``norm`` is ``||R||``), and angle
+    ``2 pi (k + 0.37) / (2n+3)``.  The first point where the two differ by
+    more than ``tol * (s + |lam|)**(2n)`` is reported.  Both are divided by that scale in the log domain (the
     monomials taken as ``lam**j / (s + |lam|)**n``), so nothing overflows.
     """
     n = R.n
-    s = 1.0 + operator_norm(R)
+    s = 1.0 + norm
     m = 2 * n + 3
     radii = np.linspace(0.6 * s, 1.9 * s, m)
     thetas = 2.0 * np.pi * (np.arange(m) + 0.37) / m
@@ -279,8 +272,9 @@ def coeff_matrix(
         With ``H[n][n] = 1`` (monic leading term ``|lam|**(2n)``) and
         ``H[0][0] = det`` of the complexification.
     """
+    norm = operator_norm(R)
     if mode == "interpolation":
-        G, rho = _coeff_torus(R)
+        G, rho = _coeff_torus(R, norm)
     elif mode == "exact":
         G, rho = _coeff_exact(R), 1.0
     else:
@@ -298,7 +292,7 @@ def coeff_matrix(
     Hraw = G / rho ** np.add.outer(k, k)
     H = (Hraw + Hraw.conj().T) / 2.0
     if validate:
-        _validate_coeff(R, H, validate_tol)
+        _validate_coeff(R, H, validate_tol, norm)
     return CoeffMatrix(n=R.n, H=H, asymmetry=float(np.max(np.abs(Hraw - Hraw.conj().T))))
 
 

@@ -9,7 +9,10 @@ eigenvalues of the real 2n x 2n matrix ``realify`` of the rotated operator
 (similar to its complexification) are exactly the signed radii of the
 spectral points on that line.  A sweep stacks these real matrices for all
 lines and solves them with one batched ``np.linalg.eigvals`` per
-memory-bounded chunk.
+memory-bounded chunk.  An antilinear operator (``C = 0``) has the same
+matrix on every line, so its sweep makes one solve and reuses it.  Each hit
+is checked against ``p(lam, conj(lam)) = det(realify(R - lam I))``, which is
+exactly real, through one batched ``np.linalg.slogdet`` per chunk.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import _DET_STACK_ENTRIES, _charpoly_dets, _real_part
+from .charpoly import _DET_STACK_ENTRIES, _real_slogdets
 from .errors import NumericalFailure, ValidationError
 from .operators import (
     RealLinearOperator,
@@ -58,7 +61,7 @@ class SpectrumCloud:
     """Spectral points gathered from a ray sweep, sorted by (theta, r).
 
     ``residual`` of each point is the characteristic polynomial magnitude
-    there; every stored point satisfies
+    there, ``|det(realify(R - lam I))|``; every stored point satisfies
     ``residual <= tol_residual * (1 + r)**(2n)``.
     """
 
@@ -78,9 +81,13 @@ def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
     ``Q = e^{-i theta} C - B``, stacked in chunks of at most
     ``_DET_STACK_ENTRIES`` entries and solved by one batched
     ``np.linalg.eigvals`` per chunk.  A chunk that fails is solved line by
-    line, so that the failure names its angle.
+    line, so that the failure names its angle.  With ``C = 0`` every line has
+    the same matrix, ``realify(R)``, so the first line is solved alone and
+    its row repeated.
     """
     lines = np.asarray(lines, dtype=float)
+    if lines.size > 1 and not R.C.any():
+        return np.repeat(_line_eigvals(R, lines[:1]), lines.size, axis=0)
     chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
     eigs = np.empty((lines.size, 2 * R.n), dtype=complex)
     for start in range(0, lines.size, chunk):
@@ -165,11 +172,10 @@ def spectrum_sweep(
         for th, row in zip(lines, eigs)
         for r, _ in _line_hits(row, tol_imag)
     ]
-    dets = _charpoly_dets(R, [lam for _, _, lam in hits])
+    _, logabs = _real_slogdets(R, [lam for _, _, lam in hits])
     points = []
-    for (th, r, lam), det in zip(hits, dets):
+    for (th, r, lam), residual in zip(hits, np.exp(logabs).tolist()):
         rr = abs(r)
-        residual = abs(_real_part(complex(det), "characteristic polynomial value"))
         if residual > tol_residual * (1.0 + rr) ** (2 * n):
             continue
         th_pt = th if r >= 0 else th + math.pi

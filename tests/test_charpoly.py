@@ -210,6 +210,21 @@ def test_coeff_matrix_reports_hermitian_violation(monkeypatch):
         coeff_matrix(R)
 
 
+def test_validated_coeff_matrix_takes_one_svd(monkeypatch):
+    # The torus radius and the validation scale share one operator norm.
+    R = random_operator(np.random.default_rng(15), 5)
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    coeff_matrix(R)
+    assert shapes == [(10, 10)]
+
+
 # -------------------------------------------------------- batched determinants
 
 def test_charpoly_dets_equal_pointwise_determinants():
@@ -246,7 +261,7 @@ def test_validation_takes_2n_plus_3_real_determinants_in_bounded_stacks(monkeypa
         return slogdet(S)
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
-    _validate_coeff(R, H, 1e-6)
+    _validate_coeff(R, H, 1e-6, operator_norm(R))
     per_stack = _DET_STACK_ENTRIES // (2 * n) ** 2
     assert sum(shape[0] for shape in stacks) == 2 * n + 3
     assert len(stacks) == -(-(2 * n + 3) // per_stack)
@@ -296,12 +311,12 @@ def test_validate_coeff_reports_first_failing_point():
     assert 0 < first < failing[-1] and excess[first] < max(excess)
 
     with pytest.raises(NumericalFailure) as info:
-        _validate_coeff(R, H, tol)
+        _validate_coeff(R, H, tol, operator_norm(R))
     assert f"at lam={lams[first]:.4g}:" in str(info.value)
-    _validate_coeff(R, coeff_matrix(R).H, tol)
+    _validate_coeff(R, coeff_matrix(R).H, tol, operator_norm(R))
     H[0, 0] = np.nan
     with pytest.raises(NumericalFailure):
-        _validate_coeff(R, H, tol)
+        _validate_coeff(R, H, tol, operator_norm(R))
 
 
 def test_validate_coeff_bound_stays_finite_beyond_double_range():
@@ -317,9 +332,9 @@ def test_validate_coeff_bound_stays_finite_beyond_double_range():
     bad[n, n] += 1e20
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _validate_coeff(R, H, tol)
+        _validate_coeff(R, H, tol, operator_norm(R))
         with pytest.raises(NumericalFailure, match="disagree with the determinant"):
-            _validate_coeff(R, bad, tol)
+            _validate_coeff(R, bad, tol, operator_norm(R))
 
 
 # ------------------------------------------------------------------------ sos

@@ -24,6 +24,7 @@ from rlspec import (
     no_eigenvalue_certificate,
     operator_norm,
     ray_spectrum,
+    realify,
     rotate,
     scale,
     spectrum_sweep,
@@ -204,6 +205,44 @@ def test_sweep_solves_each_chunk_in_one_call(monkeypatch):
     spectrum_sweep(R, 64)
     # 32 real 32 x 32 lines in stacks of 2**14 entries: two calls of 16
     assert shapes == [(16, 32, 32), (16, 32, 32)]
+
+
+def test_antilinear_sweep_solves_one_line(monkeypatch):
+    real_eigvals = np.linalg.eigvals
+    shapes = []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return real_eigvals(a)
+
+    A = random_antilinear(np.random.default_rng(12), 16)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    spectrum_sweep(A, 64)
+    assert shapes == [(1, 32, 32)]
+    shapes.clear()
+    spectrum_sweep(A, thetas=[0.3, 2.0, 4.0, -1.0])
+    assert shapes == [(1, 32, 32)]
+    # any nonzero complex linear part takes the per-line path
+    shapes.clear()
+    C = np.zeros((16, 16), dtype=complex)
+    C[3, 5] = 1e-300
+    spectrum_sweep(RealLinearOperator(C, A.B), 64)
+    assert shapes == [(16, 32, 32), (16, 32, 32)]
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_sweep_of_norm_10_operators_lands_on_zeros(n):
+    # The residual is |det(realify(R - lam I))|, exactly real, so a hit is
+    # never refused for the roundoff imaginary part of a complex determinant.
+    rng = np.random.default_rng(200 + n)
+    for _ in range(3):
+        R = random_operator(rng, n, scale=10.0)
+        cloud = spectrum_sweep(R, 64)
+        assert cloud.points
+        for p in cloud.points:
+            M = realify(RealLinearOperator(R.C - p.lam * np.eye(n), R.B))
+            hadamard = np.prod(np.linalg.norm(M, axis=0))
+            assert abs(np.linalg.det(M)) <= 1e-6 * hadamard
 
 
 def test_sweep_falls_back_to_single_lines(monkeypatch):

@@ -9,7 +9,6 @@ from randops import crandn
 from rlspec import (
     CharFunTable,
     DecaySpec,
-    NumericalFailure,
     RealLinearOperator,
     SymbolSeries,
     ValidationError,
@@ -363,14 +362,6 @@ def test_truncation_complexification_schatten_doubling():
 
 # ------------------------------------------------------ antilinear spectrum
 
-_REAL_PART_DEFECT = pytest.mark.xfail(
-    raises=NumericalFailure,
-    strict=True,
-    reason="_real_part tests the residual's imaginary part against an absolute "
-    "tolerance, which a near-zero residual of this size exceeds by roundoff",
-)
-
-
 @pytest.mark.parametrize(
     "name, n",
     [
@@ -379,7 +370,7 @@ _REAL_PART_DEFECT = pytest.mark.xfail(
         ("geometric", 16),
         ("polynomial", 4),
         ("polynomial", 8),
-        pytest.param("polynomial", 16, marks=_REAL_PART_DEFECT),
+        ("polynomial", 16),
     ],
 )
 def test_hankel_spectrum_lies_on_singular_value_circles(name, n):
