@@ -20,7 +20,7 @@ from . import serialize as ser
 from .charpoly import coeff_matrix, emptiness_certificates
 from .errors import NumericalFailure, ValidationError
 from .numfun import range_and_coverage
-from .operators import operator_norm, schatten_norm
+from .operators import _schatten_norms, operator_norm
 from .spectrum import spectrum_sweep
 from .traceclass import charfun_convergence, disk_truncation, hankel_truncation
 
@@ -69,11 +69,12 @@ def _cmd_info(args) -> int:
     else:
         classification = "indefinite (certificates inconclusive)"
 
+    schatten_1, schatten_2 = _schatten_norms(R, 1.0, 2.0)
     payload = {
         "n": R.n,
         "operator_norm": operator_norm(R),
-        "schatten_1": schatten_norm(R, 1.0),
-        "schatten_2": schatten_norm(R, 2.0),
+        "schatten_1": schatten_1,
+        "schatten_2": schatten_2,
         "det_complexification": cert.det_complexification,
         "h_eigenvalues": list(eigs),
         "h_asymmetry": cm.asymmetry,

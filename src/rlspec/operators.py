@@ -228,11 +228,17 @@ def schatten_norm(R: RealLinearOperator, p: float) -> float:
     with those of the matrix ``B``, since ``||B conj(z)||`` ranges over the
     same set as ``||B w||``.
     """
-    if not p >= 1:
-        raise ValidationError(f"Schatten order must satisfy p >= 1, got {p}")
+    return _schatten_norms(R, p)[0]
+
+
+def _schatten_norms(R: RealLinearOperator, *ps: float) -> tuple[float, ...]:
+    """:func:`schatten_norm` for each order in ``ps``, from one SVD of C and one of B."""
+    for p in ps:
+        if not p >= 1:
+            raise ValidationError(f"Schatten order must satisfy p >= 1, got {p}")
     sC = np.linalg.svd(R.C, compute_uv=False)
     sB = np.linalg.svd(R.B, compute_uv=False)
-    return float(np.sum(sC**p) ** (1.0 / p) + np.sum(sB**p) ** (1.0 / p))
+    return tuple(float(np.sum(sC**p) ** (1.0 / p) + np.sum(sB**p) ** (1.0 / p)) for p in ps)
 
 
 def poly_apply(coeffs, R: RealLinearOperator) -> RealLinearOperator:

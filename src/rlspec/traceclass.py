@@ -17,8 +17,11 @@ closed form ``prod_k (1 - sigma_k(B)**2 / |lam|**2)``: with C = 0 the
 polynomial is ``det(|lam|**2 I - conj(B) B)``, and for symmetric B
 ``conj(B) B = B^H B``, so the squared coneigenvalues are the squared
 singular values (Takagi factorisation; Horn & Johnson, *Matrix Analysis*,
-4.4-4.6).  The convergence table uses this form, one SVD per truncation
-size; ``charfun_eval`` keeps the general determinant path for any C.
+4.4-4.6).  The convergence table uses this form on one truncation built
+at the largest size, whose leading blocks are the smaller ones; each size
+takes one SVD of the leading block that holds all but roundoff of its
+weight.  ``charfun_eval`` keeps the general, untrimmed determinant path for
+any C.
 """
 
 from __future__ import annotations
@@ -167,20 +170,25 @@ def _check_decay(sym: SymbolSeries) -> None:
 def hankel_truncation(sym: SymbolSeries, n: int) -> RealLinearOperator:
     """n x n Hankel truncation of a circle symbol: ``B[l, k] = a[k + l]``, C = 0.
 
-    Needs coefficients a_0 .. a_{2n-2}; self-adjoint whenever they are real.
+    Needs coefficients a_0 .. a_{2n-2}; a ``finite`` symbol has no nonzero
+    coefficient past its stored ones and is zero-padded instead.  Self-adjoint
+    whenever the coefficients are real.
     """
     if sym.kind != "circle-hankel":
         raise ValidationError(f"hankel_truncation requires a circle-hankel symbol, got {sym.kind!r}")
     if n < 1:
         raise ValidationError(f"truncation size must be >= 1, got {n}")
-    if sym.coeffs.size < 2 * n - 1:
-        raise ValidationError(
-            f"insufficient coefficients: truncation of size {n} needs a_0..a_{2 * n - 2} "
-            f"({2 * n - 1} values), only {sym.coeffs.size} stored"
-        )
+    a = sym.coeffs
+    if a.size < 2 * n - 1:
+        if sym.decay.tag != "finite":
+            raise ValidationError(
+                f"insufficient coefficients: truncation of size {n} needs a_0..a_{2 * n - 2} "
+                f"({2 * n - 1} values), only {a.size} stored"
+            )
+        a = np.pad(a, (0, 2 * n - 1 - a.size))
     _check_decay(sym)
     idx = np.add.outer(np.arange(n), np.arange(n))
-    B = sym.coeffs[idx]
+    B = a[idx]
     return RealLinearOperator(np.zeros((n, n), dtype=complex), B)
 
 
@@ -250,10 +258,18 @@ def charfun_convergence(
     there.  Successive sup-norm differences should decay for a trace-class
     symbol; steps where they do not are flagged in ``stalls``.
 
-    Each row is the closed form ``prod_k (1 - sigma_k(B)**2 / |lam|**2)``
-    from one SVD of the truncation's B.  It holds because every truncation
-    built here has C = 0 and ``B == B.T``; it agrees with ``charfun_eval``
-    and is real by construction.
+    Each row is the closed form ``prod_k (1 - sigma_k(B_n)**2 / |lam|**2)``.
+    It holds because every truncation built here has C = 0 and
+    ``B == B.T``; it agrees with ``charfun_eval`` and is real by
+    construction.  The truncation is built once, at the largest size (so
+    its decay and coefficient checks run once), and ``B_n`` is its leading
+    n x n block: ``B[l, k] = a[k + l]`` and the disk antidiagonal weights
+    do not depend on n.  Each size takes the SVD of the leading K x K block
+    of ``B_n`` only, with K the smallest index whose dropped entries
+    (``max(row, col) >= K``) weigh at most ``eps**2 ||B_n||_F**2``.  By
+    Weyl's inequality this moves each singular value by at most
+    ``eps ||B_n||_F``, the SVD's own backward error; an all-zero block
+    (K = 0) gives the empty product 1.
     """
     grid = np.atleast_1d(np.asarray(lambdas, dtype=complex))
     if grid.ndim != 1 or grid.size == 0:
@@ -270,10 +286,18 @@ def charfun_convergence(
         raise ValidationError("truncation sizes must be a nondecreasing list of integers >= 1")
 
     build = hankel_truncation if sym.kind == "circle-hankel" else disk_truncation
+    B = build(sym, sizes[-1]).B
+    # weight[j]: squared Frobenius weight of the entries with max(row, col) = j
+    idx = np.arange(sizes[-1])
+    weight = np.bincount(np.maximum.outer(idx, idx).ravel(), weights=(np.abs(B) ** 2).ravel())
+    eps2 = np.finfo(float).eps ** 2
     inv_r2 = 1.0 / np.abs(grid) ** 2
     values = np.empty((len(sizes), grid.size))
     for i, n in enumerate(sizes):
-        sigma = np.linalg.svd(build(sym, n).B, compute_uv=False)
+        # tail[K] = sum(weight[K:n]), summed from the small end so no cancellation
+        tail = np.cumsum(weight[n - 1::-1])[::-1]
+        K = int(np.count_nonzero(tail > eps2 * tail[0]))
+        sigma = np.linalg.svd(B[:K, :K], compute_uv=False) if K else np.zeros(0)
         values[i] = np.prod(1.0 - np.outer(inv_r2, sigma**2), axis=1)
 
     diffs = np.array([

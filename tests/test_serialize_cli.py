@@ -131,6 +131,29 @@ def test_cli_info_json(tmp_path, capsys):
     assert payload["classification"].startswith("indefinite")
 
 
+def test_cli_info_takes_four_svds(tmp_path, capsys, monkeypatch):
+    # one operator norm inside coeff_matrix, one for the payload, and both
+    # Schatten norms from one SVD of C and one of B
+    R = random_operator(np.random.default_rng(15), 5)
+    op = write_operator(tmp_path / "r.json", R)
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert main(["info", op, "--json"]) == 0
+    assert sorted(shapes) == [(5, 5), (5, 5), (10, 10), (10, 10)]
+    payload = json.loads(capsys.readouterr().out)
+    monkeypatch.undo()
+    sC = np.linalg.svd(R.C, compute_uv=False)
+    sB = np.linalg.svd(R.B, compute_uv=False)
+    assert payload["schatten_1"] == pytest.approx(np.sum(sC) + np.sum(sB), rel=1e-14)
+    assert payload["schatten_2"] == pytest.approx(np.linalg.norm(sC) + np.linalg.norm(sB), rel=1e-14)
+
+
 def test_cli_info_identity(tmp_path, capsys):
     op = write_operator(tmp_path / "id.json", identity(1))
     assert main(["info", op, "--json"]) == 0

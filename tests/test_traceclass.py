@@ -113,9 +113,20 @@ def test_hankel_self_adjoint_for_real_coefficients():
 
 
 def test_hankel_insufficient_coefficients():
-    sym = SymbolSeries.circle_hankel([1.0, 0.5])
-    with pytest.raises(ValidationError):
-        hankel_truncation(sym, 2)  # needs a_0..a_2
+    # a geometric or polynomial symbol has nonzero coefficients past the stored ones
+    for decay in (DecaySpec("geometric", 0.5), DecaySpec("polynomial", 3.0)):
+        sym = SymbolSeries.circle_hankel([1.0, 0.5], decay)
+        with pytest.raises(ValidationError, match="only 2 stored"):
+            hankel_truncation(sym, 2)  # needs a_0..a_2
+
+
+def test_hankel_finite_symbol_is_zero_padded():
+    sym = SymbolSeries.circle_hankel([1.0, 0.5j])
+    assert sym.decay.tag == "finite"
+    ref = np.zeros((3, 3), dtype=complex)
+    ref[0, 0] = 1.0
+    ref[0, 1] = ref[1, 0] = 0.5j
+    assert np.array_equal(hankel_truncation(sym, 3).B, ref)
 
 
 def test_hankel_decay_mismatch_warns():
@@ -295,6 +306,105 @@ def test_convergence_rejects_near_origin_grid():
 def test_convergence_rejects_unsorted_sizes():
     with pytest.raises(ValidationError):
         charfun_convergence(geometric_symbol(), [1.0], [4, 2])
+
+
+def _untrimmed_table(sym, grid, sizes):
+    # one full SVD of every truncation, no trimming
+    inv_r2 = 1.0 / np.abs(grid) ** 2
+    rows = []
+    for n in sizes:
+        sigma = np.linalg.svd(_truncate(sym, n).B, compute_uv=False)
+        rows.append(np.prod(1.0 - np.outer(inv_r2, sigma**2), axis=1))
+    return np.array(rows)
+
+
+def _svd_shapes(monkeypatch):
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+TRIM_SYMBOLS = {
+    "geometric-0.5": lambda: geometric_symbol(0.5, length=511),
+    "geometric-0.8": lambda: geometric_symbol(0.8, length=511),
+    "polynomial": lambda: polynomial_symbol(length=511),
+    "disk-m0": lambda: SymbolSeries.disk_monomial(0),
+    "disk-m1": lambda: SymbolSeries.disk_monomial(1),
+    "disk-m3": lambda: SymbolSeries.disk_monomial(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIM_SYMBOLS))
+def test_trimmed_table_matches_untrimmed_reference(name):
+    sym = TRIM_SYMBOLS[name]()
+    grid = _grid()
+    sizes = [1, 2, 3, 4, 8, 16, 33, 64, 64, 128, 256]
+    table = charfun_convergence(sym, grid, sizes, lam_min=0.1)
+    ref = _untrimmed_table(sym, grid, sizes)
+    assert np.all(np.abs(table.values - ref) <= 1e-13 * (1 + np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "sym, nmax, check",
+    [
+        (SymbolSeries.disk_monomial(3), 256, lambda k: max(k) == 4),
+        (polynomial_symbol(length=511), 256, lambda k: max(k) == 256),
+        (geometric_symbol(0.5, length=2047), 1024, lambda k: max(k) < 64),
+        (SymbolSeries.circle_hankel([0.9, -0.4j, 0.2]), 256, lambda k: max(k) == 3),
+    ],
+    ids=["disk-m3", "polynomial", "geometric-0.5", "finite-3"],
+)
+def test_table_svds_stop_at_the_numerical_size(monkeypatch, sym, nmax, check):
+    # each size takes at most one SVD, of its leading K x K block (none for an
+    # all-zero truncation), and K stops growing once the dropped tail sits
+    # below eps**2 of the squared Frobenius norm
+    shapes = _svd_shapes(monkeypatch)
+    sizes = [2**k for k in range(nmax.bit_length())]
+    charfun_convergence(sym, _grid(), sizes, lam_min=0.1)
+    assert 0 < len(shapes) <= len(sizes)
+    assert all(rows == cols for rows, cols in shapes)
+    assert check([rows for rows, _ in shapes])
+
+
+def test_trim_keeps_a_tail_below_the_forward_sum_resolution(monkeypatch):
+    # a_0 = 1 and a_81.. = t: the entries past index 40 hold 1e-20 of ||B||_F**2,
+    # which a difference of forward cumulative sums (near 1) reads as 0
+    n = 64
+    coeffs = np.zeros(2 * n - 1, dtype=complex)
+    coeffs[0] = 1.0
+    coeffs[81:] = 1j * np.sqrt(1e-20 / 1081)  # 1081 entries have k + l >= 81
+    sym = SymbolSeries.circle_hankel(coeffs)
+    B = hankel_truncation(sym, n).B
+    assert np.sum(np.abs(B[41:, :]) ** 2) + np.sum(np.abs(B[:41, 41:]) ** 2) == pytest.approx(1e-20)
+    shapes = _svd_shapes(monkeypatch)
+    grid = _grid()
+    table = charfun_convergence(sym, grid, [n], lam_min=0.1)
+    assert shapes[0][0] > 41
+    monkeypatch.undo()
+    ref = _untrimmed_table(sym, grid, [n])
+    assert np.all(np.abs(table.values - ref) <= 1e-13 * (1 + np.abs(ref)))
+
+
+def test_zero_symbol_table_takes_no_svd(monkeypatch):
+    shapes = _svd_shapes(monkeypatch)
+    table = charfun_convergence(SymbolSeries.circle_hankel(np.zeros(3)), _grid(), [1, 4, 16], lam_min=0.1)
+    assert shapes == []
+    assert np.all(table.values == 1.0)
+
+
+def test_convergence_checks_the_symbol_once_at_the_largest_size():
+    sym = SymbolSeries.circle_hankel(np.ones(64), DecaySpec("geometric", 0.5))
+    with pytest.warns(UserWarning) as record:
+        charfun_convergence(sym, _grid(), [1, 2, 4, 8, 16], lam_min=0.1)
+    assert len(record) == 1
+    with pytest.raises(ValidationError, match="truncation of size 64 needs"):
+        charfun_convergence(geometric_symbol(length=100), _grid(), [1, 2, 4, 64])
 
 
 def test_symbol_scale_values():
