@@ -194,12 +194,24 @@ def complexify(R: RealLinearOperator) -> np.ndarray:
     Encodes the action of ``R`` on C^n + C^n, with the conjugation fixed to
     the componentwise one in the working basis.
     """
-    return np.block([[R.C, R.B], [R.B.conj(), R.C.conj()]])
+    return _block2(R.C, R.B, R.B.conj(), R.C.conj())
+
+
+def _block2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``[[a, b], [c, d]]`` for equal-shape n x n blocks; stacks map to stacks.
+
+    One allocation and four slice copies, without ``np.block``'s per-call
+    shape checks, which cost more than the copy on small stacks.
+    """
+    n = a.shape[-1]
+    M = np.empty(a.shape[:-2] + (2 * n, 2 * n), dtype=np.result_type(a, b, c, d))
+    M[..., :n, :n], M[..., :n, n:], M[..., n:, :n], M[..., n:, n:] = a, b, c, d
+    return M
 
 
 def _real_block(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """``[[Re P, -Im Q], [Im P, Re Q]]`` for ``P = C + B``, ``Q = C - B``; stacks map to stacks."""
-    return np.block([[P.real, -Q.imag], [P.imag, Q.real]])
+    return _block2(P.real, -Q.imag, P.imag, Q.real)
 
 
 def realify(R: RealLinearOperator) -> np.ndarray:

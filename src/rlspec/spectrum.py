@@ -9,10 +9,13 @@ eigenvalues of the real 2n x 2n matrix ``realify`` of the rotated operator
 (similar to its complexification) are exactly the signed radii of the
 spectral points on that line.  A sweep stacks these real matrices for all
 lines and solves them with one batched ``np.linalg.eigvals`` per
-memory-bounded chunk.  An antilinear operator (``C = 0``) has the same
-matrix on every line, so its sweep makes one solve and reuses it.  Each hit
-is checked against ``p(lam, conj(lam)) = det(realify(R - lam I))``, which is
-exactly real, through one batched ``np.linalg.slogdet`` per chunk.
+memory-bounded chunk.  Each hit is checked against
+``p(lam, conj(lam)) = det(realify(R - lam I))``, which is exactly real,
+through one batched ``np.linalg.slogdet`` per chunk.  An antilinear operator
+(``C = 0``) has the same matrix ``realify(R)`` on every line, and its
+characteristic polynomial ``det(|lam|^2 I - conj(B) B)`` depends only on
+``|lam|``: its sweep solves one line, takes that line's hits for every line,
+and evaluates one residual per distinct radius.
 """
 
 from __future__ import annotations
@@ -62,7 +65,10 @@ class SpectrumCloud:
 
     ``residual`` of each point is the characteristic polynomial magnitude
     there, ``|det(realify(R - lam I))|``; every stored point satisfies
-    ``residual <= tol_residual * (1 + r)**(2n)``.
+    ``residual <= tol_residual * (1 + r)**(2n)``.  For an antilinear
+    operator (``C = 0``) it is evaluated at the radius ``r`` on the positive
+    real axis and shared by every point of that radius; this is exact, since
+    the polynomial then depends only on ``|lam|``.
     """
 
     points: tuple[SpectralPoint, ...]
@@ -81,13 +87,11 @@ def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
     ``Q = e^{-i theta} C - B``, stacked in chunks of at most
     ``_DET_STACK_ENTRIES`` entries and solved by one batched
     ``np.linalg.eigvals`` per chunk.  A chunk that fails is solved line by
-    line, so that the failure names its angle.  With ``C = 0`` every line has
-    the same matrix, ``realify(R)``, so the first line is solved alone and
-    its row repeated.
+    line, so that the failure names its angle.  Every line is solved as
+    given; an antilinear sweep, whose lines all share ``realify(R)``, passes
+    only its first.
     """
     lines = np.asarray(lines, dtype=float)
-    if lines.size > 1 and not R.C.any():
-        return np.repeat(_line_eigvals(R, lines[:1]), lines.size, axis=0)
     chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
     eigs = np.empty((lines.size, 2 * R.n), dtype=complex)
     for start in range(0, lines.size, chunk):
@@ -165,17 +169,21 @@ def spectrum_sweep(
             raise ValidationError("thetas must contain at least one angle")
 
     n = R.n
-    eigs = _line_eigvals(R, lines)
-
-    hits = [
-        (th, r, complex(r * np.exp(1j * th)))
-        for th, row in zip(lines, eigs)
-        for r, _ in _line_hits(row, tol_imag)
-    ]
-    _, logabs = _real_slogdets(R, [lam for _, _, lam in hits])
+    antilinear = not R.C.any()
+    if antilinear:
+        # every line has the matrix realify(R), so the first line's hits serve all
+        rows = [_line_hits(_line_eigvals(R, lines[:1])[0], tol_imag)] * len(lines)
+    else:
+        rows = [_line_hits(row, tol_imag) for row in _line_eigvals(R, lines)]
+    hits = [(th, r, complex(r * np.exp(1j * th))) for th, row in zip(lines, rows) for r, _ in row]
+    # with C = 0, p depends only on |lam|, so each radius is evaluated once
+    where = [abs(r) if antilinear else lam for _, r, lam in hits]
+    at = list(dict.fromkeys(where))
+    _, logabs = _real_slogdets(R, at)
+    residual_at = dict(zip(at, np.exp(logabs).tolist()))
     points = []
-    for (th, r, lam), residual in zip(hits, np.exp(logabs).tolist()):
-        rr = abs(r)
+    for (th, r, lam), w in zip(hits, where):
+        rr, residual = abs(r), residual_at[w]
         if residual > tol_residual * (1.0 + rr) ** (2 * n):
             continue
         th_pt = th if r >= 0 else th + math.pi

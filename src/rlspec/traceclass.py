@@ -269,7 +269,8 @@ def charfun_convergence(
     (``max(row, col) >= K``) weigh at most ``eps**2 ||B_n||_F**2``.  By
     Weyl's inequality this moves each singular value by at most
     ``eps ||B_n||_F``, the SVD's own backward error; an all-zero block
-    (K = 0) gives the empty product 1.
+    (K = 0) gives the empty product 1.  A size whose K equals the previous
+    size's has the same block, and reuses that row.
     """
     grid = np.atleast_1d(np.asarray(lambdas, dtype=complex))
     if grid.ndim != 1 or grid.size == 0:
@@ -293,10 +294,15 @@ def charfun_convergence(
     eps2 = np.finfo(float).eps ** 2
     inv_r2 = 1.0 / np.abs(grid) ** 2
     values = np.empty((len(sizes), grid.size))
+    last_K = -1
     for i, n in enumerate(sizes):
         # tail[K] = sum(weight[K:n]), summed from the small end so no cancellation
         tail = np.cumsum(weight[n - 1::-1])[::-1]
         K = int(np.count_nonzero(tail > eps2 * tail[0]))
+        if K == last_K:  # the same leading block as the previous size
+            values[i] = values[i - 1]
+            continue
+        last_K = K
         sigma = np.linalg.svd(B[:K, :K], compute_uv=False) if K else np.zeros(0)
         values[i] = np.prod(1.0 - np.outer(inv_r2, sigma**2), axis=1)
 

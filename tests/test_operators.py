@@ -25,6 +25,7 @@ from rlspec import (
     scale,
     schatten_norm,
 )
+from rlspec.operators import _real_block
 
 
 def test_apply_identity_and_conjugation():
@@ -167,6 +168,21 @@ def test_complexify_determinant_matches_charpoly_at_zero():
         det = np.linalg.det(complexify(R))
         assert abs(det.imag) < 1e-10 * (1 + abs(det))
         assert abs(det.real - charpoly_eval(R, 0.0)) < 1e-10 * (1 + abs(det))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_block_builders_match_np_block(n):
+    rng = np.random.default_rng(36 + n)
+    R = random_operator(rng, n)
+    assert _same_bits(complexify(R), np.block([[R.C, R.B], [R.B.conj(), R.C.conj()]]))
+    for shape in [(n, n), (1, n, n), (4, n, n)]:
+        P, Q = crandn(rng, *shape), crandn(rng, *shape)
+        ref = np.block([[P.real, -Q.imag], [P.imag, Q.real]])
+        assert _same_bits(_real_block(P, Q), ref)
 
 
 def test_realify_reproduces_action():

@@ -100,9 +100,20 @@ def test_sweep_residuals_satisfy_bound():
     A = random_antilinear(rng, 4)
     cloud = spectrum_sweep(A, 16)
     n = 4
+    assert cloud.points
+    for p in cloud.points:
+        bound = cloud.tol_residual * (1 + p.r) ** (2 * n)
+        assert p.residual <= bound
+        # with C = 0 the polynomial depends only on |lam|: the residual is
+        # taken at the radius, and the point itself passes the same bound
+        assert abs(charpoly_eval(A, p.r)) == p.residual
+        assert abs(charpoly_eval(A, p.lam)) <= bound
+    R = random_operator(rng, n)
+    cloud = spectrum_sweep(R, 16)
+    assert cloud.points
     for p in cloud.points:
         assert p.residual <= cloud.tol_residual * (1 + p.r) ** (2 * n)
-        assert abs(charpoly_eval(A, p.lam)) == p.residual
+        assert abs(charpoly_eval(R, p.lam)) == p.residual
 
 
 def test_sweep_antilinear_circle_symmetry():
@@ -228,6 +239,24 @@ def test_antilinear_sweep_solves_one_line(monkeypatch):
     C[3, 5] = 1e-300
     spectrum_sweep(RealLinearOperator(C, A.B), 64)
     assert shapes == [(16, 32, 32), (16, 32, 32)]
+
+
+def test_antilinear_sweep_takes_one_residual_per_radius(monkeypatch):
+    real_slogdet = np.linalg.slogdet
+    matrices = []
+
+    def counting(a):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return real_slogdet(a)
+
+    A = random_antilinear(np.random.default_rng(14), 16)
+    monkeypatch.setattr(np.linalg, "slogdet", counting)
+    for kwargs in ({"n_rays": 64}, {"thetas": np.linspace(0.1, 3.0, 9)}):
+        matrices.clear()
+        cloud = spectrum_sweep(A, **kwargs)
+        radii = {p.r for p in cloud.points}
+        assert cloud.points
+        assert sum(matrices) == len(radii) <= 16
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])

@@ -355,21 +355,24 @@ def test_trimmed_table_matches_untrimmed_reference(name):
     [
         (SymbolSeries.disk_monomial(3), 256, lambda k: max(k) == 4),
         (polynomial_symbol(length=511), 256, lambda k: max(k) == 256),
-        (geometric_symbol(0.5, length=2047), 1024, lambda k: max(k) < 64),
+        (geometric_symbol(0.5, length=2047), 1024, lambda k: max(k) == 53),
         (SymbolSeries.circle_hankel([0.9, -0.4j, 0.2]), 256, lambda k: max(k) == 3),
     ],
     ids=["disk-m3", "polynomial", "geometric-0.5", "finite-3"],
 )
 def test_table_svds_stop_at_the_numerical_size(monkeypatch, sym, nmax, check):
     # each size takes at most one SVD, of its leading K x K block (none for an
-    # all-zero truncation), and K stops growing once the dropped tail sits
-    # below eps**2 of the squared Frobenius norm
+    # all-zero truncation), K stops growing once the dropped tail sits below
+    # eps**2 of the squared Frobenius norm, and a repeated K reuses its SVD
+    # (sizes strictly increase, so the largest block is decomposed once)
     shapes = _svd_shapes(monkeypatch)
     sizes = [2**k for k in range(nmax.bit_length())]
     charfun_convergence(sym, _grid(), sizes, lam_min=0.1)
     assert 0 < len(shapes) <= len(sizes)
     assert all(rows == cols for rows, cols in shapes)
-    assert check([rows for rows, _ in shapes])
+    rows = [rows for rows, _ in shapes]
+    assert rows == sorted(set(rows))
+    assert check(rows)
 
 
 def test_trim_keeps_a_tail_below_the_forward_sum_resolution(monkeypatch):
