@@ -30,8 +30,8 @@ print("\nH of the indefinite example:\n", np.round(cme.H.real, 9))
 print("p(lam) on the unit circle:", rl.charpoly_eval(E, np.exp(0.7j)))
 print("certificates:", rl.emptiness_certificates(E).verdict)
 
-# The torus-grid extraction (one 2-D DFT of determinants) agrees with the
-# exact minor-expansion oracle.
+# The torus-grid extraction (one 2-D DFT of Schur-complement samples) agrees
+# with the exact minor-expansion oracle.
 rng = np.random.default_rng(1)
 W = rl.RealLinearOperator(
     (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / 5.0,

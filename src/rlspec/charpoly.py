@@ -8,7 +8,7 @@ polynomial is the real-valued bivariate polynomial ::
 whose zero set is exactly the spectrum.  Collecting coefficients gives a
 Hermitian (n+1) x (n+1) matrix H with ``p = v* H v`` against the monomial
 vector ``v = (1, lam, ..., lam**n)``.  This module extracts H (one 2-D DFT
-of determinants sampled on a torus grid of (n+1)**2 points, or an exact
+of Schur-complement samples on a torus grid of (n+1)**2 points, or an exact
 minor-expansion oracle), produces weighted and Cholesky sum-of-squares
 decompositions, and derives spectrum emptiness/nonemptiness certificates.
 """
@@ -37,36 +37,9 @@ __all__ = [
 ]
 
 
-# Entries per stack of shifted matrices handed to one batched LAPACK call
-# (256 KiB complex), so the kernels' working memory stays bounded at any n.
+# Entries per stack of real 2n x 2n matrices handed to one batched LAPACK call
+# (128 KiB), so the determinant and eigenvalue stacks stay bounded at any n.
 _DET_STACK_ENTRIES = 1 << 14
-
-
-def _charpoly_dets(R: RealLinearOperator, lams, mus=None) -> np.ndarray:
-    """Complex determinants of the shifted complexification at each of ``lams``.
-
-    The upper diagonal block is shifted by ``lams`` and the lower one by
-    ``mus`` (default ``conj(lams)``), so ``p(lam, mu)`` can be sampled with
-    ``lam`` and ``mu`` independent.  The complexification is built once;
-    diagonally shifted copies are stacked and passed to one batched
-    ``np.linalg.det`` per chunk.  Each matrix gets the same LU as a
-    one-point call, so the values are identical bit for bit to ``det`` of
-    each shifted complexification on its own.
-    """
-    lams = np.asarray(lams, dtype=complex).ravel()
-    mus = lams.conj() if mus is None else np.asarray(mus, dtype=complex).ravel()
-    n = R.n
-    M = complexify(R)
-    idx = np.arange(n)
-    chunk = max(1, _DET_STACK_ENTRIES // M.size)
-    dets = np.empty(lams.size, dtype=complex)
-    for start in range(0, lams.size, chunk):
-        lam = lams[start:start + chunk, None]
-        S = np.repeat(M[None], lam.shape[0], axis=0)
-        S[:, idx, idx] -= lam
-        S[:, n + idx, n + idx] -= mus[start:start + chunk, None]
-        dets[start:start + chunk] = np.linalg.det(S)
-    return dets
 
 
 def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -139,21 +112,31 @@ def coeff_poly_eval(H, lam: complex) -> float:
     return float(np.real(v.conj() @ A @ v))
 
 
-def _coeff_torus(R: RealLinearOperator, norm: float) -> tuple[np.ndarray, float]:
-    """``G[i, j] = H[i, j] * rho**(i + j)`` from one 2-D DFT, and ``rho``.
+def _coeff_torus(R: RealLinearOperator) -> tuple[np.ndarray, float]:
+    """``G[i, j] = H[i, j] * r**(i + j)`` from one 2-D DFT, and ``r = 1 + 1/n``.
 
     ``p(lam, mu)`` has degree <= n in each variable, so its values at
-    ``(rho w**a, rho w**b)``, with ``w`` a primitive (n+1)-th root of unity
+    ``(r w**a, r w**b)``, with ``w`` a primitive (n+1)-th root of unity
     and ``a, b = 0..n``, determine every coefficient: the 2-D DFT of the
-    samples (rows indexed by ``b``) is ``(n+1)**2 * G``.  ``rho`` is the
-    operator norm ``norm`` (1 for the zero operator), which puts every entry
-    of G on the common scale ``rho**(2n)``.
+    samples (rows indexed by ``b``) is ``(n+1)**2 * G``.  ``R`` must have
+    ``||R|| <= 1``.  Then ``||C|| <= 1``, so ``D = conj(C) - mu I`` has
+    ``sigma_min(D) >= 1/n`` on the grid, and its Schur complement gives ::
+
+        p(lam, mu) = det(D) * prod_k (s_k(mu) - lam)
+
+    with ``s_k(mu)`` the eigenvalues of ``S(mu) = C - B D**-1 conj(B)``.
+    The n+1 values of ``mu`` take one batched n x n ``solve``, ``eigvals``
+    and ``det``; all n+1 values of ``lam`` share those eigenvalues.
     """
     n = R.n
-    rho = norm or 1.0
-    z = rho * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    P = _charpoly_dets(R, np.tile(z, n + 1), mus=np.repeat(z, n + 1))
-    return np.fft.fft2(P.reshape(n + 1, n + 1)) / (n + 1) ** 2, rho
+    r = 1.0 + 1.0 / n
+    z = r * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    D = R.C.conj() - z[:, None, None] * np.eye(n)
+    # Right-hand sides as a full stack: numpy < 2 reads an (n, n) one as n vectors.
+    X = np.linalg.solve(D, np.broadcast_to(R.B.conj(), D.shape))
+    s = np.linalg.eigvals(R.C - R.B @ X)
+    P = np.linalg.det(D)[:, None] * np.prod(s[:, None, :] - z[None, :, None], axis=-1)
+    return np.fft.fft2(P) / (n + 1) ** 2, r
 
 
 def _coeff_exact(R: RealLinearOperator) -> np.ndarray:
@@ -244,13 +227,13 @@ def coeff_matrix(
     ----------
     R : RealLinearOperator
     mode : str
-        ``"interpolation"`` samples ``p(lam, mu)`` with ``lam`` and ``mu``
-        independent on the torus grid ``|lam| = |mu| = ||R||`` at the
-        (n+1)-th roots of unity, (n+1)**2 points, and reads the coefficients
-        off one 2-D DFT; it is the fast production path.  The grid
-        determinants are evaluated in batched stacks of shifted copies of
-        one complexification, about 2**14 complex entries per stack, so
-        memory stays bounded at any n.  ``"exact"`` expands the
+        ``"interpolation"`` samples ``p(lam, mu)`` of ``R / ||R||`` on the
+        torus ``|lam| = |mu| = 1 + 1/n`` at the (n+1)-th roots of unity,
+        with one batched n x n ``solve``, ``eigvals`` and ``det`` of a Schur
+        complement (O(n**4) time, O(n**3) memory), reads the
+        coefficients off one 2-D DFT and rescales them by
+        ``H(sR)[i, j] = s**(2n-i-j) H(R)[i, j]``.  An entry beyond double
+        range raises ``NumericalFailure``.  ``"exact"`` expands the
         determinant symbolically with ``lam`` and ``conj(lam)`` treated as
         independent indeterminates; exponential in n, intended as an
         independent oracle for small n.
@@ -258,13 +241,14 @@ def coeff_matrix(
         Compare ``v* H v`` with the exactly real ``det(realify(R - lam I))``
         at 2n+3 off-grid points, one per radius between ``0.6 s`` and
         ``1.9 s`` (``s = 1 + ||R||``), and fail loudly on disagreement.  The
-        real 2n x 2n matrices are stacked like the grid's, one batched
-        ``slogdet`` per stack.
+        real 2n x 2n matrices are stacked in bounded chunks, one batched
+        ``slogdet`` per chunk.
     validate_tol, herm_tol : float
         Tolerances for validation, relative to ``(s + |lam|)**(2n)`` and
         applied in the log domain so the bound stays finite at any norm,
-        and for the pre-projection Hermitian asymmetry of
-        ``H[i, j] * rho**(i + j)``, relative to its largest entry.
+        and for the pre-projection Hermitian asymmetry of the sampled
+        ``H[i, j] * r**(i + j)`` (of ``R / ||R||``), relative to its
+        largest entry.
 
     Returns
     -------
@@ -273,23 +257,34 @@ def coeff_matrix(
         ``H[0][0] = det`` of the complexification.
     """
     norm = operator_norm(R)
+    n = R.n
     if mode == "interpolation":
-        G, rho = _coeff_torus(R, norm)
+        s = norm or 1.0
+        G, r = _coeff_torus(RealLinearOperator(R.C / s, R.B / s))
     elif mode == "exact":
-        G, rho = _coeff_exact(R), 1.0
+        G, s, r = _coeff_exact(R), 1.0, 1.0
     else:
         raise ValidationError(f"unknown mode {mode!r}, expected 'interpolation' or 'exact'")
 
     gasym = float(np.max(np.abs(G - G.conj().T)))
     gscale = float(np.max(np.abs(G)))
-    # Strict and negated, so a NaN or an all-zero (underflowed) G fails too.
+    # Strict and negated, so a NaN or an all-zero G fails too.
     if not gasym < herm_tol * gscale:
         raise NumericalFailure(
             f"coefficient matrix violates Hermitian symmetry by {gasym:.3e} "
             f"(scale {gscale:.3e}); extraction is unreliable"
         )
-    k = np.arange(R.n + 1)
-    Hraw = G / rho ** np.add.outer(k, k)
+    # H[i, j] = G[i, j] s**(2n-i-j) / r**(i+j), sized in the log domain first.
+    k = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    with np.errstate(divide="ignore"):
+        log10h = np.log10(np.abs(G)) + (2 * n - k) * np.log10(s) - k * np.log10(r)
+    if np.max(log10h) >= np.log10(np.finfo(float).max):
+        i, j = np.unravel_index(np.argmax(log10h), k.shape)
+        raise NumericalFailure(
+            f"H[{i}, {j}] of about 1e{log10h[i, j]:.0f} overflows double range "
+            f"(n={n}, ||R||={norm:.3g})"
+        )
+    Hraw = G * (s ** (2 * n - k) / r ** k)
     H = (Hraw + Hraw.conj().T) / 2.0
     if validate:
         _validate_coeff(R, H, validate_tol, norm)

@@ -2,10 +2,10 @@
 
 Subcommands load operator/symbol JSON files, run the library analyses, and
 emit JSON/CSV/SVG artifacts.  Outputs are deterministic: identical inputs
-and options produce byte-identical files.  Exit codes: 0 success, 2 input
-validation failure, 3 numerical failure.  The argument parser is built once
-per process, on the first ``main`` call, and reused by later calls; parsing
-keeps no state between calls.
+and options produce byte-identical files at a fixed BLAS thread count.  Exit
+codes: 0 success, 2 input validation failure, 3 numerical failure.  The
+argument parser is built once per process, on the first ``main`` call, and
+reused by later calls; parsing keeps no state between calls.
 """
 
 from __future__ import annotations

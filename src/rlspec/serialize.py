@@ -2,7 +2,7 @@
 
 All floats are written with 17 significant digits in lowercase scientific
 notation, and every container is emitted in a fixed order, so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files at a fixed BLAS thread count.
 """
 
 from __future__ import annotations

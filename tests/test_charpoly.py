@@ -17,7 +17,6 @@ from rlspec import (
     coeff_matrix,
     coeff_poly_eval,
     common_zero_free,
-    complexify,
     conjugation,
     emptiness_certificates,
     operator_norm,
@@ -28,11 +27,7 @@ from rlspec import (
     sos_eval,
 )
 import rlspec.charpoly as charpoly_module
-from rlspec.charpoly import (
-    _DET_STACK_ENTRIES,
-    _charpoly_dets,
-    _validate_coeff,
-)
+from rlspec.charpoly import _DET_STACK_ENTRIES, _validate_coeff
 
 
 def eps_operator(eps: float) -> RealLinearOperator:
@@ -197,17 +192,82 @@ def test_coeff_scaling_equivariance():
             assert np.max(np.abs(Hs - ref) * W) <= 1e-12 * np.max(np.abs(ref) * W), (n, s)
 
 
+def edge_operator(kind: str, n: int) -> RealLinearOperator:
+    eye, zero = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
+    rng = np.random.default_rng(n)
+    if kind == "identity":
+        return RealLinearOperator(eye, zero)
+    if kind == "identity+antilinear":
+        return RealLinearOperator(eye, 1e-9 * crandn(rng, n, n))
+    if kind == "unitary":
+        return RealLinearOperator(np.linalg.qr(crandn(rng, n, n))[0], zero)
+    J = eye + np.diag(np.ones(n - 1), 1)
+    return RealLinearOperator(J / np.linalg.norm(J, 2), zero)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 8])
+def test_coeff_torus_matches_exact_oracle_on_edge_operators(n):
+    # The torus samples R / ||R|| at radius 1 + 1/n, where
+    # sigma_min(conj(C) - mu I) >= 1/n; the identity meets that bound at
+    # mu = 1 + 1/n, and unitary and Jordan C come within a factor 1.9 and
+    # 1.5 of it on the grid.
+    for kind in ("identity", "identity+antilinear", "unitary", "jordan"):
+        R = edge_operator(kind, n)
+        W = torus_weights(n, operator_norm(R))
+        Hi = coeff_matrix(R).H
+        Hx = coeff_matrix(R, mode="exact").H
+        assert np.max(np.abs(Hi - Hx) * W) <= 1e-12 * np.max(np.abs(Hx) * W), kind
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1.0, 1e2])
+def test_coeff_matrix_extracts_and_validates_at_n64(norm):
+    # At norm 1e-3 every sample of a torus at radius ||R|| underflows; the
+    # normalised torus keeps the samples near 2**(2n) at any norm.
+    R = with_norm(random_operator(np.random.default_rng(1), 64), norm)
+    cm = coeff_matrix(R)
+    assert cm.H[64, 64] == pytest.approx(1.0)
+
+
+def test_coeff_matrix_overflow_is_a_typed_failure():
+    # H[0, 0] = det of the complexification is about 1e368 here.
+    R = with_norm(random_operator(np.random.default_rng(1), 64), 1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=r"H\[0, 0\] of about 1e3\d\d overflows double range"):
+            coeff_matrix(R)
+
+
+def test_coeff_matrix_takes_no_2n_determinant(monkeypatch):
+    # The torus takes one batched det of its n+1 blocks conj(C) - mu I;
+    # validation uses slogdet.
+    n = 6
+    R = random_operator(np.random.default_rng(21), n)
+    det = np.linalg.det
+    shapes = []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    coeff_matrix(R)
+    assert shapes == [(n + 1, n, n)]
+
+
 def test_coeff_matrix_reports_hermitian_violation(monkeypatch):
+    # The torus samples are perturbed on their way into the 2-D DFT.
     R = random_operator(np.random.default_rng(8), 4)
-    exact = charpoly_module._charpoly_dets
+    fft2 = np.fft.fft2
+    shapes = []
 
-    def perturbed(R, lams, mus=None):
-        P = exact(R, lams, mus)
-        return P + 1e-3 * np.max(np.abs(P)) * np.cos(np.arange(P.size))
+    def perturbed(P):
+        shapes.append(P.shape)
+        return fft2(P + 1e-3 * np.max(np.abs(P)) * np.cos(np.arange(P.size)).reshape(P.shape))
 
-    monkeypatch.setattr(charpoly_module, "_charpoly_dets", perturbed)
+    monkeypatch.setattr(np.fft, "fft2", perturbed)
     with pytest.raises(NumericalFailure, match="Hermitian symmetry"):
         coeff_matrix(R)
+    assert shapes == [(5, 5)]
 
 
 def test_validated_coeff_matrix_takes_one_svd(monkeypatch):
@@ -226,20 +286,6 @@ def test_validated_coeff_matrix_takes_one_svd(monkeypatch):
 
 
 # -------------------------------------------------------- batched determinants
-
-def test_charpoly_dets_equal_pointwise_determinants():
-    rng = np.random.default_rng(9)
-    per_stack = _DET_STACK_ENTRIES // (2 * 32) ** 2
-    for n, count in ((1, 11), (7, 40), (32, 3 * per_stack + 1)):
-        R = random_operator(rng, n)
-        lams = crandn(rng, count)
-        M = complexify(R)
-        ref = np.array([np.linalg.det(M - np.diag([lam] * n + [np.conj(lam)] * n)) for lam in lams])
-        got = _charpoly_dets(R, lams)
-        assert got.shape == (count,)
-        assert np.all(got == ref)
-    assert _charpoly_dets(random_operator(rng, 3), []).shape == (0,)
-
 
 def test_validation_takes_2n_plus_3_real_determinants_in_bounded_stacks(monkeypatch):
     rng = np.random.default_rng(11)
@@ -269,8 +315,8 @@ def test_validation_takes_2n_plus_3_real_determinants_in_bounded_stacks(monkeypa
 
 
 def test_coeff_matrix_memory_stays_bounded_at_n32():
-    # Unchunked, the n = 32 torus grid would take 71 MB and the validation
-    # grid 149 MB.
+    # The Schur-complement torus holds O(n**3) entries, about 0.6 MB at
+    # n = 32; validation stacks its 2n+3 real 64 x 64 matrices 4 at a time.
     R = random_operator(np.random.default_rng(3), 32)
     tracemalloc.start()
     try:
