@@ -145,8 +145,10 @@ def _coeff_exact(R: RealLinearOperator) -> np.ndarray:
     Entries of the shifted complexification are degree <= 1 bivariate
     polynomials; the determinant is expanded row by row over column
     subsets (division-free), with coefficients kept as (n+1) x (n+1)
-    arrays indexed by the powers of conj(lam) and lam.  Cost grows like
-    2**(2n), which is fine at oracle scale.
+    arrays indexed by the powers of conj(lam) and lam.  Each row level is
+    expanded over all its column subsets at once: one gather-and-sum per
+    column position, with subset masks mapped to array rows by a lookup
+    array.  Cost grows like 2**(2n), which is fine at oracle scale.
     """
     from itertools import combinations
 
@@ -156,29 +158,28 @@ def _coeff_exact(R: RealLinearOperator) -> np.ndarray:
     m = 2 * n
     M = complexify(R)
 
-    one = np.zeros((n + 1, n + 1), dtype=complex)
-    one[0, 0] = 1.0
-    level = {0: one}
+    # minors on the rows above, one per column subset; `at` maps a mask to its row
+    level = np.zeros((1, n + 1, n + 1), dtype=complex)
+    level[0, 0, 0] = 1.0
+    at = np.zeros(1 << m, dtype=np.intp)
     for row in range(m):
-        nxt = {}
-        for T in combinations(range(m), row + 1):
-            mask = 0
-            for c in T:
-                mask |= 1 << c
-            acc = np.zeros((n + 1, n + 1), dtype=complex)
-            for t, c in enumerate(T):
-                sub = level[mask ^ (1 << c)]
-                sgn = -1.0 if (row + t) % 2 else 1.0
-                acc += (sgn * M[row, c]) * sub
-                if c == row:
-                    # diagonal entries carry -lam (top block) or -conj(lam)
-                    if row < n:
-                        acc[:, 1:] -= sgn * sub[:, :-1]
-                    else:
-                        acc[1:, :] -= sgn * sub[:-1, :]
-            nxt[mask] = acc
-        level = nxt
-    return level[(1 << m) - 1]
+        T = np.array(list(combinations(range(m), row + 1)))
+        masks = np.sum(1 << T, axis=1)
+        acc = np.zeros((len(T), n + 1, n + 1), dtype=complex)
+        for t in range(row + 1):
+            c = T[:, t]
+            sub = level[at[masks ^ (1 << c)]]
+            sgn = -1.0 if (row + t) % 2 else 1.0
+            acc += (sgn * M[row, c])[:, None, None] * sub
+            # diagonal entries carry -lam (top block) or -conj(lam)
+            d = c == row
+            if row < n:
+                acc[d, :, 1:] -= sgn * sub[d, :, :-1]
+            else:
+                acc[d, 1:, :] -= sgn * sub[d, :-1, :]
+        at[masks] = np.arange(len(T))
+        level = acc
+    return level[0]
 
 
 def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float, norm: float) -> None:

@@ -113,7 +113,7 @@ def _cmd_charpoly(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     R = ser.load_operator(args.opfile)
-    cloud = spectrum_sweep(R, args.rays, tol_imag=args.tol, tol_residual=args.tol)
+    cloud = spectrum_sweep(R, args.rays, tol=args.tol)
     _out(args.out, ser.spectrum_csv(cloud))
     if args.svg is not None:
         ser.write_text(args.svg, ser.spectrum_svg(cloud, operator_norm(R)))
@@ -209,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("opfile")
     p.add_argument("--rays", type=_ray_count, default=64, help="ray directions on the full circle")
     p.add_argument(
-        "--tol", type=_positive_float, default=1e-8, help="eigenvalue realness / residual tolerance"
+        "--tol", type=_positive_float, default=1e-8,
+        help="bound on |Im mu| / (||R|| + |mu|) of line eigenvalues mu (a backward error)",
     )
     p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
     p.add_argument("--svg", default=None, help="optional scatter SVG path")

@@ -9,13 +9,16 @@ eigenvalues of the real 2n x 2n matrix ``realify`` of the rotated operator
 (similar to its complexification) are exactly the signed radii of the
 spectral points on that line.  A sweep stacks these real matrices for all
 lines and solves them with one batched ``np.linalg.eigvals`` per
-memory-bounded chunk.  Each hit is checked against
-``p(lam, conj(lam)) = det(realify(R - lam I))``, which is exactly real,
-through one batched ``np.linalg.slogdet`` per chunk.  An antilinear operator
-(``C = 0``) has the same matrix ``realify(R)`` on every line, and its
-characteristic polynomial ``det(|lam|^2 I - conj(B) B)`` depends only on
-``|lam|``: its sweep solves one line, takes that line's hits for every line,
-and evaluates one residual per distinct radius.
+memory-bounded chunk, which certifies its own hits: the line matrix
+``M = realify(e^{-i theta} C, B)`` is ``U R U`` with ``U`` multiplication by
+``e^{-i theta/2}``, so ``M - t I`` has the singular values of
+``realify(R - t e^{i theta} I)``.  A backward-stable eigenvalue ``mu`` is
+exact for ``M + E`` with ``||E|| = O(u ||R||)``, and Weyl's inequality gives
+``sigma_min(realify(R - lam I)) <= |Im mu| + ||E||``, ``lam = Re(mu) e^{i theta}``.
+A hit with ``|Im mu| <= tol (||R|| + |mu|)`` thus has normwise backward
+error at most ``tol + O(u)``, with no determinant per hit and a test that
+scaling ``R`` leaves unchanged.  An antilinear operator (``C = 0``) has the
+matrix ``realify(R)`` on every line: its sweep solves one line for all.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import _DET_STACK_ENTRIES, _real_slogdets
+from .charpoly import _DET_STACK_ENTRIES
 from .errors import NumericalFailure, ValidationError
 from .operators import (
     RealLinearOperator,
@@ -63,17 +66,13 @@ class SpectralPoint:
 class SpectrumCloud:
     """Spectral points gathered from a ray sweep, sorted by (theta, r).
 
-    ``residual`` of each point is the characteristic polynomial magnitude
-    there, ``|det(realify(R - lam I))|``; every stored point satisfies
-    ``residual <= tol_residual * (1 + r)**(2n)``.  For an antilinear
-    operator (``C = 0``) it is evaluated at the radius ``r`` on the positive
-    real axis and shared by every point of that radius; this is exact, since
-    the polynomial then depends only on ``|lam|``.
+    ``residual <= tol`` of each point is ``|Im mu| / (||R|| + |mu|)`` for its
+    line eigenvalue ``mu`` (the least over merged hits, 0 when ``R = 0``); it
+    bounds the normwise backward error up to roundoff (module docstring).
     """
 
     points: tuple[SpectralPoint, ...]
-    tol_imag: float
-    tol_residual: float
+    tol: float
     n_rays: int
 
     def lambdas(self) -> np.ndarray:
@@ -114,13 +113,16 @@ def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
     return eigs
 
 
-def _line_hits(eigs: np.ndarray, tol: float) -> list[tuple[float, float]]:
-    # eigenvalues within the relative imaginary tolerance, by real part, with
-    # coincident ones collapsed
-    keep = np.abs(eigs.imag) <= tol * (1.0 + np.abs(eigs))
+def _line_hits(eigs: np.ndarray, tol: float, norm: float) -> list[tuple[float, float]]:
+    # eigenvalues with |Im mu| <= tol (||R|| + |mu|), by real part, with those
+    # within 1e-9 (||R|| + |r|) of each other collapsed; written as a product,
+    # so the zero operator keeps its (exactly real) zero eigenvalues
+    scale = norm + np.abs(eigs)
+    keep = np.abs(eigs.imag) <= tol * scale
+    defect = np.abs(eigs.imag) / np.where(scale > 0.0, scale, 1.0)
     merged: list[tuple[float, float]] = []
-    for r, res in sorted(zip(eigs.real[keep].tolist(), np.abs(eigs.imag[keep]).tolist())):
-        if merged and abs(r - merged[-1][0]) <= 1e-9 * (1.0 + abs(r)):
+    for r, res in sorted(zip(eigs.real[keep].tolist(), defect[keep].tolist())):
+        if merged and abs(r - merged[-1][0]) <= 1e-9 * (norm + abs(r)):
             merged[-1] = (merged[-1][0], min(merged[-1][1], res))
         else:
             merged.append((r, res))
@@ -131,21 +133,20 @@ def ray_spectrum(R: RealLinearOperator, theta: float, tol: float = 1e-8) -> list
     """Spectral radii (signed) on the line through the origin at angle ``theta``.
 
     Solves the eigenproblem of the real 2n x 2n matrix of the rotated
-    operator and keeps eigenvalues with relative imaginary part within
-    ``tol``.  A returned pair ``(r, res)`` is the point ``r * exp(i theta)``
-    (negative r lands on the opposite ray at ``theta + pi``) with ``res`` the
-    imaginary defect of the eigenvalue.  Coincident hits on the line are
-    collapsed.
+    operator and keeps eigenvalues ``mu`` with ``|Im mu| <= tol (||R|| + |mu|)``
+    (module docstring).  A returned pair ``(r, res)`` is the point
+    ``r * exp(i theta)`` (negative r lands on the opposite ray at
+    ``theta + pi``) with ``res = |Im mu| / (||R|| + |mu|)``.  Hits within
+    ``1e-9 (||R|| + |r|)`` of each other are collapsed.
     """
-    return _line_hits(_line_eigvals(R, [theta])[0], tol)
+    return _line_hits(_line_eigvals(R, [theta])[0], tol, operator_norm(R))
 
 
 def spectrum_sweep(
     R: RealLinearOperator,
     n_rays: int = 64,
     *,
-    tol_imag: float = 1e-8,
-    tol_residual: float = 1e-8,
+    tol: float = 1e-8,
     thetas=None,
 ) -> SpectrumCloud:
     """Sample the spectrum by sweeping rays through the origin.
@@ -156,7 +157,8 @@ def spectrum_sweep(
     Odd ray counts are rounded up to the next even number.  Explicit line
     angles can be passed via ``thetas`` (reduced mod pi), which overrides
     ``n_rays``.  All lines are solved in batched, memory-bounded stacks, and
-    the merged cloud is sorted by (theta, r).
+    each line keeps the hits of ``ray_spectrum``; ``||R||`` is one SVD per
+    sweep.  The merged cloud is sorted by (theta, r).
     """
     if thetas is None:
         if n_rays < 1:
@@ -168,33 +170,18 @@ def spectrum_sweep(
         if not lines:
             raise ValidationError("thetas must contain at least one angle")
 
-    n = R.n
-    antilinear = not R.C.any()
-    if antilinear:
+    norm = operator_norm(R)
+    if not R.C.any():
         # every line has the matrix realify(R), so the first line's hits serve all
-        rows = [_line_hits(_line_eigvals(R, lines[:1])[0], tol_imag)] * len(lines)
+        rows = [_line_hits(_line_eigvals(R, lines[:1])[0], tol, norm)] * len(lines)
     else:
-        rows = [_line_hits(row, tol_imag) for row in _line_eigvals(R, lines)]
-    hits = [(th, r, complex(r * np.exp(1j * th))) for th, row in zip(lines, rows) for r, _ in row]
-    # with C = 0, p depends only on |lam|, so each radius is evaluated once
-    where = [abs(r) if antilinear else lam for _, r, lam in hits]
-    at = list(dict.fromkeys(where))
-    _, logabs = _real_slogdets(R, at)
-    residual_at = dict(zip(at, np.exp(logabs).tolist()))
-    points = []
-    for (th, r, lam), w in zip(hits, where):
-        rr, residual = abs(r), residual_at[w]
-        if residual > tol_residual * (1.0 + rr) ** (2 * n):
-            continue
-        th_pt = th if r >= 0 else th + math.pi
-        points.append(SpectralPoint(theta=th_pt, r=rr, lam=lam, residual=residual))
-    points.sort(key=lambda p: (p.theta, p.r))
-    return SpectrumCloud(
-        points=tuple(points),
-        tol_imag=tol_imag,
-        tol_residual=tol_residual,
-        n_rays=2 * len(lines),
+        rows = [_line_hits(row, tol, norm) for row in _line_eigvals(R, lines)]
+    points = sorted(
+        (SpectralPoint(th if r >= 0 else th + math.pi, abs(r), complex(r * np.exp(1j * th)), res)
+         for th, row in zip(lines, rows) for r, res in row),
+        key=lambda p: (p.theta, p.r),
     )
+    return SpectrumCloud(points=tuple(points), tol=tol, n_rays=2 * len(lines))
 
 
 def eigenvector(R: RealLinearOperator, lam: complex, tol: float = 1e-8):
@@ -202,13 +189,13 @@ def eigenvector(R: RealLinearOperator, lam: complex, tol: float = 1e-8):
 
     The eigenvalue equation is real linear in x, so the kernel is found via
     the smallest singular vector of the real 2n x 2n representation of
-    ``R - lam I``.
+    ``R - lam I``; it and ``||R x - lam x||`` must be within ``tol`` and
+    ``10 tol`` of ``||R|| + |lam|``, so scaling ``R`` and ``lam`` changes nothing.
     """
     n = R.n
-    shifted = RealLinearOperator(R.C - lam * np.eye(n), R.B)
-    M = realify(shifted)
+    scale = operator_norm(R) + abs(lam)
+    M = realify(RealLinearOperator(R.C - lam * np.eye(n), R.B))
     _, s, Vh = np.linalg.svd(M)
-    scale = max(1.0, float(s[0]))
     if s[-1] > tol * scale:
         return None
     v = Vh[-1]

@@ -17,6 +17,7 @@ from rlspec import (
     coeff_matrix,
     coeff_poly_eval,
     common_zero_free,
+    complexify,
     conjugation,
     emptiness_certificates,
     operator_norm,
@@ -145,6 +146,42 @@ def test_exact_oracle_agrees_with_determinant_pointwise():
             lam = complex(crandn(rng))
             ref = charpoly_eval(R, lam)
             assert abs(coeff_poly_eval(H, lam) - ref) < 1e-10 * (1 + abs(ref))
+
+
+def coeff_exact_by_subset(R):
+    # the minor expansion one column subset at a time, as a reference for the
+    # vectorised oracle: the same products and sums, in the same order
+    from itertools import combinations
+
+    n, m = R.n, 2 * R.n
+    M = complexify(R)
+    one = np.zeros((n + 1, n + 1), dtype=complex)
+    one[0, 0] = 1.0
+    level = {0: one}
+    for row in range(m):
+        nxt = {}
+        for T in combinations(range(m), row + 1):
+            mask = sum(1 << c for c in T)
+            acc = np.zeros((n + 1, n + 1), dtype=complex)
+            for t, c in enumerate(T):
+                sub = level[mask ^ (1 << c)]
+                sgn = -1.0 if (row + t) % 2 else 1.0
+                acc += (sgn * M[row, c]) * sub
+                if c == row:
+                    if row < n:
+                        acc[:, 1:] -= sgn * sub[:, :-1]
+                    else:
+                        acc[1:, :] -= sgn * sub[:-1, :]
+            nxt[mask] = acc
+        level = nxt
+    return level[(1 << m) - 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_exact_oracle_equals_subset_by_subset_expansion(n):
+    rng = np.random.default_rng(50 + n)
+    for R in (random_operator(rng, n), random_operator(rng, n, scale=10.0)):
+        assert np.array_equal(charpoly_module._coeff_exact(R), coeff_exact_by_subset(R))
 
 
 def test_coeff_structure_invariants_random():

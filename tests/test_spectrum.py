@@ -96,24 +96,23 @@ def test_sweep_eps_example_empty():
 
 
 def test_sweep_residuals_satisfy_bound():
+    # The residual is the relative imaginary defect |Im mu| / (||R|| + |mu|)
+    # of the line eigenvalue, the smallest over merged hits; at desk scale
+    # every kept point also passes the determinant bound tol (1 + r)^(2n).
     rng = np.random.default_rng(3)
-    A = random_antilinear(rng, 4)
-    cloud = spectrum_sweep(A, 16)
     n = 4
-    assert cloud.points
-    for p in cloud.points:
-        bound = cloud.tol_residual * (1 + p.r) ** (2 * n)
-        assert p.residual <= bound
-        # with C = 0 the polynomial depends only on |lam|: the residual is
-        # taken at the radius, and the point itself passes the same bound
-        assert abs(charpoly_eval(A, p.r)) == p.residual
-        assert abs(charpoly_eval(A, p.lam)) <= bound
-    R = random_operator(rng, n)
-    cloud = spectrum_sweep(R, 16)
-    assert cloud.points
-    for p in cloud.points:
-        assert p.residual <= cloud.tol_residual * (1 + p.r) ** (2 * n)
-        assert abs(charpoly_eval(R, p.lam)) == p.residual
+    for R in (random_antilinear(rng, n), random_operator(rng, n)):
+        cloud = spectrum_sweep(R, 16)
+        norm = operator_norm(R)
+        assert cloud.points
+        for p in cloud.points:
+            line, t = (p.theta, p.r) if p.theta < math.pi else (p.theta - math.pi, -p.r)
+            mus = np.linalg.eigvals(realify(rotate(R, line)))
+            near = mus[np.abs(mus.real - t) <= 1e-9 * (norm + abs(t))]
+            defect = np.abs(near.imag) / (norm + np.abs(near))
+            assert abs(p.residual - np.min(defect)) <= 1e-15
+            assert p.residual <= cloud.tol
+            assert abs(charpoly_eval(R, p.lam)) <= cloud.tol * (1 + p.r) ** (2 * n)
 
 
 def test_sweep_antilinear_circle_symmetry():
@@ -241,37 +240,46 @@ def test_antilinear_sweep_solves_one_line(monkeypatch):
     assert shapes == [(16, 32, 32), (16, 32, 32)]
 
 
-def test_antilinear_sweep_takes_one_residual_per_radius(monkeypatch):
-    real_slogdet = np.linalg.slogdet
-    matrices = []
+def test_sweeps_take_no_determinant(monkeypatch):
+    # The line eigen solve certifies its hits, so neither path evaluates p;
+    # the antilinear path still solves one line.
+    real_eigvals = np.linalg.eigvals
+    shapes = []
 
     def counting(a):
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
-        return real_slogdet(a)
+        shapes.append(np.shape(a))
+        return real_eigvals(a)
 
-    A = random_antilinear(np.random.default_rng(14), 16)
-    monkeypatch.setattr(np.linalg, "slogdet", counting)
+    def forbidden(a):
+        raise AssertionError("the sweep took a determinant")
+
+    rng = np.random.default_rng(14)
+    A, R = random_antilinear(rng, 16), random_operator(rng, 16)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(np.linalg, "slogdet", forbidden)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
     for kwargs in ({"n_rays": 64}, {"thetas": np.linspace(0.1, 3.0, 9)}):
-        matrices.clear()
-        cloud = spectrum_sweep(A, **kwargs)
-        radii = {p.r for p in cloud.points}
-        assert cloud.points
-        assert sum(matrices) == len(radii) <= 16
+        shapes.clear()
+        assert spectrum_sweep(A, **kwargs).points
+        assert shapes == [(1, 32, 32)]
+        assert spectrum_sweep(R, **kwargs).points
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_sweep_of_norm_10_operators_lands_on_zeros(n):
-    # The residual is |det(realify(R - lam I))|, exactly real, so a hit is
-    # never refused for the roundoff imaginary part of a complex determinant.
+    # Kept hits are relative zeros of p = det(realify(R - lam I)) at norms
+    # 1e-3, 10 and 1e3 alike: the filter is relative to ||R||, not to 1.
     rng = np.random.default_rng(200 + n)
-    for _ in range(3):
-        R = random_operator(rng, n, scale=10.0)
-        cloud = spectrum_sweep(R, 64)
-        assert cloud.points
-        for p in cloud.points:
-            M = realify(RealLinearOperator(R.C - p.lam * np.eye(n), R.B))
-            hadamard = np.prod(np.linalg.norm(M, axis=0))
-            assert abs(np.linalg.det(M)) <= 1e-6 * hadamard
+    for norm in (10.0, 1e-3, 1e3):
+        for _ in range(3):
+            R = random_operator(rng, n, scale=norm)
+            cloud = spectrum_sweep(R, 64)
+            assert cloud.points
+            for p in cloud.points:
+                M = realify(RealLinearOperator(R.C - p.lam * np.eye(n), R.B))
+                _, logdet = np.linalg.slogdet(M)
+                log_hadamard = np.sum(np.log(np.linalg.norm(M, axis=0)))
+                assert logdet <= math.log(1e-6) + log_hadamard
 
 
 def test_sweep_falls_back_to_single_lines(monkeypatch):
