@@ -116,7 +116,7 @@ def _cmd_spectrum(args) -> int:
     cloud = spectrum_sweep(R, args.rays, tol=args.tol)
     _out(args.out, ser.spectrum_csv(cloud))
     if args.svg is not None:
-        ser.write_text(args.svg, ser.spectrum_svg(cloud, operator_norm(R)))
+        ser.write_text(args.svg, ser.spectrum_svg(cloud, cloud.norm))
     return 0
 
 

@@ -2,12 +2,16 @@
 
 All floats are written with 17 significant digits in lowercase scientific
 notation, and every container is emitted in a fixed order, so identical
-inputs produce byte-identical files at a fixed BLAS thread count.
+inputs produce byte-identical files at a fixed BLAS thread count.  Files are
+written by ``write_text``, which overwrites in place and cuts the file to
+length; the package never fsyncs an output.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -92,8 +96,35 @@ def read_json(path: str) -> dict:
 
 
 def write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(content)
+    """Write ``content`` as UTF-8 to ``path``, overwriting it in place.
+
+    The bytes are encoded before the file is opened, so content that cannot
+    be encoded leaves an existing file untouched.  The file is opened without
+    ``O_TRUNC`` and, if it is a regular file, cut to the written length
+    afterwards: on ext4 with ``auto_da_alloc`` (the default), truncating a
+    file with data to zero bytes makes its close start a writeback, which
+    ``open(path, "w")`` paid on every overwrite.  Pipes and devices such as
+    ``/dev/null`` are written and not truncated.  A failed write truncates
+    the file to zero bytes before the error propagates, so old bytes never
+    trail new ones.  Nothing is fsynced, before or after the write: a crash
+    can lose or empty the file, as with ``open(path, "w")``.
+    """
+    data = content.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if regular:
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 def _mat_rows(M: np.ndarray, part: str) -> list[list[float]]:

@@ -69,11 +69,14 @@ class SpectrumCloud:
     ``residual <= tol`` of each point is ``|Im mu| / (||R|| + |mu|)`` for its
     line eigenvalue ``mu`` (the least over merged hits, 0 when ``R = 0``); it
     bounds the normwise backward error up to roundoff (module docstring).
+    ``norm`` is the ``||R||`` of that test, the sweep's one SVD; every point
+    has ``r <= norm`` up to roundoff, so it also bounds a plot of the cloud.
     """
 
     points: tuple[SpectralPoint, ...]
     tol: float
     n_rays: int
+    norm: float
 
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points], dtype=complex)
@@ -181,7 +184,7 @@ def spectrum_sweep(
          for th, row in zip(lines, rows) for r, res in row),
         key=lambda p: (p.theta, p.r),
     )
-    return SpectrumCloud(points=tuple(points), tol=tol, n_rays=2 * len(lines))
+    return SpectrumCloud(points=tuple(points), tol=tol, n_rays=2 * len(lines), norm=norm)
 
 
 def eigenvector(R: RealLinearOperator, lam: complex, tol: float = 1e-8):

@@ -39,6 +39,7 @@ from rlspec import (
     scalar_operator,
     spectrum_sweep,
 )
+from rlspec.charpoly import _real_slogdets
 
 
 def _report(criterion, ok, detail, elapsed, budget):
@@ -85,6 +86,12 @@ def test_criterion_2_scalar_coefficients():
             time.perf_counter() - t0, 1.0)
 
 
+def _charpoly_values(R, lams):
+    """``charpoly_eval`` at every point of ``lams``, from one batched slogdet."""
+    sign, logabs = _real_slogdets(R, lams)
+    return sign * np.exp(logabs)
+
+
 def test_criterion_3_structural_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(300)
@@ -92,30 +99,32 @@ def test_criterion_3_structural_suite():
         "hermitian": 0.0, "leading": 0.0, "det": 0.0, "oracle": 0.0,
         "sos": 0.0, "adjoint": 0.0, "rotation": 0.0,
     }
+    sos_lams = np.array(
+        [r * np.exp(1j * th) for r in (0.0, 0.5, 1.0, 1.6) for th in (0.1, 1.9, 3.7, 5.3)]
+    )
+    rot_thetas = 2 * np.pi * np.arange(16) / 16
+    rot_radii = np.linspace(0.0, 1.2, 5)
+    rot_lams = np.array([r * np.exp(1j * th) for th in rot_thetas for r in rot_radii])
     for _ in range(500):
         n = int(rng.integers(1, 7))
         R = random_operator(rng, n)
         cm = coeff_matrix(R)
         worst["hermitian"] = max(worst["hermitian"], cm.asymmetry)
         worst["leading"] = max(worst["leading"], abs(cm.H[n, n] - 1.0))
-        worst["det"] = max(worst["det"], abs(cm.H[0, 0].real - charpoly_eval(R, 0.0)))
+        # p(0), the 16 SOS points and the 80 rotation points of R: one batched slogdet
+        p = _charpoly_values(R, np.concatenate(([0.0], sos_lams, rot_lams)))
+        worst["det"] = max(worst["det"], abs(cm.H[0, 0].real - p[0]))
         Hx = coeff_matrix(R, mode="exact", validate=False).H
         worst["oracle"] = max(worst["oracle"], float(np.max(np.abs(cm.H - Hx))))
         sos = sos_decompose(cm)
-        for r in (0.0, 0.5, 1.0, 1.6):
-            for th in (0.1, 1.9, 3.7, 5.3):
-                lam = r * np.exp(1j * th)
-                err = abs(sos_eval(sos, lam) - charpoly_eval(R, lam))
-                worst["sos"] = max(worst["sos"], err / (1 + abs(lam) ** (2 * n)))
+        for lam, p_lam in zip(sos_lams, p[1:17]):
+            err = abs(sos_eval(sos, lam) - p_lam)
+            worst["sos"] = max(worst["sos"], err / (1 + abs(lam) ** (2 * n)))
         Hadj = coeff_matrix(adjoint(R)).H
         worst["adjoint"] = max(worst["adjoint"], float(np.max(np.abs(Hadj - cm.H.conj()))))
-        for th in 2 * np.pi * np.arange(16) / 16:
-            Rt = rotate(R, th)
-            for r in np.linspace(0.0, 1.2, 5):
-                worst["rotation"] = max(
-                    worst["rotation"],
-                    abs(charpoly_eval(R, r * np.exp(1j * th)) - charpoly_eval(Rt, r)),
-                )
+        for th, p_line in zip(rot_thetas, p[17:].reshape(16, 5)):
+            p_rot = _charpoly_values(rotate(R, th), rot_radii)
+            worst["rotation"] = max(worst["rotation"], float(np.max(np.abs(p_line - p_rot))))
     ok = (
         worst["hermitian"] <= 1e-9
         and worst["leading"] <= 1e-9

@@ -1,7 +1,9 @@
 """Wire formats and the command line front end."""
 
+import errno
 import importlib.util
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from rlspec import (
     coeff_matrix,
     conjugation,
     identity,
+    operator_norm,
     ray_extrema,
     spectrum_sweep,
 )
@@ -112,6 +115,66 @@ def test_svg_scatter_contains_points_and_circle():
     assert svg.count("<circle") == 1 + len(cloud.points)
 
 
+# ---------------------------------------------------------------- write_text
+
+def test_write_text_overwrites_longer_file_exactly(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"x" * 4096)
+    ser.write_text(str(path), "short\nlambda \u03bb\n")
+    assert path.read_bytes() == "short\nlambda \u03bb\n".encode("utf-8")
+
+
+def test_write_text_to_dev_null():
+    ser.write_text(os.devnull, "discarded\n")
+
+
+def _record_os_open(monkeypatch) -> list:
+    flags = []
+    real_open = os.open
+
+    def recording(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    return flags
+
+
+def test_write_text_unencodable_content_leaves_file_untouched(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old bytes\n")
+    flags = _record_os_open(monkeypatch)
+    with pytest.raises(UnicodeEncodeError):
+        ser.write_text(str(path), "lone surrogate \ud800\n")
+    assert flags == []
+    assert path.read_bytes() == b"old bytes\n"
+
+
+def test_write_text_opens_without_o_trunc(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"y" * 100)
+    flags = _record_os_open(monkeypatch)
+    ser.write_text(str(path), "new\n")
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert path.read_bytes() == b"new\n"
+
+
+def test_write_text_failed_write_leaves_empty_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"z" * 4096)
+    real_write = os.write
+
+    def failing(fd, data):
+        real_write(fd, bytes(data[:10]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", failing)
+    with pytest.raises(OSError):
+        ser.write_text(str(path), "a" * 100)
+    monkeypatch.undo()
+    assert path.read_bytes() == b""
+
+
 # ----------------------------------------------------------------------- cli
 
 def test_cli_info_text(tmp_path, capsys):
@@ -182,6 +245,17 @@ def test_cli_charpoly_files(tmp_path):
     assert sorted(np.round(sos["d"], 9)) == [-1.0, 1.0, 1.0]
 
 
+def test_cli_charpoly_rewrite_over_larger_file_matches_stdout(tmp_path, capsys):
+    op = write_operator(tmp_path / "r.json", random_operator(np.random.default_rng(16), 4))
+    assert main(["charpoly", op, "--out", "-"]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    hpath = tmp_path / "H.json"
+    hpath.write_bytes(b" " * (3 * len(expected)))
+    for _ in range(2):
+        assert main(["charpoly", op, "--out", str(hpath)]) == 0
+        assert hpath.read_bytes() == expected
+
+
 def test_cli_charpoly_exact_matches_default(tmp_path):
     rng = np.random.default_rng(5)
     op = write_operator(tmp_path / "r.json", random_operator(rng, 3))
@@ -203,6 +277,25 @@ def test_cli_spectrum_csv_and_svg(tmp_path):
     for row in lines[1:]:
         assert float(row.split(",")[1]) == pytest.approx(1.0, abs=1e-10)
     assert "<svg" in svg.read_text()
+
+
+def test_cli_spectrum_svg_takes_one_svd(tmp_path, monkeypatch):
+    # the SVG's bounding circle reuses the ||R|| of the sweep's tolerance test
+    R = random_operator(np.random.default_rng(17), 8)
+    op = write_operator(tmp_path / "r.json", R)
+    svg = tmp_path / "spec.svg"
+    real_svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert main(["spectrum", op, "--out", str(tmp_path / "s.csv"), "--svg", str(svg)]) == 0
+    assert shapes == [(16, 16)]
+    monkeypatch.undo()
+    assert svg.read_text() == ser.spectrum_svg(spectrum_sweep(R, 64), operator_norm(R))
 
 
 def test_cli_spectrum_deterministic(tmp_path):
