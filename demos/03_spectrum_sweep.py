@@ -58,10 +58,22 @@ res = rl.no_eigenvalue_certificate(skew)
 print("\nno-eigenvalue certificate:", res.certified, " margin:", res.margin)
 print("sweep of the certified operator:", rl.spectrum_sweep(skew, 32).points)
 
-# Complex lines invariant under both parts are rare; this operator has none.
+# A complex line is invariant exactly when an eigenvector x of C spans it and
+# B conj(x) = beta x (a coneigenvector of B).  This operator has none: C's one
+# eigenvector e1 is sent to e2 by the antilinear part.
 none_example = rl.RealLinearOperator([[1.0, 1.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])
 inv = rl.common_invariant_1d(none_example)
 print("\ninvariant lines of the stubborn example:", len(inv.lines), inv.flags)
+
+# Inside an eigenspace of C the search keeps the largest subspace that
+# B conj(.) maps into itself, then solves for its coneigenvectors.  In the
+# 3-dimensional eigenspace of diag(1, 1, 1, 2), B sends e2 out to e4, which
+# leaves e1 (beta = 1) and e3 (beta = 0); e4 is the other eigenspace.
+B3 = np.zeros((4, 4))
+B3[0, 0] = B3[3, 1] = 1.0
+inv3 = rl.common_invariant_1d(rl.RealLinearOperator(np.diag([1.0, 1.0, 1.0, 2.0]), B3))
+print("invariant lines of diag(1, 1, 1, 2) with B e1 = e1, B e2 = e4:",
+      [f"e{int(np.argmax(np.abs(x))) + 1}" for x in inv3.lines])
 
 # The complex span of antilinear powers is always invariant: residuals
 # vanish, giving a constructive invariant subspace.

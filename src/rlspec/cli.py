@@ -116,7 +116,7 @@ def _cmd_spectrum(args) -> int:
     cloud = spectrum_sweep(R, args.rays, tol=args.tol)
     _out(args.out, ser.spectrum_csv(cloud))
     if args.svg is not None:
-        ser.write_text(args.svg, ser.spectrum_svg(cloud, cloud.norm))
+        _out(args.svg, ser.spectrum_svg(cloud, cloud.norm))
     return 0
 
 
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on |Im mu| / (||R|| + |mu|) of line eigenvalues mu (a backward error)",
     )
     p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
-    p.add_argument("--svg", default=None, help="optional scatter SVG path")
+    p.add_argument("--svg", default=None, help="optional scatter SVG path ('-' for stdout)")
     common(p)
     p.set_defaults(fn=_cmd_spectrum)
 

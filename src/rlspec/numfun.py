@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .charpoly import SosDecomposition, _coeff_array, sos_decompose
+from .charpoly import SosDecomposition, _coeff_array, coeff_poly_eval, sos_decompose
 from .errors import ValidationError
 
 __all__ = [
@@ -32,11 +32,8 @@ __all__ = [
 
 def numfun_eval(H, lam: complex) -> float:
     """Evaluate ``v* H v / ||v||**2`` with ``v = (1, lam, ..., lam**n)``."""
-    A = _coeff_array(H)
-    v = np.asarray(lam, dtype=complex) ** np.arange(A.shape[0])
-    num = float(np.real(v.conj() @ A @ v))
-    den = float(np.sum(np.abs(v) ** 2))
-    return num / den
+    v = np.asarray(lam, dtype=complex) ** np.arange(_coeff_array(H).shape[0])
+    return coeff_poly_eval(H, lam) / float(np.sum(np.abs(v) ** 2))
 
 
 def convex_weights(H, lam: complex, sos: SosDecomposition | None = None) -> np.ndarray:

@@ -243,10 +243,16 @@ def no_eigenvalue_certificate(R: RealLinearOperator) -> NoEigenvalueCertificate:
 class InvariantLines:
     """Complex lines (1-d complex subspaces) invariant under the operator.
 
-    ``partial`` is set when some eigenstructure of the complex linear part
-    could not be analyzed exhaustively (defective eigenvalues, eigenspaces
-    of dimension > 2); ``flags`` carries human-readable notes, including
-    markers for continuous families where only representatives are listed.
+    ``lines`` holds one unit vector per line.  ``partial`` is set only when
+    the complex linear part is defective: some cluster of its eigenvalues
+    (equal within ``tol ||R||``) has fewer eigenvectors than members.  The
+    lines are still all found, since every invariant line lies in an
+    eigenspace, but a defective eigenvalue is sensitive to roundoff.
+    ``flags`` notes each defect, an ``eigenspace-degenerate`` subspace (of
+    dimension >= 2, killed by ``B conj(.)``, so that all its lines are
+    invariant; an orthonormal basis of it is returned), and each ``family``:
+    two returned lines of one eigenspace with equal ``|beta|``, between which
+    a continuous family of invariant lines runs (representatives returned).
     """
 
     lines: tuple[np.ndarray, ...]
@@ -254,145 +260,78 @@ class InvariantLines:
     flags: tuple[str, ...]
 
 
-def _phase_normalize(x: np.ndarray) -> np.ndarray:
-    k = int(np.argmax(np.abs(x)))
-    ph = x[k] / abs(x[k])
-    return x * np.conj(ph)
-
-
-def _line_residual(R: RealLinearOperator, x: np.ndarray) -> float:
-    bx = R.B @ x.conj()
-    return float(np.linalg.norm(bx - (x.conj() @ bx) * x))
-
-
 def common_invariant_1d(R: RealLinearOperator, tol: float = 1e-8) -> InvariantLines:
-    """All complex lines invariant under ``R`` (desk-scale analysis).
+    """All complex lines invariant under ``R``, from one con-eigen algorithm.
 
-    A complex line invariant under a real linear operator must be invariant
-    under its complex linear and antilinear parts separately, so candidates
-    are sought inside eigenspaces of ``C``.  On a 1-d eigenspace the test is
-    whether ``B conj(x)`` stays parallel to ``x``.  Inside a 2-d eigenspace
-    the restricted antilinear problem is solved through the eigenvectors of
-    ``B' conj(B')`` (B' the compressed antilinear block), including the
-    circle families that antilinearity produces; higher-dimensional
-    eigenspaces are only handled in the trivial all-invariant case and are
-    otherwise flagged as partial, as are defective eigenvalues (where just
-    the genuine eigenlines are tested).
+    ``span{x}`` is invariant exactly when ``x`` is an eigenvector of ``C`` and
+    a coneigenvector of ``B`` (``B conj(x) = beta x``).  Each eigenspace ``W``
+    of ``C`` (eigenvalues clustered, and kernels taken, at ``tol ||R||``) is
+    shrunk to its largest subspace with ``B conj(W)`` inside ``W`` by repeating
+    ``W <- W conj(ker N)``, ``N = (I - W W*) B conj(W)``.  Its lines are then
+    the coneigenvectors of ``A = W* B conj(W)``: for each eigenpair
+    ``(mu, y)`` of ``A conj(A)``, ``x = A conj(y) + sqrt(mu) y`` and
+    ``i (sqrt(mu) y - A conj(y))`` satisfy ``A conj(x) = sqrt(mu) x`` (Horn
+    and Johnson, *Matrix Analysis*, 4.6) when ``mu >= 0``, and ``y`` is one
+    when both vanish.  A candidate is kept only when
+    ``||R x - (x* R x) x|| <= 10 tol ||R||`` holds for ``x`` and ``i x``, which
+    rejects those of other ``mu``; no test changes when ``R`` is scaled.
     """
-    n = R.n
-    C, B = R.C, R.B
-    bscale = 1.0 + float(np.linalg.norm(B))
-    w = np.linalg.eigvals(C)
-    wscale = 1.0 + float(np.max(np.abs(w)))
-    cluster_tol = max(tol, 1e-7) * wscale
-
-    # group eigenvalues into clusters of (numerically) equal values
-    order = np.lexsort((w.imag, w.real))
-    clusters: list[list[int]] = []
-    for idx in order:
-        if clusters and abs(w[idx] - w[clusters[-1][-1]]) <= cluster_tol:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-
+    n, C, B = R.n, R.C, R.B
+    thr = tol * operator_norm(R)
     lines: list[np.ndarray] = []
     flags: list[str] = []
     partial = False
 
+    def kernel(M: np.ndarray) -> np.ndarray:
+        _, s, Vh = np.linalg.svd(M)
+        return Vh[np.count_nonzero(s > thr):].conj().T
+
     def push(x: np.ndarray) -> None:
-        x = _phase_normalize(x / np.linalg.norm(x))
-        for y in lines:
-            if abs(np.vdot(y, x)) >= 1.0 - 1e-8:
+        # append the line of x when R(x) and R(i x) stay on it and it is new
+        if not x.any():
+            return
+        x = x / np.linalg.norm(x)
+        for y in (apply(R, x), apply(R, 1j * x)):
+            if np.linalg.norm(y - (x.conj() @ y) * x) > 10.0 * thr:
                 return
-        lines.append(x)
+        if all(abs(np.vdot(y, x)) < 1.0 - 1e-8 for y in lines):
+            lines.append(x)
 
-    for cluster in clusters:
-        nu = complex(np.mean(w[cluster]))
-        alg = len(cluster)
-        _, s, Vh = np.linalg.svd(C - nu * np.eye(n))
-        ktol = max(tol, 1e-7) * max(1.0, float(s[0]))
-        g = int(np.sum(s <= ktol))
-        if g == 0:
-            g = 1
-        V = Vh[n - g:].conj().T  # orthonormal kernel basis, n x g
-        if g < alg:
+    w = np.linalg.eigvals(C)
+    while w.size:
+        nu, near = w[0], np.abs(w - w[0]) <= thr
+        w, alg = w[~near], np.count_nonzero(near)
+        W = kernel(C - nu * np.eye(n))
+        if W.shape[1] < alg:
             partial = True
             flags.append(
-                f"defective eigenvalue {nu:.6g}: algebraic multiplicity {alg}, "
-                f"only the {g}-dimensional eigenspace analyzed"
+                f"defective eigenvalue {nu:.6g}: algebraic multiplicity {alg}, {W.shape[1]} eigenvectors"
             )
-
-        if g == 1:
-            x = V[:, 0]
-            if _line_residual(R, x) <= tol * bscale:
-                push(x)
+        while W.shape[1]:
+            N = B @ W.conj()
+            K = kernel(N - W @ (W.conj().T @ N))
+            if K.shape[1] == W.shape[1]:
+                break
+            W = W @ K.conj()
+        if not W.shape[1]:
             continue
-
-        BV = B @ V.conj()
-        if np.linalg.norm(BV) <= tol * bscale:
-            # antilinear part annihilates the whole eigenspace
-            for k in range(g):
-                push(V[:, k])
-            flags.append(
-                f"eigenspace-degenerate: all lines in the {g}-dimensional "
-                f"eigenspace of {nu:.6g} are invariant (orthonormal representatives returned)"
-            )
-            continue
-
-        if g > 2:
-            partial = True
-            flags.append(
-                f"eigenspace of {nu:.6g} has dimension {g} > 2: restricted antilinear "
-                "problem not analyzed"
-            )
-            continue
-
-        # 2-d eigenspace: compress the antilinear action and analyze
-        Bp = V.conj().T @ BV          # 2x2 block of the restricted problem
-        N = BV - V @ Bp               # component leaving the eigenspace
-        G = Bp @ Bp.conj()
-        mus, Y = np.linalg.eig(G)
-        if abs(mus[0] - mus[1]) <= tol * (1.0 + float(np.max(np.abs(mus)))):
-            flags.append(
-                f"repeated restricted eigenvalue inside the eigenspace of {nu:.6g}: "
-                "the invariant-line family may be larger than the representatives returned"
-            )
-        found_family = False
-        for j in range(2):
-            mu = mus[j]
-            if abs(mu.imag) > tol * (1.0 + abs(mu)) or mu.real < -tol:
-                continue
-            y = Y[:, j] / np.linalg.norm(Y[:, j])
-            z = Bp @ y.conj()
-            zpar = z - (y.conj() @ z) * y
-            candidates = []
-            if np.linalg.norm(zpar) <= tol * bscale:
-                candidates.append(y)
-            elif mu.real > tol:
-                # the pair (y, z) spans an invariant 2-plane of the restricted
-                # antilinear map; inside it a circle of lines y + e^{i phi} z/sqrt(mu)
-                # is invariant, and the leave-space constraint picks the phase
-                root = math.sqrt(mu.real)
-                a = N @ y.conj()
-                b = (N @ z.conj()) / root
-                na, nb = np.linalg.norm(a), np.linalg.norm(b)
-                if na <= tol * bscale and nb <= tol * bscale:
-                    candidates.append(y + z / root)
-                    if not found_family:
-                        flags.append(
-                            f"circle of invariant lines inside the eigenspace of {nu:.6g}; "
-                            "one representative returned"
-                        )
-                        found_family = True
-                elif nb > tol * bscale:
-                    u = -(b.conj() @ a)
-                    if abs(u) > 0:
-                        u = u / abs(u)
-                        candidates.append(y + np.conj(u) * z / root)
-            for cand in candidates:
-                x = V @ (cand / np.linalg.norm(cand))
-                if _line_residual(R, x) <= 10.0 * tol * bscale:
-                    push(x)
+        A = W.conj().T @ B @ W.conj()
+        if np.linalg.norm(A, 2) <= thr:
+            cands = np.eye(W.shape[1])
+            note = (f"eigenspace-degenerate: all lines in a {W.shape[1]}-dimensional subspace of the "
+                    f"eigenspace of {nu:.6g} are invariant (orthonormal representatives returned)")
+        else:
+            mus, Y = np.linalg.eig(A @ A.conj())
+            root, AY = np.sqrt(np.maximum(mus.real, 0.0)), A @ Y.conj()
+            cands = np.hstack([AY + root * Y, 1j * (root * Y - AY), Y])
+            note = (f"family: invariant lines of equal |beta| in the eigenspace of {nu:.6g} bound "
+                    "a continuous family of invariant lines (representatives returned)")
+        first = len(lines)
+        for c in cands.T:
+            push(W @ c)
+        betas = np.sort([abs(x.conj() @ B @ x.conj()) for x in lines[first:]])
+        if np.any(np.diff(betas) <= 10.0 * thr):
+            flags.append(note)
 
     return InvariantLines(lines=tuple(lines), partial=partial, flags=tuple(flags))
 

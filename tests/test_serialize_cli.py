@@ -298,6 +298,17 @@ def test_cli_spectrum_svg_takes_one_svd(tmp_path, monkeypatch):
     assert svg.read_text() == ser.spectrum_svg(spectrum_sweep(R, 64), operator_norm(R))
 
 
+def test_cli_spectrum_svg_dash_is_stdout(tmp_path, monkeypatch, capsys):
+    # '-' means standard output for --svg as for --out, never a file named '-'
+    op = write_operator(tmp_path / "tau.json", conjugation(1))
+    monkeypatch.chdir(tmp_path)
+    assert main(["spectrum", op, "--rays", "8", "--out", "s.csv", "--svg", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("<svg") and out.rstrip().endswith("</svg>")
+    assert not (tmp_path / "-").exists()
+    assert (tmp_path / "s.csv").read_text().startswith("theta")
+
+
 def test_cli_spectrum_deterministic(tmp_path):
     rng = np.random.default_rng(6)
     opf = write_operator(tmp_path / "r.json", random_operator(rng, 4))

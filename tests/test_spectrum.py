@@ -489,6 +489,25 @@ def test_krylov_rejects_zero_vector():
         krylov_cspan(conjugation(2), np.zeros(2))
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_krylov_finite_rank_case(n):
+    # for A = B conj and B conj(B) y = mu y, A^2 y = mu y: span{y, B conj(y)}
+    # is A-invariant, and krylov_cspan from y returns exactly that span
+    A = random_antilinear(np.random.default_rng(40 + n), n)
+    norm = np.linalg.norm(A.B, 2)
+    _, Y = np.linalg.eig(A.B @ A.B.conj())
+    for y in Y.T:
+        span = krylov_cspan(A, y)
+        Q = span.basis
+        assert Q.shape[1] <= 2
+        assert np.max(span.residuals) <= 1e-10 * norm
+        pair = np.column_stack([y, A.B @ y.conj()])
+        off_y, off_by = np.linalg.norm(pair - Q @ (Q.conj().T @ pair), axis=0)
+        assert off_y <= 1e-10 and off_by <= 1e-10 * norm
+        coef = np.linalg.lstsq(pair, Q, rcond=None)[0]
+        assert np.linalg.norm(pair @ coef - Q) <= 1e-10
+
+
 def test_krylov_nilpotent_power_chain():
     # B shifts and conjugates: powers die after two steps
     B = np.array([[0.0, 1.0], [0.0, 0.0]])

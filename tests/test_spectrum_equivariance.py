@@ -1,4 +1,4 @@
-"""Seeded equivariance of ray sweeps and eigenvectors.
+"""Seeded equivariance of ray sweeps, eigenvectors and invariant lines.
 
 The spectrum respects the symmetries of the operator: ``spec(sR) = s spec(R)``
 for s > 0, unitary similarity ``(U C U*, U B U^T)`` leaves it unchanged, and
@@ -6,6 +6,9 @@ the phase rotation ``(e^{i phi} C, e^{i phi} B)`` turns it by ``phi``.  A
 sweep, whose hit test is relative to ``||R||``, must show the same points
 under each of them, and every kept point must have normwise backward error
 ``sigma_min(realify(R - lam I)) / (||R|| + |lam|)`` at most ``tol``.
+Invariant complex lines follow the operator the same way: those of ``s R``
+are those of ``R``, those of ``(U C U*, U B U^T)`` are ``U x``, and each
+moves off itself by at most ``10 tol ||R||``.
 """
 
 import math
@@ -17,6 +20,8 @@ from randops import crandn, random_antilinear, random_operator
 from rlspec import (
     RealLinearOperator,
     apply,
+    common_invariant_1d,
+    conjugation,
     eigenvector,
     operator_norm,
     realify,
@@ -125,3 +130,96 @@ def test_eigenvector_is_scale_free(s):
     assert x is not None
     assert abs(np.linalg.norm(x) - 1.0) < 1e-12
     assert np.linalg.norm(apply(R, x) - point.lam * x) <= 1e-8 * (operator_norm(R) + point.r)
+
+
+# --------------------------------------------------------- invariant lines
+
+LINE_SIZES = [2, 4, 8, 16]
+LINE_KINDS = ["general", "antilinear", "triu"]
+
+
+def _line_operator(n, kind):
+    # triu parts share the invariant line e1; general draws have no lines, and
+    # an antilinear one is the first seeded draw whose B conj(B) has a positive
+    # eigenvalue, whose eigenvectors are invariant lines
+    rng = np.random.default_rng(500 + 3 * n + LINE_KINDS.index(kind))
+    if kind == "general":
+        return random_operator(rng, n)
+    if kind == "triu":
+        R = random_operator(rng, n)
+        return RealLinearOperator(np.triu(R.C), np.triu(R.B))
+    while True:
+        R = random_antilinear(rng, n)
+        mu = np.linalg.eigvals(R.B @ R.B.conj())
+        if np.any((np.abs(mu.imag) < 1e-12) & (mu.real > 0.1 / n)):
+            return R
+
+
+def _same_lines(lines, others):
+    return len(lines) == len(others) and all(
+        max(abs(np.vdot(x, y)) for y in others) > 1.0 - 1e-9 for x in lines
+    )
+
+
+def _worst_line_residual(R, res):
+    # ||R x - (x* R x) x|| / ||R|| over the returned unit vectors
+    worst = 0.0
+    for x in res.lines:
+        y = apply(R, x)
+        worst = max(worst, np.linalg.norm(y - (x.conj() @ y) * x))
+    return worst / operator_norm(R)
+
+
+@pytest.mark.parametrize("n", LINE_SIZES)
+@pytest.mark.parametrize("kind", LINE_KINDS)
+def test_invariant_lines_scale_with_the_operator(n, kind):
+    R = _line_operator(n, kind)
+    base = common_invariant_1d(R)
+    assert bool(base.lines) == (kind != "general")
+    assert _worst_line_residual(R, base) <= 10 * 1e-8
+    for s in SCALES:
+        sR = scale(s, R)
+        res = common_invariant_1d(sR)
+        assert _same_lines(base.lines, res.lines), s
+        assert _worst_line_residual(sR, res) <= 10 * 1e-8
+        assert res.partial == base.partial
+
+
+@pytest.mark.parametrize("n", LINE_SIZES)
+@pytest.mark.parametrize("kind", LINE_KINDS)
+def test_invariant_lines_follow_a_unitary_similarity(n, kind):
+    R = _line_operator(n, kind)
+    U, _ = np.linalg.qr(crandn(np.random.default_rng(600 + n), n, n))
+    similar = RealLinearOperator(U @ R.C @ U.conj().T, U @ R.B @ U.T)
+    base = common_invariant_1d(R)
+    res = common_invariant_1d(similar)
+    assert _same_lines([U @ x for x in base.lines], res.lines)
+    assert _worst_line_residual(similar, res) <= 10 * 1e-8
+
+
+def test_triu_invariant_line_at_every_scale():
+    # e1 is the one invariant line of an upper-triangular pair
+    rng = np.random.default_rng(3)
+    R = RealLinearOperator(np.triu(crandn(rng, 4, 4)), np.triu(crandn(rng, 4, 4)))
+    for s in [1.0, *SCALES]:
+        res = common_invariant_1d(scale(s, R))
+        assert len(res.lines) == 1, s
+        assert abs(res.lines[0][0]) > 1.0 - 1e-12
+
+
+def test_invariant_lines_in_a_three_dimensional_eigenspace():
+    # C = diag(1, 1, 1, 2); B fixes e1, sends e2 to e4 and kills e3 and e4
+    C = np.diag([1.0, 1.0, 1.0, 2.0])
+    B = np.zeros((4, 4))
+    B[0, 0] = B[3, 1] = 1.0
+    res = common_invariant_1d(RealLinearOperator(C, B))
+    assert not res.partial
+    assert sorted(int(np.argmax(np.abs(x))) for x in res.lines) == [0, 2, 3]
+    assert all(np.max(np.abs(x)) > 1.0 - 1e-12 for x in res.lines)
+
+
+def test_conjugation_invariant_lines():
+    # every real line is invariant under conj; the three axes represent them
+    res = common_invariant_1d(conjugation(3))
+    assert len(res.lines) == 3 and not res.partial
+    assert any(f.startswith("family") for f in res.flags)
