@@ -36,17 +36,20 @@ print("\neigenvalues of H:", np.round(sos.d, 9))
 print("weights at exp(0.3 i):", np.round(w, 9), " -> value", float(np.dot(sos.d, w)))
 
 # Along one ray F is a rational function of the radius; its critical points
-# are polynomial roots, listed with the endpoint values.
-print("\nray extrema at theta = 0:", rl.ray_extrema(H, 0.0))
+# are polynomial roots, listed with the endpoint values.  Rays are solved from
+# the operator: on the line at angle theta, p is the product of (mu_k - t)
+# over the eigenvalues of the line matrix, so they take E, not H.
+print("\nray extrema at theta = 0:", rl.ray_extrema(E, 0.0))
 
-# Sweeping rays gives the exact range, compared against the field of values.
-rep = rl.range_and_coverage(H, n_rays=128)
+# Sweeping rays gives the exact range, compared against the field of values
+# of H (passed in, since it is already extracted).
+rep = rl.range_and_coverage(E, n_rays=128, coeff=H)
 print("\nrange of F :", rep.range_est)
 print("fov of H   :", rep.fov)
 print("uncovered  : low", rep.uncovered_low, " high", rep.uncovered_high)
 
 # Per-ray minima (flat here by radial symmetry) as a CSV artifact.
-rows = rl.range_and_coverage(H, n_rays=64).ray_minima
+rows = rl.range_and_coverage(E, n_rays=64, coeff=H).ray_minima
 path = os.path.join(OUT, "eps_ray_minima.csv")
 ser.write_text(path, ser.ray_minima_csv(rows))
 print("\nwrote", path)
@@ -54,7 +57,6 @@ print("\nwrote", path)
 # A complex linear contrast: for the identity operator the function does
 # reach the top of the field of values (at lam = -1), so only one side can
 # stay uncovered in general.
-Hid = rl.coeff_matrix(rl.identity(1))
-rep = rl.range_and_coverage(Hid, n_rays=128)
+rep = rl.range_and_coverage(rl.identity(1), n_rays=128)
 print("\nidentity operator: range", rep.range_est, " fov", rep.fov,
       " uncovered high", rep.uncovered_high)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, NumericalFailure, ValidationError
-from .operators import RealLinearOperator, _real_block, complexify, operator_norm, realify
+from .operators import RealLinearOperator, _real_block, complexify, operator_norm
 
 __all__ = [
     "CoeffMatrix",
@@ -59,6 +59,39 @@ def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]
     return sign, logabs
 
 
+def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
+    """Eigenvalues ``mu_k`` of ``realify(rotate(R, theta))``, one row per line angle.
+
+    The ray kernel of sweeps, numerical-function rays and the real-axis
+    certificate (line 0 is ``realify(R)``): for real t,
+    ``det(realify(R - t e^{i theta} I)) = prod_k (mu_k - t)``.  The matrices,
+    built from ``e^{-i theta} C +- B``, are stacked in chunks of at most
+    ``_DET_STACK_ENTRIES`` entries, one batched ``eigvals`` each; a chunk
+    that fails is solved line by line, so that the failure names its angle.
+    """
+    lines = np.asarray(lines, dtype=float)
+    chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
+    eigs = np.empty((lines.size, 2 * R.n), dtype=complex)
+    for start in range(0, lines.size, chunk):
+        th = lines[start:start + chunk]
+        phase = np.exp(-1j * th)[:, None, None]
+        P, Q = phase * R.C + R.B, phase * R.C - R.B
+        S = _real_block(P, Q)
+        try:
+            eigs[start:start + chunk] = np.linalg.eigvals(S)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        for k, (theta, M) in enumerate(zip(th, S)):
+            try:
+                eigs[start + k] = np.linalg.eigvals(M)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure(
+                    f"eigenvalue solve failed on the line theta={theta:.6g}: {exc}"
+                ) from exc
+    return eigs
+
+
 def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:
     """Evaluate the characteristic polynomial at ``lam``.
 
@@ -74,10 +107,10 @@ def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:
 class CoeffMatrix:
     """Hermitian coefficient matrix of a characteristic polynomial.
 
-    Entry ``H[i, j]`` multiplies ``lam**j * conj(lam)**i``.  ``asymmetry``
-    records the maximum entrywise deviation from Hermitian symmetry before
-    the final symmetrizing projection (a roundoff diagnostic; the stored
-    matrix itself is exactly Hermitian).
+    Entry ``H[i, j]`` multiplies ``lam**j * conj(lam)**i``.  ``asymmetry`` is
+    ``max|G - G*| / max|G|`` of the sampled ``G`` before the symmetrizing
+    projection (see ``herm_tol`` of :func:`coeff_matrix`): a roundoff
+    diagnostic that scaling ``R`` leaves unchanged.
     """
 
     n: int
@@ -249,7 +282,7 @@ def coeff_matrix(
         applied in the log domain so the bound stays finite at any norm,
         and for the pre-projection Hermitian asymmetry of the sampled
         ``H[i, j] * r**(i + j)`` (of ``R / ||R||``), relative to its
-        largest entry.
+        largest entry; that relative asymmetry is returned as ``asymmetry``.
 
     Returns
     -------
@@ -289,7 +322,7 @@ def coeff_matrix(
     H = (Hraw + Hraw.conj().T) / 2.0
     if validate:
         _validate_coeff(R, H, validate_tol, norm)
-    return CoeffMatrix(n=R.n, H=H, asymmetry=float(np.max(np.abs(Hraw - Hraw.conj().T))))
+    return CoeffMatrix(n=R.n, H=H, asymmetry=gasym / gscale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,8 +451,8 @@ def emptiness_certificates(
     is <= 0, the restriction ``f(r) = p(r, r)`` starts nonpositive and grows
     like ``r**(2n)``, so it has a nonnegative root.  Since
     ``p(r, r) = det(realify(R) - r I)``, those roots are the real
-    eigenvalues of the real matrix ``realify(R)``, which LAPACK returns as
-    exactly real; the smallest nonnegative one is reported.  ``coeff``
+    eigenvalues of ``realify(R)`` (line 0 of the ray kernel), which LAPACK
+    returns as exactly real; the smallest nonnegative one is reported.  ``coeff``
     supplies an already extracted H (for example ``mode="exact"``).
     """
     cm = coeff if coeff is not None else coeff_matrix(R)
@@ -436,7 +469,7 @@ def emptiness_certificates(
     if det0 == 0.0:
         zero = 0.0
     elif det0 < 0.0:
-        ev = np.linalg.eigvals(realify(R))
+        ev = _line_eigvals(R, [0.0])[0]
         roots = ev.real[(ev.imag == 0.0) & (ev.real >= 0.0)]
         if roots.size == 0:
             raise NumericalFailure(

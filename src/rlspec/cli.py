@@ -123,7 +123,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_numfun(args) -> int:
     R = ser.load_operator(args.opfile)
     cm = coeff_matrix(R, validate_tol=args.validate_tol)
-    rep = range_and_coverage(cm, n_rays=args.rays)
+    rep = range_and_coverage(R, n_rays=args.rays, coeff=cm)
     if args.out.endswith(".csv"):
         _out(args.out, ser.ray_minima_csv(rep.ray_minima))
     else:
@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("numfun", help="numerical function range and field-of-values coverage")
     p.add_argument("opfile")
-    p.add_argument("--rays", type=_ray_count, default=128)
+    p.add_argument("--rays", type=_ray_count, default=128,
+                   help="ray directions on the full circle; odd counts round up")
     p.add_argument(
         "--out",
         default="-",

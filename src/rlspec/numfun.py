@@ -5,8 +5,11 @@ real function whose values are convex combinations of the eigenvalues of
 the coefficient matrix H, hence contained in the field of values
 ``[min eig H, max eig H]``.  It vanishes exactly on the spectrum, equals
 ``det`` of the complexification at the origin, and tends to 1 at infinity.
-Along a fixed ray the function is a rational function of the radius, so
-range computation is a family of one-dimensional critical point problems.
+
+Ray extrema and ranges come from the operator, not from H, whose entries are
+accurate only relative to the largest one: on the line at angle theta,
+``p(t e^{i theta}) = prod_k (mu_k - t)`` over the eigenvalues of the line
+matrix, the ray kernel of spectrum sweeps.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .charpoly import SosDecomposition, _coeff_array, coeff_poly_eval, sos_decompose
-from .errors import ValidationError
+from .charpoly import CoeffMatrix, SosDecomposition, _coeff_array, _line_eigvals, charpoly_eval
+from .charpoly import coeff_matrix, coeff_poly_eval, sos_decompose
+from .errors import NumericalFailure, ValidationError
+from .operators import RealLinearOperator
 
 __all__ = [
     "NumFunReport",
@@ -54,18 +59,6 @@ def convex_weights(H, lam: complex, sos: SosDecomposition | None = None) -> np.n
     return sq / np.sum(sq)
 
 
-def _ray_numerators(A: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    # row t: coefficients in r of p(r e^{i theta_t}, r e^{-i theta_t}), degree
-    # 0..2n.  Entry A[i, j] enters degree i + j with phase e^{i theta (j - i)},
-    # so G[d, n + k] holds the antidiagonal entry with i + j = d, j - i = k.
-    n = A.shape[0] - 1
-    i, j = np.indices(A.shape)
-    G = np.zeros((2 * n + 1, 2 * n + 1), dtype=complex)
-    G[i + j, n + j - i] = A
-    phases = np.exp(1j * np.outer(thetas, np.arange(-n, n + 1)))
-    return np.einsum("tk,dk->td", phases, G).real
-
-
 def _critical_polys(num: np.ndarray) -> np.ndarray:
     # rows of N' D - N D' for D = 1 + r**2 + ... + r**(2n): the product
     # r**d * r**l contributes (d - l) r**(d + l - 1).  Elementwise sums keep
@@ -82,8 +75,8 @@ def _companion_roots(E: np.ndarray, thetas: np.ndarray) -> list[np.ndarray]:
     """Sorted roots of each row polynomial of ``E`` (all of one degree, >= 1).
 
     The companion matrices are those of ``npoly.polyroots``, solved by one
-    batched ``eigvals``.  If the batch fails, each ray is solved alone, and
-    a ray whose solve fails warns and contributes no roots.
+    batched ``eigvals``.  If the batch fails, each line is solved alone, and
+    a line whose solve fails warns and contributes no roots.
     """
     g = E.shape[1] - 1
     mats = np.zeros((E.shape[0], g, g))
@@ -97,84 +90,91 @@ def _companion_roots(E: np.ndarray, thetas: np.ndarray) -> list[np.ndarray]:
             try:
                 roots.append(np.linalg.eigvals(M))
             except np.linalg.LinAlgError as exc:
-                warnings.warn(f"critical point solve failed on ray theta={theta:.6g}: {exc}")
+                warnings.warn(f"critical point solve failed on line theta={theta:.6g}: {exc}")
                 roots.append(np.array([]))
     return [np.sort(r) for r in roots]
 
 
-def _ray_extrema(
-    A: np.ndarray, thetas, r_max: float | None = None
-) -> list[list[tuple[float, float]]]:
-    """:func:`ray_extrema` for every angle of ``thetas`` at once.
+def _values(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # F = prod_k (mu[i, k] - t[i]) / sum_j t[i]**(2j) in the log domain, signed by
+    # the real mu; log D = log sum_j u**j + 2n log max(|t|, 1), u = min(|t|, 1/|t|)**2
+    n = mu.shape[1] // 2
+    diff = mu - t[:, None]
+    with np.errstate(divide="ignore"):
+        logf = np.sum(np.log(np.abs(diff)), axis=1)
+    a = np.abs(t)
+    logf -= np.log(npoly.polyval(np.minimum(a, 1.0 / np.maximum(a, 1.0)) ** 2, np.ones(n + 1)))
+    logf -= 2 * n * np.log(np.maximum(a, 1.0))
+    if not np.all(logf < np.log(np.finfo(float).max)):
+        raise NumericalFailure(f"a numerical function value overflows double range (n={n})")
+    return np.prod(np.where(mu.imag == 0.0, np.sign(diff.real), 1.0), axis=1) * np.exp(logf)
 
-    All numerators come from one ``einsum``; rays are grouped by the
-    trimmed degree of their critical polynomial ``N' D - N D'`` and each
-    group's roots come from one batched companion solve.  Each ray's result
-    is independent of the other angles passed with it.
+
+def _ray_extrema(R: RealLinearOperator, lines) -> list[list[tuple[float, float]]]:
+    """:func:`ray_extrema` for the rays at ``lines``, then for those at ``lines + pi``.
+
+    On line theta, ``F(t e^{i theta}) = N(t) / D(t)`` with ``N(t) = prod_k (mu_k - t)``
+    and the even ``D(t) = 1 + t**2 + ... + t**(2n)``, so the roots t > 0 and
+    t < 0 of one ``N' D - N D'`` are the critical points of both rays.  Lines
+    are grouped by its trimmed degree, one batched companion solve per group,
+    and F is evaluated in product form.  Lines do not affect each other.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    n = A.shape[0] - 1
-    num = _ray_numerators(A, thetas)
-    E = _critical_polys(num)
-    scale = np.maximum(np.max(np.abs(E), axis=1, keepdims=True), 1e-300)
-    E = np.where(np.abs(E) > 1e-14 * scale, E, 0.0)
-    # trimmed degree; a flat ray (E all zero) counts as degree 0
+    lines = np.asarray(lines, dtype=float)
+    mu = _line_eigvals(R, lines)
+    # ascending coefficients of N, real up to roundoff as each row is conjugate-closed
+    num = np.zeros((lines.size, 2 * R.n + 1), dtype=complex)
+    num[:, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, root in enumerate(mu.T, start=1):
+            num[:, 1:k + 1] = root[:, None] * num[:, 1:k + 1] - num[:, :k]
+            num[:, 0] *= root
+        E = _critical_polys(num.real)
+    if not np.isfinite(E).all():
+        raise NumericalFailure(f"numerical function coefficients overflow double range (n={R.n})")
+    E = np.where(np.abs(E) > 1e-14 * np.max(np.abs(E), axis=1, keepdims=True), E, 0.0)
+    # trimmed degree; a flat line (E all zero) counts as degree 0
     degree = np.max(np.where(E != 0.0, np.arange(E.shape[1]), 0), axis=1)
 
-    roots = [np.array([])] * thetas.size
+    roots = [np.array([])] * lines.size
     for g in np.unique(degree[degree >= 1]).tolist():
         rows = np.flatnonzero(degree == g)
-        for k, rts in zip(rows.tolist(), _companion_roots(E[rows, :g + 1], thetas[rows])):
+        for k, rts in zip(rows.tolist(), _companion_roots(E[rows, :g + 1], lines[rows])):
             roots[k] = rts
 
-    ray_of, radii = [], []
-    for k, rts in enumerate(roots):
-        keep = (np.abs(rts.imag) <= 1e-8 * (1.0 + np.abs(rts))) & (rts.real > 0.0)
-        if r_max is not None:
-            keep &= rts.real <= r_max
-        crit: list[float] = []
-        for r in rts.real[keep].tolist():
-            if not crit or abs(r - crit[-1]) > 1e-10 * (1.0 + r):
-                crit.append(r)
-        ray_of += [k] * len(crit)
-        radii += crit
-
-    den = np.zeros(2 * n + 1)
-    den[::2] = 1.0
-    x = np.array(radii)
-    values = (npoly.polyval(x, num[ray_of].T, tensor=False) / npoly.polyval(x, den)).tolist()
-
-    out = [[(0.0, float(np.real(A[0, 0])))] for _ in range(thetas.size)]
-    for k, r, v in zip(ray_of, radii, values):
-        out[k].append((r, v))
-    for ext in out:
-        ext.append((math.inf, float(np.real(A[n, n]))))
-    return out
+    radii, line_of, t = [], [], []
+    for side in (1.0, -1.0):
+        for k, rts in enumerate(roots):
+            real = side * rts.real[np.abs(rts.imag) <= 1e-8 * (1.0 + np.abs(rts))]
+            # roots within 1e-10 (1 + r) of the one before are one critical point
+            pos = np.sort(real[real > 0.0])
+            radii.append([0.0] + pos[np.diff(pos, prepend=-1.0) > 1e-10 * (1.0 + pos)].tolist())
+            line_of += [k] * len(radii[-1])
+            t += [side * r for r in radii[-1]]
+    values = iter(_values(mu[line_of], np.array(t)).tolist())
+    return [[(r, next(values)) for r in rs] + [(math.inf, 1.0)] for rs in radii]
 
 
-def ray_extrema(H, theta: float, r_max: float | None = None) -> list[tuple[float, float]]:
+def ray_extrema(R: RealLinearOperator, theta: float) -> list[tuple[float, float]]:
     """Critical points of the numerical function along one ray.
 
-    On the ray ``lam = r exp(i theta)`` the function is the rational
-    function ``N(r) / (1 + r**2 + ... + r**(2n))``; its interior critical
-    radii are the nonnegative real roots of ``N' D - N D'``.  Returns
-    ``(r, value)`` pairs sorted by radius, always including the endpoint
-    ``r = 0`` and the limit at infinity (radius ``inf``, value ``H[n][n]``).
-    ``r_max`` optionally discards critical radii beyond a cutoff.
+    On the ray ``lam = r exp(i theta)`` it is ``N(r) / D(r)`` with
+    ``N(r) = det(realify(R - r e^{i theta} I))`` and ``D(r) = sum_j r**(2j)``.
+    Returns ``(r, value)`` at the positive real roots of ``N' D - N D'``,
+    sorted by radius, with the endpoint ``r = 0`` and the limit (``inf``, 1).
     """
-    return _ray_extrema(_coeff_array(H), [theta], r_max)[0]
+    return _ray_extrema(R, [theta])[0]
 
 
 @dataclass(frozen=True)
 class NumFunReport:
     """Range of the numerical function versus the field of values of H.
 
-    ``range_est`` comes from exact per-ray critical points united over the
-    angle grid; ``fov`` is the interval between the extreme eigenvalues of
-    H.  The uncovered margins are the (clamped) gaps between the two
-    intervals at each end -- how much of the field of values the function
-    provably never reaches at the sampled angles.  ``ray_minima`` holds
-    ``(theta, r, value)`` of the smallest value on each ray of the grid.
+    ``range_est`` unites the exact per-ray critical values, taken from the
+    operator and not from H, over the angle grid; ``fov`` is the interval
+    between the extreme eigenvalues of H.  The uncovered margins are the
+    (clamped) gaps between the two intervals at each end.  ``f0`` is the
+    determinant of the complexification, ``f_inf`` is 1, and ``ray_minima``
+    holds ``(theta, r, value)`` of the smallest value on each ray of the grid.
     """
 
     f0: float
@@ -188,37 +188,39 @@ class NumFunReport:
     ray_minima: tuple[tuple[float, float, float], ...]
 
 
-def range_and_coverage(H, n_rays: int = 128) -> NumFunReport:
+def range_and_coverage(R: RealLinearOperator, n_rays: int = 128, *,
+                       coeff: CoeffMatrix | None = None) -> NumFunReport:
     """Estimate the range of the numerical function and its field-of-values coverage.
 
-    The range over the plane is the union of per-ray ranges, each obtained
-    exactly from polynomial critical points, so the only discretization is
-    the angle grid (default 128 rays over the full circle).  All rays are
-    solved together by one batched kernel.
+    The range is the union of exact per-ray ranges, so the only
+    discretization is the angle grid.  As in ``spectrum_sweep``, the
+    ``m = ceil(n_rays / 2)`` lines ``pi j / m`` are solved, each for its rays
+    ``pi j / m`` and ``pi j / m + pi``.  ``fov`` is read from ``coeff``, an
+    already extracted H, or else from ``coeff_matrix(R)``.
     """
     if n_rays < 1:
         raise ValidationError(f"n_rays must be >= 1, got {n_rays}")
-    A = _coeff_array(H)
-    n = A.shape[0] - 1
-
-    thetas = [2.0 * math.pi * k / n_rays for k in range(n_rays)]
-    per_ray = _ray_extrema(A, thetas)
+    m = (n_rays + 1) // 2
+    lines = [math.pi * j / m for j in range(m)]
+    thetas = lines + [th + math.pi for th in lines]
+    per_ray = _ray_extrema(R, lines)
 
     minima = tuple((theta, *min(ext, key=lambda t: t[1])) for theta, ext in zip(thetas, per_ray))
     values = [val for ext in per_ray for _, val in ext]
     lo, hi = min(values), max(values)
     rmax = max(r for ext in per_ray for r, _ in ext if math.isfinite(r))
 
+    A = (coeff if coeff is not None else coeff_matrix(R)).H
     eigs = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
     fov = (float(eigs[0]), float(eigs[-1]))
     return NumFunReport(
-        f0=float(np.real(A[0, 0])),
-        f_inf=float(np.real(A[n, n])),
+        f0=charpoly_eval(R, 0.0),
+        f_inf=1.0,
         range_est=(lo, hi),
         fov=fov,
         uncovered_low=max(0.0, lo - fov[0]),
         uncovered_high=max(0.0, fov[1] - hi),
-        n_rays=n_rays,
+        n_rays=2 * m,
         max_critical_radius=rmax,
         ray_minima=minima,
     )

@@ -28,16 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import _DET_STACK_ENTRIES
-from .errors import NumericalFailure, ValidationError
-from .operators import (
-    RealLinearOperator,
-    _real_block,
-    apply,
-    min_modulus,
-    operator_norm,
-    realify,
-)
+from .charpoly import _line_eigvals
+from .errors import ValidationError
+from .operators import RealLinearOperator, apply, min_modulus, operator_norm, realify
 
 __all__ = [
     "SpectralPoint",
@@ -80,40 +73,6 @@ class SpectrumCloud:
 
     def lambdas(self) -> np.ndarray:
         return np.array([p.lam for p in self.points], dtype=complex)
-
-
-def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
-    """Eigenvalues of ``realify(rotate(R, theta))``, one row per line angle.
-
-    The real matrices are built straight from ``P = e^{-i theta} C + B`` and
-    ``Q = e^{-i theta} C - B``, stacked in chunks of at most
-    ``_DET_STACK_ENTRIES`` entries and solved by one batched
-    ``np.linalg.eigvals`` per chunk.  A chunk that fails is solved line by
-    line, so that the failure names its angle.  Every line is solved as
-    given; an antilinear sweep, whose lines all share ``realify(R)``, passes
-    only its first.
-    """
-    lines = np.asarray(lines, dtype=float)
-    chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
-    eigs = np.empty((lines.size, 2 * R.n), dtype=complex)
-    for start in range(0, lines.size, chunk):
-        th = lines[start:start + chunk]
-        phase = np.exp(-1j * th)[:, None, None]
-        P, Q = phase * R.C + R.B, phase * R.C - R.B
-        S = _real_block(P, Q)
-        try:
-            eigs[start:start + chunk] = np.linalg.eigvals(S)
-            continue
-        except np.linalg.LinAlgError:
-            pass
-        for k, (theta, M) in enumerate(zip(th, S)):
-            try:
-                eigs[start + k] = np.linalg.eigvals(M)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(
-                    f"eigenvalue solve failed on the line theta={theta:.6g}: {exc}"
-                ) from exc
-    return eigs
 
 
 def _line_hits(eigs: np.ndarray, tol: float, norm: float) -> list[tuple[float, float]]:

@@ -217,7 +217,7 @@ def test_criterion_8_numerical_function():
     t0 = time.perf_counter()
     R = eps_operator(0.5)
     cm = coeff_matrix(R)
-    rep = range_and_coverage(cm)
+    rep = range_and_coverage(R, coeff=cm)
     range_ok = (
         abs(rep.range_est[0] - 1.0 / 3.0) <= 1e-8
         and abs(rep.range_est[1] - 1.0) <= 1e-8

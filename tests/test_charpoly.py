@@ -196,6 +196,16 @@ def test_coeff_structure_invariants_random():
         assert abs(cm.H[0, 0].real - charpoly_eval(R, 0.0)) < 1e-8
 
 
+def test_coeff_asymmetry_is_scale_free():
+    # max|G - G*| / max|G| of the normalized samples: the same for every s R
+    R = random_operator(np.random.default_rng(8), 8)
+    base = coeff_matrix(R).asymmetry
+    assert 0.0 <= base <= 1e-12
+    for s in (1e-3, 1e-1, 10.0, 1e3):
+        scaled = RealLinearOperator(s * R.C, s * R.B)
+        assert abs(coeff_matrix(scaled).asymmetry - base) <= 1e-12
+
+
 def test_coeff_matrix_rejects_unknown_mode():
     with pytest.raises(Exception):
         coeff_matrix(conjugation(1), mode="symbolic")
@@ -583,7 +593,8 @@ def test_real_axis_zero_is_the_smallest_nonnegative_root():
 def test_certificates_report_missing_real_eigenvalue(monkeypatch):
     # det0 < 0 forces a nonnegative real root; if the eigen solve returns
     # none (say, a near-double root split into a complex pair) it must fail
-    monkeypatch.setattr(charpoly_module, "realify", lambda R: np.array([[0.0, -1.0], [1.0, 0.0]]))
+    # (the eigenvalues +-i of [[0, -1], [1, 0]] in place of line 0 of the ray kernel)
+    monkeypatch.setattr(charpoly_module, "_line_eigvals", lambda R, lines: np.array([[1j, -1j]]))
     with pytest.raises(NumericalFailure, match="no exactly real nonnegative eigenvalue"):
         emptiness_certificates(conjugation(1))
 

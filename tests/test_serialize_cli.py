@@ -18,6 +18,7 @@ from rlspec import (
     conjugation,
     identity,
     operator_norm,
+    range_and_coverage,
     ray_extrema,
     spectrum_sweep,
 )
@@ -345,12 +346,15 @@ def test_cli_numfun_ray_csv_matches_per_ray_minima(tmp_path):
     op = write_operator(tmp_path / "r.json", R)
     out = tmp_path / "rays.csv"
     assert main(["numfun", op, "--rays", "12", "--out", str(out)]) == 0
-    rows = []
-    for k in range(12):
-        theta = 2.0 * np.pi * k / 12
-        r_min, f_min = min(ray_extrema(coeff_matrix(R), theta), key=lambda t: t[1])
-        rows.append((theta, r_min, f_min))
+    rows = range_and_coverage(R, 12).ray_minima
     assert out.read_text() == ser.ray_minima_csv(rows)
+    assert [th for th, _, _ in rows] == [np.pi * k / 6 for k in range(6)] + [
+        np.pi * k / 6 + np.pi for k in range(6)
+    ]
+    for theta, r_min, f_min in rows:
+        r_ref, f_ref = min(ray_extrema(R, theta), key=lambda t: t[1])
+        assert abs(r_min - r_ref) <= 1e-12 * max(1.0, r_ref)
+        assert abs(f_min - f_ref) <= 1e-12 * max(1.0, abs(f_ref))
 
 
 def test_cli_info_reports_certificate_spectrum(tmp_path, capsys):
