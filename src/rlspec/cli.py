@@ -152,7 +152,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(f"grid spec values out of range: {spec!r}")
     radii = np.linspace(rmin, rmax, nr)
     angles = 2.0 * np.pi * np.arange(na) / na
-    return np.array([r * np.exp(1j * t) for r in radii for t in angles])
+    return (radii[:, None] * np.exp(1j * angles)).ravel()
 
 
 def _cmd_charfun(args) -> int:

@@ -254,39 +254,26 @@ def report_to_dict(rep: NumFunReport) -> dict:
     }
 
 
+def _csv(header: str, rows) -> str:
+    """``header``, then one line per row of floats, each written as ``fmt_float`` writes it."""
+    template = ",".join(["%.16e"] * (header.count(",") + 1))
+    return "\n".join([header] + [template % tuple(row) for row in rows]) + "\n"
+
+
 def spectrum_csv(cloud: SpectrumCloud) -> str:
-    lines = ["theta,r,re,im,residual"]
-    for p in cloud.points:
-        lines.append(
-            ",".join(
-                (
-                    fmt_float(p.theta),
-                    fmt_float(p.r),
-                    fmt_float(p.lam.real),
-                    fmt_float(p.lam.imag),
-                    fmt_float(p.residual),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = [(p.theta, p.r, p.lam.real, p.lam.imag, p.residual) for p in cloud.points]
+    return _csv("theta,r,re,im,residual", rows)
 
 
 def ray_minima_csv(rows) -> str:
     """Rows of (theta, radius of the ray minimum, minimal value)."""
-    lines = ["theta,r_min_F,F_min"]
-    for theta, r, val in rows:
-        lines.append(",".join((fmt_float(theta), fmt_float(r), fmt_float(val))))
-    return "\n".join(lines) + "\n"
+    return _csv("theta,r_min_F,F_min", rows)
 
 
 def charfun_csv(table: CharFunTable) -> str:
-    header = ["lambda_re", "lambda_im"] + [f"n{n}" for n in table.n_list]
-    lines = [",".join(header)]
-    for j, lam in enumerate(table.lambdas):
-        row = [fmt_float(lam.real), fmt_float(lam.imag)]
-        row += [fmt_float(table.values[i, j]) for i in range(len(table.n_list))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ",".join(["lambda_re", "lambda_im"] + [f"n{n}" for n in table.n_list])
+    lam = table.lambdas
+    return _csv(header, np.column_stack((lam.real, lam.imag, table.values.T)).tolist())
 
 
 def spectrum_svg(cloud: SpectrumCloud, bounding_radius: float, size: int = 640) -> str:

@@ -10,8 +10,11 @@ import pytest
 
 from randops import op_maxdiff, random_operator
 from rlspec import (
+    CharFunTable,
     DecaySpec,
     RealLinearOperator,
+    SpectralPoint,
+    SpectrumCloud,
     SymbolSeries,
     ValidationError,
     coeff_matrix,
@@ -23,7 +26,7 @@ from rlspec import (
     spectrum_sweep,
 )
 from rlspec import serialize as ser
-from rlspec.cli import build_parser, main
+from rlspec.cli import _parse_grid, build_parser, main
 
 
 def eps_operator(eps=0.5):
@@ -107,6 +110,39 @@ def test_spectrum_csv_layout():
     first = lines[1].split(",")
     assert len(first) == 5
     assert float(first[1]) == pytest.approx(1.0)
+
+
+# values whose text is easy to get wrong: signed zero, the smallest subnormal,
+# the largest finite double, infinities and nan
+AWKWARD = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+           -np.inf, np.inf, np.nan, 1.0 / 3.0, -12345.678)
+
+
+def _fmt_float_csv(header, rows):
+    # the reference writer: one fmt_float call per value
+    return "\n".join([header] + [",".join(ser.fmt_float(x) for x in row) for row in rows]) + "\n"
+
+
+def test_csv_writers_match_per_value_fmt_float():
+    vals = np.array(AWKWARD)
+    rows = [np.roll(vals, k) for k in range(vals.size)]
+    minima = [tuple(row[:3]) for row in rows]
+    assert ser.ray_minima_csv(minima) == _fmt_float_csv("theta,r_min_F,F_min", minima)
+    assert ser.ray_minima_csv([]) == "theta,r_min_F,F_min\n"
+
+    points = tuple(SpectralPoint(row[0], row[1], complex(row[2], row[3]), row[4]) for row in rows)
+    cloud = SpectrumCloud(points=points, tol=1e-8, n_rays=8, norm=1.0)
+    assert ser.spectrum_csv(cloud) == _fmt_float_csv(
+        "theta,r,re,im,residual", [row[:5] for row in rows]
+    )
+
+    values = np.array(rows)[:, :4].T  # 4 sizes by 11 grid points
+    lambdas = np.empty(vals.size, dtype=complex)
+    lambdas.real, lambdas.imag = vals, vals[::-1]
+    table = CharFunTable(lambdas=lambdas, n_list=(1, 2, 4, 8), values=values,
+                         diffs=np.zeros(3), stalls=())
+    reference = [[lam.real, lam.imag, *values[:, j]] for j, lam in enumerate(lambdas)]
+    assert ser.charfun_csv(table) == _fmt_float_csv("lambda_re,lambda_im,n1,n2,n4,n8", reference)
 
 
 def test_svg_scatter_contains_points_and_circle():
@@ -497,6 +533,16 @@ def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     assert shared == [run(fresh_main(), argv) for argv in calls]
     assert [code for code, _, _ in shared] == [0, 2, 0, 0]
     assert json.loads(shared[1][1])["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("spec", ["0.5:3.0:6:8", "0.1:0.1:1:1", "1e-3:7.25:13:17"])
+def test_charfun_grid_is_radius_major_and_matches_the_loop(spec):
+    rmin, rmax, nr, na = spec.split(":")
+    radii = np.linspace(float(rmin), float(rmax), int(nr))
+    angles = 2.0 * np.pi * np.arange(int(na)) / int(na)
+    loop = np.array([r * np.exp(1j * t) for r in radii for t in angles])
+    grid = _parse_grid(spec)
+    assert grid.dtype == loop.dtype and grid.tobytes() == loop.tobytes()
 
 
 def test_cli_charfun_bad_grid_spec(tmp_path):

@@ -1,5 +1,6 @@
 """Symbol truncations, characteristic function limits, determinant continuity."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -375,6 +376,74 @@ def test_table_svds_stop_at_the_numerical_size(monkeypatch, sym, nmax, check):
     assert check(rows)
 
 
+@pytest.mark.parametrize(
+    "name",
+    sorted(TRIM_SYMBOLS) + ["disk-m2", "disk-m8", "disk-m300", "finite-rising", "finite-gapped"],
+)
+def test_tail_weights_from_the_symbol_trim_as_the_full_truncation_does(monkeypatch, name):
+    # the weights are read off the coefficients in O(nmax); trimming on the
+    # weights of the full nmax x nmax truncation must pick the same blocks
+    extra = {
+        "disk-m2": lambda: SymbolSeries.disk_monomial(2),
+        "disk-m8": lambda: SymbolSeries.disk_monomial(8),
+        "disk-m300": lambda: SymbolSeries.disk_monomial(300),
+        "finite-rising": lambda: SymbolSeries.circle_hankel(np.arange(1.0, 41.0) / 400),
+        "finite-gapped": lambda: SymbolSeries.circle_hankel(np.r_[1e-9, np.zeros(20), 1.0, 1j]),
+    }
+    sym = {**TRIM_SYMBOLS, **extra}[name]()
+    sizes = [1, 2, 3, 4, 8, 16, 33, 64, 128, 256]
+    B = _truncate(sym, sizes[-1]).B
+    idx = np.arange(sizes[-1])
+    weight = np.bincount(np.maximum.outer(idx, idx).ravel(), weights=(np.abs(B) ** 2).ravel())
+    blocks = []
+    for n in sizes:
+        tail = np.cumsum(weight[n - 1::-1])[::-1]
+        K = int(np.count_nonzero(tail > np.finfo(float).eps ** 2 * tail[0]))
+        if K and (not blocks or blocks[-1] != K):
+            blocks.append(K)
+    shapes = _svd_shapes(monkeypatch)
+    charfun_convergence(sym, _grid(), sizes, lam_min=0.1)
+    assert shapes == [(K, K) for K in blocks]
+
+
+@pytest.mark.parametrize(
+    "make, nmax, limit_mib",
+    [
+        (lambda: geometric_symbol(0.5, length=2047), 1024, 1.0),
+        (lambda: SymbolSeries.disk_monomial(3), 1024, 1.0),
+        (lambda: polynomial_symbol(length=511), 256, 2.0),
+    ],
+    ids=["geometric-0.5", "disk-m3", "polynomial"],
+)
+def test_table_memory_does_not_grow_with_nmax_squared(make, nmax, limit_mib):
+    # an nmax x nmax complex truncation alone would take nmax**2 * 16 bytes
+    # (16 MiB at nmax 1024); a table holds the O(nmax) weights and one K x K block
+    sym, grid = make(), _grid()
+    sizes = [2**k for k in range(nmax.bit_length())]
+    tracemalloc.start()
+    try:
+        charfun_convergence(sym, grid, sizes, lam_min=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SymbolSeries.circle_hankel([0.9, -0.4j, 0.2]), lambda: SymbolSeries.disk_monomial(3)],
+    ids=["finite-3", "disk-m3"],
+)
+def test_table_reaches_nmax_65536_with_a_4_by_4_block(monkeypatch, make):
+    # both truncations are zero past their leading 4 x 4 block; a table to
+    # 2**16 must not build the 2**16 x 2**16 matrix (64 GiB)
+    shapes = _svd_shapes(monkeypatch)
+    sizes = [2**k for k in range(17)]
+    table = charfun_convergence(make(), _grid(), sizes, lam_min=0.1)
+    assert max(rows for rows, _ in shapes) <= 4
+    assert np.all(table.values[2:] == table.values[2])
+
+
 def test_trim_keeps_a_tail_below_the_forward_sum_resolution(monkeypatch):
     # a_0 = 1 and a_81.. = t: the entries past index 40 hold 1e-20 of ||B||_F**2,
     # which a difference of forward cumulative sums (near 1) reads as 0
@@ -413,6 +482,14 @@ def test_convergence_checks_the_symbol_once_at_the_largest_size():
 def test_symbol_scale_values():
     assert symbol_scale(geometric_symbol(q=0.5, length=200)) == pytest.approx(2.0, abs=1e-10)
     assert symbol_scale(SymbolSeries.disk_monomial(0)) == pytest.approx(1.0)
+
+
+def test_disk_symbol_scale_is_the_truncation_2_norm():
+    # the closed form against the 2-norm of the (m+1) x (m+1) truncation
+    for m in range(200):
+        sym = SymbolSeries.disk_monomial(m)
+        ref = np.linalg.norm(disk_truncation(sym, m + 1).B, 2)
+        assert abs(symbol_scale(sym) - ref) <= 2 * np.finfo(float).eps * ref
 
 
 # ------------------------------------------------------ determinant continuity
