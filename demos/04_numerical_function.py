@@ -22,12 +22,12 @@ a, b = np.sqrt((1 + eps) / 2), np.sqrt((1 - eps) / 2)
 E = rl.RealLinearOperator(np.zeros((2, 2)), [[a, b], [-b, a]])
 H = rl.coeff_matrix(E)
 
-# Pointwise: F(0) is the determinant of the complexification, the limit at
-# infinity is the monic leading coefficient 1, and values on the unit
-# circle average the eigenvalues of H.
-print("F(0)          =", rl.numfun_eval(H, 0.0))
-print("F(exp(0.3 i)) =", rl.numfun_eval(H, np.exp(0.3j)))
-print("F(100)        =", rl.numfun_eval(H, 100.0))
+# Pointwise, from the operator: F(0) is the determinant of the
+# complexification, the limit at infinity is the monic leading coefficient 1,
+# and values on the unit circle average the eigenvalues of H.
+print("F(0)          =", rl.numfun_eval(E, 0.0))
+print("F(exp(0.3 i)) =", rl.numfun_eval(E, np.exp(0.3j)))
+print("F(100)        =", rl.numfun_eval(E, 100.0))
 
 # Convexity made explicit: barycentric weights against the eigenvalues.
 sos = rl.sos_decompose(H)
@@ -36,9 +36,10 @@ print("\neigenvalues of H:", np.round(sos.d, 9))
 print("weights at exp(0.3 i):", np.round(w, 9), " -> value", float(np.dot(sos.d, w)))
 
 # Along one ray F is a rational function of the radius; its critical points
-# are polynomial roots, listed with the endpoint values.  Rays are solved from
-# the operator: on the line at angle theta, p is the product of (mu_k - t)
-# over the eigenvalues of the line matrix, so they take E, not H.
+# are listed with the endpoint values.  Rays are solved from the operator: on
+# the line at angle theta, p is the product of (mu_k - t) over the eigenvalues
+# of the line matrix, and F' = 0 is a sum over those poles and the roots of
+# the denominator, so they take E, not H.
 print("\nray extrema at theta = 0:", rl.ray_extrema(E, 0.0))
 
 # Sweeping rays gives the exact range, compared against the field of values

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-# Entries per stack of real 2n x 2n matrices handed to one batched LAPACK call
+# Entries per stack of real matrices handed to one batched LAPACK call
 # (128 KiB), so the determinant and eigenvalue stacks stay bounded at any n.
 _DET_STACK_ENTRIES = 1 << 14
 
@@ -59,37 +59,42 @@ def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]
     return sign, logabs
 
 
+def _stacked_eigvals(build, lines: np.ndarray, size: int) -> np.ndarray:
+    """Eigenvalues of the real ``size x size`` stacks ``build(part)`` of ``lines[part]``.
+
+    Each stack holds at most ``_DET_STACK_ENTRIES`` entries, for one batched
+    ``eigvals``; a stack that fails is solved matrix by matrix, so that the
+    failure names its line.
+    """
+    chunk = max(1, _DET_STACK_ENTRIES // size ** 2)
+    eigs = np.empty((lines.size, size), dtype=complex)
+    for start in range(0, lines.size, chunk):
+        part = slice(start, start + chunk)
+        S = build(part)
+        try:
+            eigs[part] = np.linalg.eigvals(S)
+        except np.linalg.LinAlgError:
+            for k, (theta, M) in enumerate(zip(lines[part], S), start=start):
+                try:
+                    eigs[k] = np.linalg.eigvals(M)
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalFailure(
+                        f"eigenvalue solve failed on the line theta={theta:.6g}: {exc}"
+                    ) from exc
+    return eigs
+
+
 def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
     """Eigenvalues ``mu_k`` of ``realify(rotate(R, theta))``, one row per line angle.
 
     The ray kernel of sweeps, numerical-function rays and the real-axis
     certificate (line 0 is ``realify(R)``): for real t,
-    ``det(realify(R - t e^{i theta} I)) = prod_k (mu_k - t)``.  The matrices,
-    built from ``e^{-i theta} C +- B``, are stacked in chunks of at most
-    ``_DET_STACK_ENTRIES`` entries, one batched ``eigvals`` each; a chunk
-    that fails is solved line by line, so that the failure names its angle.
+    ``det(realify(R - t e^{i theta} I)) = prod_k (mu_k - t)``.
     """
     lines = np.asarray(lines, dtype=float)
-    chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
-    eigs = np.empty((lines.size, 2 * R.n), dtype=complex)
-    for start in range(0, lines.size, chunk):
-        th = lines[start:start + chunk]
-        phase = np.exp(-1j * th)[:, None, None]
-        P, Q = phase * R.C + R.B, phase * R.C - R.B
-        S = _real_block(P, Q)
-        try:
-            eigs[start:start + chunk] = np.linalg.eigvals(S)
-            continue
-        except np.linalg.LinAlgError:
-            pass
-        for k, (theta, M) in enumerate(zip(th, S)):
-            try:
-                eigs[start + k] = np.linalg.eigvals(M)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure(
-                    f"eigenvalue solve failed on the line theta={theta:.6g}: {exc}"
-                ) from exc
-    return eigs
+    ph = np.exp(-1j * lines)[:, None, None]
+    return _stacked_eigvals(lambda part: _real_block(ph[part] * R.C + R.B, ph[part] * R.C - R.B),
+                            lines, 2 * R.n)
 
 
 def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:

@@ -6,25 +6,24 @@ the coefficient matrix H, hence contained in the field of values
 ``[min eig H, max eig H]``.  It vanishes exactly on the spectrum, equals
 ``det`` of the complexification at the origin, and tends to 1 at infinity.
 
-Ray extrema and ranges come from the operator, not from H, whose entries are
-accurate only relative to the largest one: on the line at angle theta,
-``p(t e^{i theta}) = prod_k (mu_k - t)`` over the eigenvalues of the line
-matrix, the ray kernel of spectrum sweeps.
+Values, ray extrema and ranges come from the operator, not from H, whose
+entries are accurate only relative to the largest one: on the line at angle
+theta, ``p(t e^{i theta}) = prod_k (mu_k - t)`` over the eigenvalues of the
+line matrix, the ray kernel of spectrum sweeps.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .charpoly import CoeffMatrix, SosDecomposition, _coeff_array, _line_eigvals, charpoly_eval
-from .charpoly import coeff_matrix, coeff_poly_eval, sos_decompose
+from .charpoly import CoeffMatrix, SosDecomposition, _line_eigvals, _stacked_eigvals, charpoly_eval
+from .charpoly import coeff_matrix, sos_decompose
 from .errors import NumericalFailure, ValidationError
-from .operators import RealLinearOperator
+from .operators import RealLinearOperator, operator_norm
 
 __all__ = [
     "NumFunReport",
@@ -35,10 +34,9 @@ __all__ = [
 ]
 
 
-def numfun_eval(H, lam: complex) -> float:
-    """Evaluate ``v* H v / ||v||**2`` with ``v = (1, lam, ..., lam**n)``."""
-    v = np.asarray(lam, dtype=complex) ** np.arange(_coeff_array(H).shape[0])
-    return coeff_poly_eval(H, lam) / float(np.sum(np.abs(v) ** 2))
+def numfun_eval(R: RealLinearOperator, lam: complex) -> float:
+    """``p(lam, conj(lam)) / sum_j |lam|**(2j)``, in product form on the line ``angle(lam)``."""
+    return float(_values(_line_eigvals(R, [np.angle(lam)]), np.array([abs(lam)]))[0])
 
 
 def convex_weights(H, lam: complex, sos: SosDecomposition | None = None) -> np.ndarray:
@@ -48,7 +46,11 @@ def convex_weights(H, lam: complex, sos: SosDecomposition | None = None) -> np.n
     coefficient rows, the weights ``|p_i(lam)|**2 / sum_j |p_j(lam)|**2``
     are nonnegative, sum to one, and satisfy ``sum_i d_i w_i`` equal to the
     numerical function value.  Order matches ``sos.d`` (ascending
-    eigenvalues of H).
+    eigenvalues of H).  H is accurate only relative to its largest entry, so
+    the value drifts with n: for ``random_operator(default_rng(2), n)`` in
+    ``tests/randops.py``, at 9 points with ``|lam| = 0.7``, its relative error
+    against the determinant was 7.4e-11 at n = 8, 1.7e-7 at n = 16, 3.9 at
+    n = 24 and 4.8e5 at n = 32.
     """
     if sos is None:
         sos = sos_decompose(H)
@@ -57,42 +59,6 @@ def convex_weights(H, lam: complex, sos: SosDecomposition | None = None) -> np.n
     v = np.asarray(lam, dtype=complex) ** np.arange(sos.U.shape[1])
     sq = np.abs(sos.U @ v) ** 2
     return sq / np.sum(sq)
-
-
-def _critical_polys(num: np.ndarray) -> np.ndarray:
-    # rows of N' D - N D' for D = 1 + r**2 + ... + r**(2n): the product
-    # r**d * r**l contributes (d - l) r**(d + l - 1).  Elementwise sums keep
-    # each row independent of the others.
-    p = num.shape[1]
-    d = np.arange(p)
-    E = np.zeros((num.shape[0], 2 * p))
-    for l in range(0, p, 2):
-        E[:, l:l + p] += (d - l) * num
-    return E[:, 1:]
-
-
-def _companion_roots(E: np.ndarray, thetas: np.ndarray) -> list[np.ndarray]:
-    """Sorted roots of each row polynomial of ``E`` (all of one degree, >= 1).
-
-    The companion matrices are those of ``npoly.polyroots``, solved by one
-    batched ``eigvals``.  If the batch fails, each line is solved alone, and
-    a line whose solve fails warns and contributes no roots.
-    """
-    g = E.shape[1] - 1
-    mats = np.zeros((E.shape[0], g, g))
-    mats[:, np.arange(1, g), np.arange(g - 1)] = 1.0
-    mats[:, :, -1] -= E[:, :-1] / E[:, -1:]
-    try:
-        roots = list(np.linalg.eigvals(mats))
-    except np.linalg.LinAlgError:
-        roots = []
-        for theta, M in zip(thetas, mats):
-            try:
-                roots.append(np.linalg.eigvals(M))
-            except np.linalg.LinAlgError as exc:
-                warnings.warn(f"critical point solve failed on line theta={theta:.6g}: {exc}")
-                roots.append(np.array([]))
-    return [np.sort(r) for r in roots]
 
 
 def _values(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -113,44 +79,66 @@ def _values(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _ray_extrema(R: RealLinearOperator, lines) -> list[list[tuple[float, float]]]:
     """:func:`ray_extrema` for the rays at ``lines``, then for those at ``lines + pi``.
 
-    On line theta, ``F(t e^{i theta}) = N(t) / D(t)`` with ``N(t) = prod_k (mu_k - t)``
-    and the even ``D(t) = 1 + t**2 + ... + t**(2n)``, so the roots t > 0 and
-    t < 0 of one ``N' D - N D'`` are the critical points of both rays.  Lines
-    are grouped by its trimmed degree, one batched companion solve per group,
-    and F is evaluated in product form.  Lines do not affect each other.
+    On line theta, ``F = N(t) / D(t)`` with ``N = prod_k (mu_k - t)``, and the roots
+    w of ``D = sum_j t**(2j)`` are the (2n+2)-th roots of unity other than +-1.
+    The critical points of both rays are the real roots of the pole sum
+    ``N'/N - D'/D = sum_k 1/(t - mu_k) - sum_j 1/(t - w_j)``.  With
+    ``t = c0 + 1/s``, ``c0 = -2 (1 + ||R||)`` off every pole, they are the
+    eigenvalues s of ``(I - b 1^T / sum b) diag(p)``, ``p = 1/(z - c0)`` over
+    the poles z and ``b = +-p`` (+ on the mu).  Pole pairs become real 2 x 2
+    blocks, and the null vectors (t = inf), the same on every line, are
+    projected out.  A flat line (``sum b = 0`` to roundoff) has no critical
+    point; roots within ``1e-10 (1 + ||R|| + r)`` of the one before or of r = 0
+    merge into it, and F is evaluated in product form.
     """
     lines = np.asarray(lines, dtype=float)
+    n, scale, u = R.n, operator_norm(R), np.finfo(float).eps
     mu = _line_eigvals(R, lines)
-    # ascending coefficients of N, real up to roundoff as each row is conjugate-closed
-    num = np.zeros((lines.size, 2 * R.n + 1), dtype=complex)
-    num[:, 0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, root in enumerate(mu.T, start=1):
-            num[:, 1:k + 1] = root[:, None] * num[:, 1:k + 1] - num[:, :k]
-            num[:, 0] *= root
-        E = _critical_polys(num.real)
-    if not np.isfinite(E).all():
-        raise NumericalFailure(f"numerical function coefficients overflow double range (n={R.n})")
-    E = np.where(np.abs(E) > 1e-14 * np.max(np.abs(E), axis=1, keepdims=True), E, 0.0)
-    # trimmed degree; a flat line (E all zero) counts as degree 0
-    degree = np.max(np.where(E != 0.0, np.arange(E.shape[1]), 0), axis=1)
+    # pole pairs: the real mu first (an even number; LAPACK keeps conjugate
+    # pairs adjacent), then the w in the upper half plane with their conjugates
+    z = np.take_along_axis(mu, np.argsort(mu.imag != 0.0, axis=1, kind="stable"), axis=1)
+    w = np.broadcast_to(np.exp(1j * np.pi * np.arange(1, n + 1) / (n + 1)), (lines.size, n))
+    c0 = -2.0 * (1.0 + scale)
+    p = 1.0 / (np.concatenate([z[:, 0::2], w], axis=1) - c0)
+    q = 1.0 / (np.concatenate([z[:, 1::2], w.conj()], axis=1) - c0)
+    # pair block [[m, +-d], [d, m]] (+ real pair, - conjugate pair) on the
+    # first and second coordinates; Re p > 0 bounds the roundoff of sum b
+    m = (p.real + q.real) / 2.0
+    d = np.where(p.imag == 0.0, (p.real - q.real) / 2.0, p.imag)
+    sd = np.where(p.imag == 0.0, d, -d)
+    a = np.repeat([1.0, -1.0], n)
+    sigma = np.sum(a * m, axis=1)
+    flat = np.abs(sigma) <= 4 * n * u * np.sum(m, axis=1)
+    b = np.concatenate([a * m, a * d], axis=1) / np.where(flat, 1.0, sigma)[:, None]
+    c = np.concatenate([m, sd], axis=1)
+    # 1 and a live on the first coordinates: V spans the rest
+    E = np.zeros((4 * n, 2))
+    E[:n, 0], E[n:2 * n, 1] = 1.0, 1.0
+    V = np.linalg.qr(E, mode="complete")[0][:, 2:]
 
-    roots = [np.array([])] * lines.size
-    for g in np.unique(degree[degree >= 1]).tolist():
-        rows = np.flatnonzero(degree == g)
-        for k, rts in zip(rows.tolist(), _companion_roots(E[rows, :g + 1], lines[rows])):
-            roots[k] = rts
+    def build(part):
+        mk, dk, sk = (x[part, :, None] * np.eye(2 * n) for x in (m, d, sd))
+        return V.T @ (np.block([[mk, sk], [dk, mk]]) - b[part, :, None] * c[part, None, :]) @ V
 
-    radii, line_of, t = [], [], []
+    s = _stacked_eigvals(build, lines, 4 * n - 2)
+    # a line whose trace sum mu vanishes to roundoff (every antilinear line) has
+    # one more root at infinity: its least |s|, which roundoff leaves at ~1e2 u ||K||
+    finite = s != 0.0
+    trace0 = np.abs(np.sum(mu, axis=1)) <= 4 * n * u * np.sum(np.abs(mu), axis=1)
+    finite[trace0, np.argmin(np.abs(s[trace0]), axis=1)] = False
+    t = c0 + 1.0 / np.where(finite, s, 1.0)
+    real = finite & ~flat[:, None] & (np.abs(t.imag) <= 1e-8 * (scale + np.abs(t)))
+
+    radii, line_of, ts = [], [], []
     for side in (1.0, -1.0):
-        for k, rts in enumerate(roots):
-            real = side * rts.real[np.abs(rts.imag) <= 1e-8 * (1.0 + np.abs(rts))]
-            # roots within 1e-10 (1 + r) of the one before are one critical point
-            pos = np.sort(real[real > 0.0])
-            radii.append([0.0] + pos[np.diff(pos, prepend=-1.0) > 1e-10 * (1.0 + pos)].tolist())
+        for k in range(lines.size):
+            pos = np.sort(side * t.real[k, real[k]])
+            pos = pos[pos > 0.0]
+            pos = pos[np.diff(pos, prepend=0.0) > 1e-10 * (1.0 + scale + pos)]
+            radii.append([0.0] + pos.tolist())
             line_of += [k] * len(radii[-1])
-            t += [side * r for r in radii[-1]]
-    values = iter(_values(mu[line_of], np.array(t)).tolist())
+            ts += [side * r for r in radii[-1]]
+    values = iter(_values(mu[line_of], np.array(ts)).tolist())
     return [[(r, next(values)) for r in rs] + [(math.inf, 1.0)] for rs in radii]
 
 
@@ -159,8 +147,9 @@ def ray_extrema(R: RealLinearOperator, theta: float) -> list[tuple[float, float]
 
     On the ray ``lam = r exp(i theta)`` it is ``N(r) / D(r)`` with
     ``N(r) = det(realify(R - r e^{i theta} I))`` and ``D(r) = sum_j r**(2j)``.
-    Returns ``(r, value)`` at the positive real roots of ``N' D - N D'``,
-    sorted by radius, with the endpoint ``r = 0`` and the limit (``inf``, 1).
+    Returns ``(r, value)`` at the critical points r > 0, the real roots of
+    ``N'/N = D'/D`` solved as a pole sum (see ``_ray_extrema``), sorted by
+    radius, with the endpoint ``r = 0`` and the limit (``inf``, 1).
     """
     return _ray_extrema(R, [theta])[0]
 

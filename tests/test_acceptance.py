@@ -225,13 +225,13 @@ def test_criterion_8_numerical_function():
         and abs(rep.fov[1] - 1.0) <= 1e-9
         and abs(rep.uncovered_low - 4.0 / 3.0) <= 1e-8
     )
-    origin_ok = abs(numfun_eval(cm, 0.0) - charpoly_eval(R, 0.0)) <= 1e-12
+    origin_ok = abs(numfun_eval(R, 0.0) - charpoly_eval(R, 0.0)) <= 1e-12
     s = 1.0 + operator_norm(R)
     phases = np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))
-    cfit = max(abs(numfun_eval(cm, r * ph) - 1.0) * r
+    cfit = max(abs(numfun_eval(R, r * ph) - 1.0) * r
                for r in np.linspace(10 * s, 100 * s, 20) for ph in phases)
     tail_ok = all(
-        abs(numfun_eval(cm, r * ph) - 1.0) <= 1.5 * cfit / r + 1e-12
+        abs(numfun_eval(R, r * ph) - 1.0) <= 1.5 * cfit / r + 1e-12
         for r in np.linspace(100 * s, 1000 * s, 20)
         for ph in phases
     )

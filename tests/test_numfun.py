@@ -1,18 +1,17 @@
 """Numerical function: evaluation, convexity, per-ray extrema, coverage."""
 
 import math
-import re
 import warnings
 
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 
 from randops import crandn, random_antilinear, random_operator
 from rlspec import (
     RealLinearOperator,
     charpoly_eval,
     coeff_matrix,
+    coeff_poly_eval,
     conjugation,
     convex_weights,
     identity,
@@ -26,7 +25,7 @@ from rlspec import (
     sos_decompose,
     spectrum_sweep,
 )
-from rlspec.charpoly import _real_slogdets
+from rlspec.charpoly import _DET_STACK_ENTRIES, _real_slogdets
 from rlspec.errors import NumericalFailure
 from rlspec.numfun import _ray_extrema
 
@@ -37,6 +36,13 @@ def eps_operator(eps):
     return RealLinearOperator(np.zeros((2, 2)), [[a, b], [-b, a]])
 
 
+def h_numfun(H, lam):
+    # F read from the entries of H, a cross-check independent of the ray
+    # kernel; accurate at desk scale only
+    v = np.asarray(lam, dtype=complex) ** np.arange(H.shape[0])
+    return coeff_poly_eval(H, lam) / float(np.sum(np.abs(v) ** 2))
+
+
 # ----------------------------------------------------------------- evaluation
 
 def test_value_at_origin_is_determinant():
@@ -44,20 +50,18 @@ def test_value_at_origin_is_determinant():
     for _ in range(10):
         n = int(rng.integers(1, 6))
         R = random_operator(rng, n)
-        H = coeff_matrix(R)
-        assert abs(numfun_eval(H, 0.0) - charpoly_eval(R, 0.0)) < 1e-10
+        assert abs(numfun_eval(R, 0.0) - charpoly_eval(R, 0.0)) < 1e-10
 
 
 def test_eps_value_on_unit_circle():
     # substituting mu = |lam|^2 = 1 into (mu^2 - 2 eps mu + 1)/(1 + mu + mu^2)
-    H = coeff_matrix(eps_operator(0.5))
+    R = eps_operator(0.5)
     for phase in (0.0, 0.7, 2.4):
-        assert abs(numfun_eval(H, np.exp(1j * phase)) - 1.0 / 3.0) < 1e-10
+        assert abs(numfun_eval(R, np.exp(1j * phase)) - 1.0 / 3.0) < 1e-10
 
 
 def test_conjugation_vanishes_on_spectrum():
-    H = coeff_matrix(conjugation(1))
-    assert abs(numfun_eval(H, 1.0)) < 1e-12
+    assert abs(numfun_eval(conjugation(1), 1.0)) < 1e-12
 
 
 def test_matches_normalized_charpoly():
@@ -65,44 +69,51 @@ def test_matches_normalized_charpoly():
     for _ in range(10):
         n = int(rng.integers(1, 6))
         R = random_operator(rng, n)
-        H = coeff_matrix(R)
         for _ in range(10):
             lam = complex(crandn(rng))
             den = sum(abs(lam) ** (2 * j) for j in range(n + 1))
             ref = charpoly_eval(R, lam) / den
-            assert abs(numfun_eval(H, lam) - ref) < 1e-10 * (1 + abs(ref))
+            assert abs(numfun_eval(R, lam) - ref) < 1e-10 * (1 + abs(ref))
+
+
+def test_value_matches_the_determinant_at_n32():
+    # product form on the line at angle(lam), against sign * exp(slogdet - log D)
+    # of realify(R - lam I); F read from H is off by 4.8e5 relative here
+    R = random_operator(np.random.default_rng(2), 32)
+    lam = 0.7 * np.exp(2j * np.pi * np.arange(9) / 9)
+    sign, logabs = _real_slogdets(R, lam)
+    ref = sign * np.exp(logabs - log_denominator(np.abs(lam), 32))
+    got = np.array([numfun_eval(R, x) for x in lam])
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
 
 
 def test_values_stay_in_field_of_values():
     rng = np.random.default_rng(3)
     for _ in range(10):
         n = int(rng.integers(1, 6))
-        H = coeff_matrix(random_operator(rng, n)).H
-        eigs = np.linalg.eigvalsh(H)
+        R = random_operator(rng, n)
+        eigs = np.linalg.eigvalsh(coeff_matrix(R).H)
         for _ in range(20):
             lam = complex(2 * crandn(rng))
-            val = numfun_eval(H, lam)
+            val = numfun_eval(R, lam)
             assert eigs[0] - 1e-10 <= val <= eigs[-1] + 1e-10
 
 
 def test_vanishes_exactly_on_sweep_points():
     rng = np.random.default_rng(4)
     A = random_antilinear(rng, 4)
-    H = coeff_matrix(A)
     cloud = spectrum_sweep(A, 16)
     assert cloud.points
     for p in cloud.points:
-        assert abs(numfun_eval(H, p.lam)) < 1e-9
+        assert abs(numfun_eval(A, p.lam)) < 1e-9
 
 
 def test_rotation_consistency():
     rng = np.random.default_rng(5)
     R = random_operator(rng, 3)
-    H = coeff_matrix(R)
     for th in np.linspace(0, 2 * np.pi, 8, endpoint=False):
-        Ht = coeff_matrix(rotate(R, th))
         for r in (0.3, 1.0, 1.7):
-            assert abs(numfun_eval(H, r * np.exp(1j * th)) - numfun_eval(Ht, r)) < 1e-10
+            assert abs(numfun_eval(R, r * np.exp(1j * th)) - numfun_eval(rotate(R, th), r)) < 1e-10
 
 
 # ------------------------------------------------------------- convex weights
@@ -111,13 +122,14 @@ def test_weights_concentrate_at_origin_for_diagonal():
     # H = diag(1, -1, 1): the isolated eigenvalue -1 owns the monomial lam,
     # which vanishes at the origin, so all weight sits on the eigenvalue 1
     # (individual weights inside that degenerate pair are a basis choice)
-    H = coeff_matrix(eps_operator(0.5))
+    R = eps_operator(0.5)
+    H = coeff_matrix(R)
     sos = sos_decompose(H)
     w = convex_weights(H, 0.0, sos)
     k_neg = int(np.argmin(np.abs(sos.d - (-1.0))))
     assert w[k_neg] < 1e-12
     assert float(np.sum(w[np.abs(sos.d - 1.0) < 1e-9])) == pytest.approx(1.0)
-    assert abs(float(np.dot(sos.d, w)) - numfun_eval(H, 0.0)) < 1e-10
+    assert abs(float(np.dot(sos.d, w)) - numfun_eval(R, 0.0)) < 1e-10
 
 
 def test_weights_uniform_on_unit_circle_for_eps():
@@ -138,13 +150,14 @@ def test_weights_form_convex_combination():
     rng = np.random.default_rng(6)
     for _ in range(10):
         n = int(rng.integers(1, 6))
-        H = coeff_matrix(random_operator(rng, n))
+        R = random_operator(rng, n)
+        H = coeff_matrix(R)
         sos = sos_decompose(H)
         lam = complex(crandn(rng))
         w = convex_weights(H, lam, sos)
         assert np.all(w >= -1e-15)
         assert abs(float(np.sum(w)) - 1.0) < 1e-12
-        assert abs(float(np.dot(sos.d, w)) - numfun_eval(H, lam)) < 1e-10
+        assert abs(float(np.dot(sos.d, w)) - numfun_eval(R, lam)) < 1e-10
 
 
 # ----------------------------------------------------------------- ray extrema
@@ -184,122 +197,70 @@ def test_ray_extrema_bracket_true_minimum():
     # critical values must include the dense-grid minimum of the ray
     rng = np.random.default_rng(7)
     R = random_operator(rng, 3)
-    H = coeff_matrix(R)
+    H = coeff_matrix(R).H
     for th in (0.0, 2.0):
         ext = ray_extrema(R, th)
         vals = [v for _, v in ext]
-        grid = [numfun_eval(H, r * np.exp(1j * th)) for r in np.linspace(0, 20, 4000)]
+        grid = [h_numfun(H, r * np.exp(1j * th)) for r in np.linspace(0, 20, 4000)]
         assert min(vals) <= min(grid) + 1e-6
         assert max(vals) >= max(grid) - 1e-6
-
-
-def trimmed_critical_poly(num):
-    # N' D - N D' for D = 1 + r^2 + ... + r^(2n), trimmed below 1e-14 of its
-    # largest coefficient
-    den = np.zeros(num.size)
-    den[::2] = 1.0
-    E = npoly.polysub(npoly.polymul(npoly.polyder(num), den),
-                      npoly.polymul(num, npoly.polyder(den)))
-    scale = max(float(np.max(np.abs(E))), 1e-300)
-    return np.trim_zeros(np.where(np.abs(E) > 1e-14 * scale, E, 0.0), "b")
-
-
-def critical_radii(E):
-    crit = []
-    if E.size > 1:
-        for rt in npoly.polyroots(E):
-            r = float(rt.real)
-            if abs(rt.imag) > 1e-8 * (1 + abs(rt)) or r <= 0:
-                continue
-            if not crit or abs(r - crit[-1]) > 1e-10 * (1 + r):
-                crit.append(r)
-    return sorted(crit)
-
-
-def line_reference(R, theta, side=1.0):
-    # one ray, unbatched: the eigenvalues mu of its line's matrix, N from
-    # np.poly, polyroots, and N(side r) / D(r) as a plain product; side -1
-    # is the ray theta + pi.  Also returns the trimmed critical length.
-    mu = side * np.linalg.eigvals(realify(rotate(R, theta)))
-    num = np.real(np.poly(mu))[::-1]
-    E = trimmed_critical_poly(num)
-    den = np.zeros(num.size)
-    den[::2] = 1.0
-    inner = [(r, float(np.prod(mu - r).real / npoly.polyval(r, den))) for r in critical_radii(E)]
-    return [(0.0, float(np.prod(mu).real))] + inner + [(math.inf, 1.0)], E.size
-
-
-def reference_extrema(A, theta, side=1.0):
-    # the numerator from H's antidiagonal sums; side -1 is the ray theta + pi,
-    # whose phases (-1)^k e^{i k theta} are taken exactly
-    n = A.shape[0] - 1
-    ph = np.exp(1j * theta * np.arange(n + 1)) * side ** np.arange(n + 1)
-    W = np.outer(ph.conj(), ph) * A
-    num = np.array([
-        np.real(sum(W[i, d - i] for i in range(max(0, d - n), min(d, n) + 1)))
-        for d in range(2 * n + 1)
-    ])
-    den = np.zeros(2 * n + 1)
-    den[::2] = 1.0
-    inner = [(r, float(npoly.polyval(r, num) / npoly.polyval(r, den)))
-             for r in critical_radii(trimmed_critical_poly(num))]
-    return [(0.0, float(A[0, 0].real))] + inner + [(math.inf, float(A[n, n].real))]
-
-
-def assert_extrema_close(got, ref, radii=True):
-    assert len(got) == len(ref)
-    for (r, v), (r_ref, v_ref) in zip(got, ref):
-        assert not radii or r == r_ref or abs(r - r_ref) <= 1e-12 * max(1.0, abs(r_ref))
-        assert abs(v - v_ref) <= 1e-12 * max(1.0, abs(v_ref))
 
 
 @pytest.mark.parametrize(
     "R, sizes",
     [
-        # n = 1, F = (t^2 - 2 sin(theta) t + 1)/(1 + t^2) on line theta: flat at
-        # theta = 0, where the critical polynomial trims to nothing, and of
-        # degree 2 elsewhere
-        (scalar_operator(1j, 0.0), {0, 3}),
-        # n = 1, N = t^2 - sin(theta) t + 1/4: degree 1 (root t = 0) at theta = 0
-        (scalar_operator(0.5j, 0.0), {2, 3}),
-        # random operators: mixed high degrees
+        # n = 1, F = 1 - 2 sin(theta) t / (1 + t^2) on line theta: flat at
+        # theta = 0, one interior critical point (r = 1) on every other ray
+        (scalar_operator(1j, 0.0), {0, 1}),
+        # n = 1, N = t^2 - sin(theta) t + 1/4: the only root on line 0 is
+        # t = 0, which merges into the endpoint
+        (scalar_operator(0.5j, 0.0), {0, 1}),
+        # random operators: several critical points per ray
         (random_operator(np.random.default_rng(20), 3), None),
         (random_operator(np.random.default_rng(21), 4), None),
     ],
 )
 def test_batched_extrema_match_per_ray_reference(R, sizes):
-    # sizes are trimmed lengths of the critical polynomial.  One operator
-    # gives flat or degree-1 lines, never both, so the two n = 1 cases
-    # together cover the zero polynomial and degrees 1 and 2 next to higher
-    # degrees.  Radii and values must match the unbatched line reference to
-    # 1e-12; the H-based reference is a desk-scale cross-check of counts
-    # and values.
+    # sizes are the interior critical-point counts seen over the 64 rays.
+    # Batched lines must equal each line solved alone, bitwise; values must
+    # match F read from H to 1e-12, a desk-scale cross-check.
     lines = np.pi * np.arange(32) / 32
     got = _ray_extrema(R, lines)
     H = coeff_matrix(R).H
     seen = set()
     for k, ext in enumerate(got):
-        line, side = lines[k % 32], (1.0 if k < 32 else -1.0)
-        ref, size = line_reference(R, line, side)
-        seen.add(size)
-        assert_extrema_close(ext, ref)
-        assert_extrema_close(ext, reference_extrema(H, line, side), radii=False)
-        theta = line if k < 32 else line + np.pi
-        assert_extrema_close(ray_extrema(R, theta), line_reference(R, theta)[0])
+        line, side = lines[k % 32], k // 32
+        assert ext == _ray_extrema(R, [line])[side]
+        if side == 0:
+            assert ext == ray_extrema(R, line)
+        seen.add(len(ext) - 2)
+        theta = line + np.pi * side
+        for r, v in ext[:-1]:
+            ref = h_numfun(H, r * np.exp(1j * theta))
+            assert abs(v - ref) <= 1e-12 * max(1.0, abs(ref))
     if sizes is not None:
-        assert sizes <= seen and len(seen) >= 2
+        assert sizes == seen
 
 
-def test_companion_batch_failure_falls_back_per_ray(monkeypatch):
+def test_flat_line_has_no_interior_critical_point():
+    # the line matrix of z -> i z at angle 0 has the eigenvalues +-i, the roots
+    # of D, so F = 1 on both rays; at angle pi it is flat up to sin(pi)
+    R = scalar_operator(1j, 0.0)
+    for theta in (0.0, np.pi):
+        ext = ray_extrema(R, theta)
+        assert [r for r, _ in ext] == [0.0, math.inf]
+        assert [v for _, v in ext] == [pytest.approx(1.0, abs=1e-15)] * 2
+
+
+def test_pole_sum_solve_failure_names_its_line(monkeypatch):
     R = random_operator(np.random.default_rng(22), 3)
     lines = np.pi * np.arange(4) / 4
-    expected = _ray_extrema(R, lines)
     real_eigvals = np.linalg.eigvals
     singles = []
 
     def failing(a):
-        # the 6 x 6 line matrices solve as usual; companion solves fail as a
-        # batch, and the third single one fails too
+        # the 6 x 6 line matrices solve as usual; the 10 x 10 pole-sum
+        # matrices fail as a stack, and the third single one fails too
         if np.shape(a)[-1] == 2 * R.n:
             return real_eigvals(a)
         if np.ndim(a) == 3:
@@ -310,16 +271,76 @@ def test_companion_batch_failure_falls_back_per_ray(monkeypatch):
         return real_eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", failing)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = _ray_extrema(R, lines)
-    messages = [str(w.message) for w in caught]
-    assert len(messages) == 1
-    assert re.match(rf"critical point solve failed on line theta={lines[2]:.6g}: ", messages[0])
-    # both rays of the failed line keep only their endpoints
-    for k in (2, 6):
-        assert got[k] == [expected[k][0], expected[k][-1]]
-    assert [got[k] for k in (0, 1, 3, 4, 5, 7)] == [expected[k] for k in (0, 1, 3, 4, 5, 7)]
+    with pytest.raises(NumericalFailure, match=rf"theta={lines[2]:.6g}: "):
+        _ray_extrema(R, lines)
+
+
+def test_pole_sum_stacks_are_bounded(monkeypatch):
+    # 64 lines at n = 16: the 62 x 62 pole-sum matrices go to LAPACK in stacks
+    # of at most _DET_STACK_ENTRIES entries, and the answer does not change
+    R = random_operator(np.random.default_rng(23), 16)
+    lines = np.pi * np.arange(64) / 64
+    expected = _ray_extrema(R, lines)
+    real_eigvals = np.linalg.eigvals
+    sizes = []
+
+    def recording(a):
+        sizes.append(np.size(a))
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    assert _ray_extrema(R, lines) == expected
+    assert max(sizes) <= _DET_STACK_ENTRIES and len(sizes) > 2
+
+
+def ray_log_values(R, theta, r):
+    # sign and log|F| on the ray theta at the radii r > 0, in product form from
+    # the eigenvalues of the line matrix
+    mu = np.linalg.eigvals(realify(rotate(R, theta)))
+    diff = mu - r[:, None]
+    logf = np.sum(np.log(np.abs(diff)), axis=1) - log_denominator(r, R.n)
+    return np.prod(np.where(mu.imag == 0.0, np.sign(diff.real), 1.0), axis=1), logf
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("norm", [1e-3, 1.0, 10.0, 1e3])
+@pytest.mark.parametrize("make", [random_operator, random_antilinear])
+def test_every_grid_extremum_is_a_critical_point(make, norm, n):
+    # Every local extremum of F on two uniform grids of 4000 radii, up to
+    # 4 max(1, ||R||) and up to 4 min(1, ||R||), must lie within 3 grid steps
+    # of a reported critical point.  Extrema are read from log|F| where the
+    # sign of F is constant, so F may underflow and simple zeros do not count.
+    R = make(np.random.default_rng(2), n, norm)
+    lines = np.pi * np.arange(4) / 4
+    if n == 64 and norm == 1e3:
+        with pytest.raises(NumericalFailure):
+            _ray_extrema(R, lines)
+        return
+    got = _ray_extrema(R, lines)
+    s = operator_norm(R)
+    missed, found = [], 0
+    for theta, ext in zip(np.concatenate([lines, lines + np.pi]), got):
+        crit = np.array([r for r, _ in ext[:-1]])
+        for top in sorted({4.0 * max(1.0, s), 4.0 * min(1.0, s)}):
+            r = np.linspace(0.0, top, 4001)[1:]
+            sign, logf = ray_log_values(R, theta, r)
+            slope = np.sign(np.diff(logf))
+            turn = (slope[:-1] * slope[1:] < 0) & (sign[:-2] == sign[1:-1]) & (sign[1:-1] == sign[2:])
+            for x in r[1:-1][turn]:
+                found += 1
+                if np.min(np.abs(crit - x)) > 3.0 * (r[1] - r[0]):
+                    missed.append((float(theta), float(x)))
+    assert found > 0 and not missed, (found, missed[:5])
+
+
+@pytest.mark.parametrize("norm", [10.0, 1e3])
+def test_antilinear_critical_radii_stay_finite(norm):
+    # tr of an antilinear line matrix is 0, which puts one more root of the
+    # critical equation at infinity; it must not be reported as a critical point
+    for n in (4, 16):
+        A = random_antilinear(np.random.default_rng(3), n, norm)
+        rep = range_and_coverage(A, 32)
+        assert rep.max_critical_radius < 1e8 * (1.0 + operator_norm(A))
 
 
 def log_denominator(r, n):
@@ -379,7 +400,7 @@ def test_coverage_identity_attains_upper_eigenvalue():
     assert rep.uncovered_high == pytest.approx(0.0, abs=1e-10)
     # brute-force corroboration on a dense polar grid
     best = max(
-        numfun_eval(H, r * np.exp(1j * t))
+        h_numfun(H.H, r * np.exp(1j * t))
         for r in np.linspace(0, 10, 500)
         for t in np.linspace(0, 2 * np.pi, 64, endpoint=False)
     )
@@ -403,7 +424,7 @@ def test_coverage_matches_dense_grid():
     H = coeff_matrix(R)
     rep = range_and_coverage(R, n_rays=96, coeff=H)
     vals = [
-        numfun_eval(H, r * np.exp(1j * t))
+        h_numfun(H.H, r * np.exp(1j * t))
         for r in np.linspace(0, 12, 300)
         for t in np.linspace(0, 2 * np.pi, 96, endpoint=False)
     ]
@@ -447,15 +468,14 @@ def test_tail_decay_rate():
     for _ in range(5):
         n = int(rng.integers(1, 5))
         R = random_operator(rng, n)
-        H = coeff_matrix(R)
         s = 1.0 + operator_norm(R)
         fit_radii = np.linspace(10 * s, 100 * s, 25)
         ver_radii = np.linspace(100 * s, 1000 * s, 25)
         phases = np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))
-        cfit = max(abs(numfun_eval(H, r * ph) - 1.0) * r for r in fit_radii for ph in phases)
+        cfit = max(abs(numfun_eval(R, r * ph) - 1.0) * r for r in fit_radii for ph in phases)
         for r in ver_radii:
             for ph in phases:
-                assert abs(numfun_eval(H, r * ph) - 1.0) <= 1.5 * cfit / r + 1e-12
+                assert abs(numfun_eval(R, r * ph) - 1.0) <= 1.5 * cfit / r + 1e-12
 
 
 def test_scalar_zero_dimension_edge():
