@@ -40,6 +40,7 @@ __all__ = [
 # Entries per stack of real matrices handed to one batched LAPACK call
 # (128 KiB), so the determinant and eigenvalue stacks stay bounded at any n.
 _DET_STACK_ENTRIES = 1 << 14
+_HERM_TOL = 1e-6  # largest Hermitian defect max|G - G*| / max|G| that extraction accepts
 
 
 def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -112,14 +113,15 @@ def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:
 class CoeffMatrix:
     """Hermitian coefficient matrix of a characteristic polynomial.
 
-    Entry ``H[i, j]`` multiplies ``lam**j * conj(lam)**i``.  ``asymmetry`` is
-    ``max|G - G*| / max|G|`` of the sampled ``G`` before the symmetrizing
-    projection (see ``herm_tol`` of :func:`coeff_matrix`): a roundoff
-    diagnostic that scaling ``R`` leaves unchanged.
+    Entry ``H[i, j]`` multiplies ``lam**j * conj(lam)**i``.  ``norm`` is the
+    ``||R||`` of the torus weights (:func:`_torus_log_weights`).  ``asymmetry``
+    is ``max|G - G*| / max|G|`` of the torus matrix G before the symmetrizing
+    projection: a roundoff diagnostic that scaling ``R`` leaves unchanged.
     """
 
     n: int
     H: np.ndarray
+    norm: float
     asymmetry: float
 
     def __post_init__(self):
@@ -150,8 +152,13 @@ def coeff_poly_eval(H, lam: complex) -> float:
     return float(np.real(v.conj() @ A @ v))
 
 
-def _coeff_torus(R: RealLinearOperator) -> tuple[np.ndarray, float]:
-    """``G[i, j] = H[i, j] * r**(i + j)`` from one 2-D DFT, and ``r = 1 + 1/n``.
+def _torus_log_weights(n: int, norm: float) -> np.ndarray:
+    """``log W`` of ``H = W G W``: ``W = diag(s**(n-i) / r**i)``, s = norm or 1, r = 1 + 1/n."""
+    return np.arange(n, -1, -1) * np.log(norm or 1.0) - np.arange(n + 1) * np.log(1.0 + 1.0 / n)
+
+
+def _coeff_torus(R: RealLinearOperator) -> np.ndarray:
+    """``G[i, j] = H[i, j] * r**(i + j)`` from one 2-D DFT, with ``r = 1 + 1/n``.
 
     ``p(lam, mu)`` has degree <= n in each variable, so its values at
     ``(r w**a, r w**b)``, with ``w`` a primitive (n+1)-th root of unity
@@ -174,7 +181,7 @@ def _coeff_torus(R: RealLinearOperator) -> tuple[np.ndarray, float]:
     X = np.linalg.solve(D, np.broadcast_to(R.B.conj(), D.shape))
     s = np.linalg.eigvals(R.C - R.B @ X)
     P = np.linalg.det(D)[:, None] * np.prod(s[:, None, :] - z[None, :, None], axis=-1)
-    return np.fft.fft2(P) / (n + 1) ** 2, r
+    return np.fft.fft2(P) / (n + 1) ** 2
 
 
 def _coeff_exact(R: RealLinearOperator) -> np.ndarray:
@@ -258,7 +265,6 @@ def coeff_matrix(
     *,
     validate: bool = True,
     validate_tol: float = 1e-6,
-    herm_tol: float = 1e-6,
 ) -> CoeffMatrix:
     """Extract the Hermitian coefficient matrix of the characteristic polynomial.
 
@@ -269,10 +275,10 @@ def coeff_matrix(
         ``"interpolation"`` samples ``p(lam, mu)`` of ``R / ||R||`` on the
         torus ``|lam| = |mu| = 1 + 1/n`` at the (n+1)-th roots of unity,
         with one batched n x n ``solve``, ``eigvals`` and ``det`` of a Schur
-        complement (O(n**4) time, O(n**3) memory), reads the
-        coefficients off one 2-D DFT and rescales them by
-        ``H(sR)[i, j] = s**(2n-i-j) H(R)[i, j]``.  An entry beyond double
-        range raises ``NumericalFailure``.  ``"exact"`` expands the
+        complement (O(n**4) time, O(n**3) memory), reads the torus matrix
+        ``G`` off one 2-D DFT and forms ``H = W G W`` (see
+        :func:`_torus_log_weights`).  An entry beyond double range raises
+        ``NumericalFailure``.  ``"exact"`` expands the
         determinant symbolically with ``lam`` and ``conj(lam)`` treated as
         independent indeterminates; exponential in n, intended as an
         independent oracle for small n.
@@ -282,12 +288,9 @@ def coeff_matrix(
         ``1.9 s`` (``s = 1 + ||R||``), and fail loudly on disagreement.  The
         real 2n x 2n matrices are stacked in bounded chunks, one batched
         ``slogdet`` per chunk.
-    validate_tol, herm_tol : float
-        Tolerances for validation, relative to ``(s + |lam|)**(2n)`` and
-        applied in the log domain so the bound stays finite at any norm,
-        and for the pre-projection Hermitian asymmetry of the sampled
-        ``H[i, j] * r**(i + j)`` (of ``R / ||R||``), relative to its
-        largest entry; that relative asymmetry is returned as ``asymmetry``.
+    validate_tol : float
+        Tolerance for validation, relative to ``(s + |lam|)**(2n)`` and
+        applied in the log domain so the bound stays finite at any norm.
 
     Returns
     -------
@@ -297,37 +300,38 @@ def coeff_matrix(
     """
     norm = operator_norm(R)
     n = R.n
+    lw = _torus_log_weights(n, norm)
     if mode == "interpolation":
         s = norm or 1.0
-        G, r = _coeff_torus(RealLinearOperator(R.C / s, R.B / s))
+        G = _coeff_torus(RealLinearOperator(R.C / s, R.B / s))
     elif mode == "exact":
-        G, s, r = _coeff_exact(R), 1.0, 1.0
+        G, lw = _coeff_exact(R), np.zeros(n + 1)
     else:
         raise ValidationError(f"unknown mode {mode!r}, expected 'interpolation' or 'exact'")
 
     gasym = float(np.max(np.abs(G - G.conj().T)))
     gscale = float(np.max(np.abs(G)))
     # Strict and negated, so a NaN or an all-zero G fails too.
-    if not gasym < herm_tol * gscale:
+    if not gasym < _HERM_TOL * gscale:
         raise NumericalFailure(
             f"coefficient matrix violates Hermitian symmetry by {gasym:.3e} "
             f"(scale {gscale:.3e}); extraction is unreliable"
         )
-    # H[i, j] = G[i, j] s**(2n-i-j) / r**(i+j), sized in the log domain first.
-    k = np.add.outer(np.arange(n + 1), np.arange(n + 1))
+    # H = W G W, sized in the log domain first.
     with np.errstate(divide="ignore"):
-        log10h = np.log10(np.abs(G)) + (2 * n - k) * np.log10(s) - k * np.log10(r)
-    if np.max(log10h) >= np.log10(np.finfo(float).max):
-        i, j = np.unravel_index(np.argmax(log10h), k.shape)
+        logh = np.log(np.abs(G)) + lw[:, None] + lw
+    if np.max(logh) >= np.log(np.finfo(float).max):
+        i, j = np.unravel_index(np.argmax(logh), logh.shape)
         raise NumericalFailure(
-            f"H[{i}, {j}] of about 1e{log10h[i, j]:.0f} overflows double range "
+            f"H[{i}, {j}] of about 1e{logh[i, j] / np.log(10):.0f} overflows double range "
             f"(n={n}, ||R||={norm:.3g})"
         )
-    Hraw = G * (s ** (2 * n - k) / r ** k)
+    W = np.exp(lw)
+    Hraw = G * W[:, None] * W
     H = (Hraw + Hraw.conj().T) / 2.0
     if validate:
         _validate_coeff(R, H, validate_tol, norm)
-    return CoeffMatrix(n=R.n, H=H, asymmetry=gasym / gscale)
+    return CoeffMatrix(n=n, H=H, norm=norm, asymmetry=gasym / gscale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,14 +425,17 @@ class EmptinessCertificates:
     ``pd_certificate`` is a Cholesky sum of squares proving the spectrum
     empty; ``real_axis_zero`` is the smallest nonnegative real root r of
     ``p(r, r) = 0``, a spectral point proving the spectrum nonempty.  Both
-    may be absent: the criteria are one-sided.  ``h_eigenvalues`` is the
-    ascending spectrum of H behind the PD test.
+    may be absent: the criteria are one-sided.  ``g_min_eigenvalue`` and
+    ``eps_g``, relative to ``max|G|``, are the smallest eigenvalue of G behind
+    the PD test and its error bound; ``h_eigenvalues`` is the spectrum of H.
     """
 
     pd_certificate: SosDecomposition | None
     real_axis_zero: float | None
     det_complexification: float
     h_eigenvalues: tuple[float, ...]
+    g_min_eigenvalue: float
+    eps_g: float
 
     @property
     def h_min_eigenvalue(self) -> float:
@@ -446,29 +453,28 @@ class EmptinessCertificates:
 def emptiness_certificates(
     R: RealLinearOperator,
     *,
-    pd_threshold: float = 1e-10,
     coeff: CoeffMatrix | None = None,
 ) -> EmptinessCertificates:
     """Run both spectrum certificates on ``R``.
 
-    If the coefficient matrix is positive definite, return the Cholesky sum
-    of squares (spectrum empty).  If the determinant of the complexification
-    is <= 0, the restriction ``f(r) = p(r, r)`` starts nonpositive and grows
-    like ``r**(2n)``, so it has a nonnegative root.  Since
-    ``p(r, r) = det(realify(R) - r I)``, those roots are the real
+    The PD test runs on the scale-free torus matrix ``G = W**-1 H W**-1``, off
+    by at most ``eps_g max|G|`` entrywise (``eps_g = asymmetry + (n+1) u``, u
+    the unit roundoff): by Weyl, ``lambda_min(G) > (n+1) eps_g max|G|`` proves
+    H positive definite, and its Cholesky sum of squares the spectrum empty.
+    If the determinant of the complexification is <= 0, ``f(r) = p(r, r)``
+    starts nonpositive and grows like ``r**(2n)``, so it has a nonnegative
+    root.  Since ``p(r, r) = det(realify(R) - r I)``, those roots are the real
     eigenvalues of ``realify(R)`` (line 0 of the ray kernel), which LAPACK
-    returns as exactly real; the smallest nonnegative one is reported.  ``coeff``
-    supplies an already extracted H (for example ``mode="exact"``).
+    returns as exactly real; the smallest nonnegative one is reported.
+    ``coeff`` supplies an already extracted H (for example ``mode="exact"``).
     """
     cm = coeff if coeff is not None else coeff_matrix(R)
     det0 = charpoly_eval(R, 0.0)
-    # The same PD test as cholesky_sos, so its rows can be built directly.
-    w = np.linalg.eigvalsh((cm.H + cm.H.conj().T) / 2.0)
-
-    pd_cert = None
-    scale = max(float(np.max(np.abs(w))), 1e-300)
-    if w[0] > pd_threshold * scale:
-        pd_cert = _cholesky_rows(cm.H)
+    W = np.exp(_torus_log_weights(cm.n, cm.norm))
+    G = cm.H / W[:, None] / W
+    g_min = float(np.linalg.eigvalsh(G)[0] / np.max(np.abs(G)))
+    eps_g = float(cm.asymmetry + (cm.n + 1) * np.finfo(float).eps / 2)
+    pd_cert = _cholesky_rows(cm.H) if g_min > (cm.n + 1) * eps_g else None
 
     zero = None
     if det0 == 0.0:
@@ -487,5 +493,7 @@ def emptiness_certificates(
         pd_certificate=pd_cert,
         real_axis_zero=zero,
         det_complexification=det0,
-        h_eigenvalues=tuple(w.tolist()),
+        h_eigenvalues=tuple(np.linalg.eigvalsh((cm.H + cm.H.conj().T) / 2.0).tolist()),
+        g_min_eigenvalue=g_min,
+        eps_g=eps_g,
     )

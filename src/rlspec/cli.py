@@ -20,7 +20,7 @@ from . import serialize as ser
 from .charpoly import coeff_matrix, emptiness_certificates
 from .errors import NumericalFailure, ValidationError
 from .numfun import range_and_coverage
-from .operators import _schatten_norms, operator_norm
+from .operators import _schatten_norms
 from .spectrum import spectrum_sweep
 from .traceclass import charfun_convergence, disk_truncation, hankel_truncation
 
@@ -59,8 +59,7 @@ def _out(path: str, content: str) -> None:
 def _cmd_info(args) -> int:
     R = ser.load_operator(args.opfile)
     cm = coeff_matrix(R, validate_tol=args.validate_tol)
-    cert = emptiness_certificates(R, pd_threshold=args.pd_threshold, coeff=cm)
-    eigs = cert.h_eigenvalues
+    cert = emptiness_certificates(R, coeff=cm)
 
     if cert.pd_certificate is not None:
         classification = "positive definite (spectrum empty)"
@@ -72,12 +71,14 @@ def _cmd_info(args) -> int:
     schatten_1, schatten_2 = _schatten_norms(R, 1.0, 2.0)
     payload = {
         "n": R.n,
-        "operator_norm": operator_norm(R),
+        "operator_norm": cm.norm,
         "schatten_1": schatten_1,
         "schatten_2": schatten_2,
         "det_complexification": cert.det_complexification,
-        "h_eigenvalues": list(eigs),
+        "h_eigenvalues": list(cert.h_eigenvalues),
         "h_asymmetry": cm.asymmetry,
+        "g_min_eigenvalue": cert.g_min_eigenvalue,
+        "eps_g": cert.eps_g,
         "classification": classification,
         "real_axis_zero": cert.real_axis_zero,
     }
@@ -90,7 +91,8 @@ def _cmd_info(args) -> int:
         f"schatten p=1: {payload['schatten_1']:.12g}",
         f"schatten p=2: {payload['schatten_2']:.12g}",
         f"det of complexification: {payload['det_complexification']:.12g}",
-        "H eigenvalues: " + ", ".join(f"{x:.12g}" for x in eigs),
+        "H eigenvalues: " + ", ".join(f"{x:.12g}" for x in cert.h_eigenvalues),
+        f"G min eigenvalue / max|G|: {cert.g_min_eigenvalue:.6g} (error bound {cert.eps_g:.3g})",
         f"classification: {classification}",
     ]
     if cert.real_axis_zero is not None:
@@ -191,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info", help="norms, determinant, coefficient spectrum, certificates")
     p.add_argument("opfile")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.add_argument("--pd-threshold", type=_positive_float, default=1e-10)
     p.add_argument("--validate-tol", type=_positive_float, default=1e-6)
     common(p)
     p.set_defaults(fn=_cmd_info)

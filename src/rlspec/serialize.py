@@ -181,6 +181,7 @@ def coeff_to_dict(cm: CoeffMatrix) -> dict:
         "H_re": _mat_rows(cm.H, "re"),
         "H_im": _mat_rows(cm.H, "im"),
         "asymmetry": cm.asymmetry,
+        "norm": cm.norm,
     }
 
 
@@ -188,11 +189,11 @@ def coeff_from_dict(d: dict) -> CoeffMatrix:
     if not isinstance(d, dict):
         raise ValidationError("coefficient JSON must be an object")
     try:
-        n = int(d["n"])
+        n, norm = int(d["n"]), float(d["norm"])
     except (KeyError, TypeError, ValueError):
-        raise ValidationError("coefficient JSON: field 'n' must be an integer")
+        raise ValidationError("coefficient JSON: field 'n' must be an integer and 'norm' a number")
     H = _mat_from(d, "H_re", "H_im", (n + 1, n + 1), "coefficient JSON")
-    return CoeffMatrix(n=n, H=H, asymmetry=float(d.get("asymmetry", 0.0)))
+    return CoeffMatrix(n=n, H=H, norm=norm, asymmetry=float(d.get("asymmetry", 0.0)))
 
 
 def sos_to_dict(sos: SosDecomposition) -> dict:

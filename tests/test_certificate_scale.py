@@ -1,0 +1,156 @@
+"""Emptiness certificates do not depend on the scale of R, and are sound.
+
+The PD test runs on the torus matrix ``G = W**-1 H W**-1``, which does not
+change when R is scaled (``spec(sR) = s spec(R)``), against the entrywise
+error bound ``eps_g = asymmetry + (n+1) u`` (relative to ``max|G|``).
+"""
+
+import numpy as np
+import pytest
+
+from randops import crandn
+from rlspec import (
+    RealLinearOperator,
+    charpoly_eval,
+    coeff_matrix,
+    emptiness_certificates,
+    no_eigenvalue_certificate,
+    operator_norm,
+    sos_eval,
+)
+from rlspec.charpoly import _coeff_exact, _torus_log_weights
+
+SCALES = (1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e9)
+NORMS = (1e-3, 1.0, 1e3)
+
+
+def scaled(R, s):
+    return RealLinearOperator(s * R.C, s * R.B)
+
+
+def torus_g(H, norm):
+    """``G = W**-1 H W**-1`` with the weights of ``coeff_matrix``."""
+    W = np.exp(_torus_log_weights(H.shape[0] - 1, norm))
+    return H / W[:, None] / W
+
+
+def exact_g_min(R):
+    """Smallest eigenvalue of the exact oracle's G, relative to ``max|G|``."""
+    G = torus_g(_coeff_exact(R), operator_norm(R))
+    return np.linalg.eigvalsh(G)[0] / np.max(np.abs(G))
+
+
+def skew_family():
+    # skew B with a small C at n = 2, 4, 6, each with an empty spectrum
+    # proved by the skew-dominance certificate; normalised to ||R|| = 1
+    rng = np.random.default_rng(18)
+    ops = []
+    for n, count in ((2, 5), (4, 5), (6, 4)):
+        while sum(R.n == n for R in ops) < count:
+            X = crandn(rng, n, n)
+            R = RealLinearOperator(0.05 * crandn(rng, n, n), (X - X.T) / 2)
+            if no_eigenvalue_certificate(R).certified:
+                ops.append(scaled(R, 1.0 / operator_norm(R)))
+    return ops
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_empty_verdict_does_not_depend_on_scale(s):
+    lam = 0.7 * s * np.exp(0.9j)
+    for R in skew_family():
+        Rs = scaled(R, s)
+        cert = emptiness_certificates(Rs)
+        assert cert.verdict == "empty", (R.n, s, cert.g_min_eigenvalue)
+        p = charpoly_eval(Rs, lam)
+        assert abs(sos_eval(cert.pd_certificate, lam) - p) <= 1e-8 * p
+
+
+def error_model_operators():
+    rng = np.random.default_rng(19)
+    for n in range(1, 9):
+        k = np.add.outer(np.arange(n), np.arange(n))
+        a = 0.6 ** np.arange(2 * n - 1) * np.exp(2j * np.pi * rng.uniform(size=2 * n - 1))
+        jordan = 0.5 * np.eye(n) + np.eye(n, k=1)
+        unitary, _ = np.linalg.qr(crandn(rng, n, n))
+        small = 0.1 * crandn(rng, n, n), 0.1 * crandn(rng, n, n)
+        family = {
+            "hankel": RealLinearOperator(np.zeros((n, n)), a[k]),
+            "jordan": RealLinearOperator(jordan, small[0]),
+            "unitary": RealLinearOperator(unitary, small[1]),
+        }
+        for f, (name, R) in enumerate(family.items()):
+            # one norm per operator, each family at every norm
+            norm = NORMS[(n + f) % 3]
+            yield name, n, norm, scaled(R, norm / operator_norm(R))
+
+
+def test_torus_error_stays_inside_eps_g():
+    # The oracle expands the operator that extraction samples, R / ||R||.
+    # The bound has measured at most half of eps_g.
+    worst = 0.0
+    for name, n, norm, R in error_model_operators():
+        cm = coeff_matrix(R)
+        G = torus_g(cm.H, cm.norm)
+        exact = torus_g(_coeff_exact(scaled(R, 1.0 / cm.norm)), 1.0)
+        eps_g = emptiness_certificates(R, coeff=cm).eps_g
+        err = np.max(np.abs(G - exact)) / np.max(np.abs(exact))
+        assert err <= eps_g, (name, n, norm, err / eps_g)
+        worst = max(worst, err / eps_g)
+    assert worst > 0.05
+
+
+def path_operators():
+    # R_t = (t C0 / ||C0||, B / ||B||) for t in [0, 3].  A skew B of odd size
+    # is singular, so p(0) = 0 there; only even sizes get a skew B.
+    rng = np.random.default_rng(20)
+    for n in range(1, 9):
+        for kind in ("skew", "symmetric"):
+            X, C0 = crandn(rng, n, n), crandn(rng, n, n)
+            if kind == "skew" and n % 2:
+                continue
+            B = X - X.T if kind == "skew" else X + X.T
+            yield C0 / np.linalg.norm(C0, 2), B / np.linalg.norm(B, 2)
+
+
+def assert_sound(R):
+    # G does not depend on the scale, so one oracle serves every norm
+    empty, oracle = 0, None
+    for norm in NORMS:
+        cert = emptiness_certificates(scaled(R, norm))
+        if cert.verdict == "empty":
+            empty += 1
+            oracle = exact_g_min(R) if oracle is None else oracle
+            bound = (R.n + 1) * cert.eps_g
+            assert oracle > bound, (R.n, norm, cert.g_min_eigenvalue, oracle, bound)
+    return empty
+
+
+def test_no_empty_verdict_inside_the_error_bound():
+    empty = 0
+    for C0, B in path_operators():
+        for t in np.linspace(0.0, 3.0, 7):
+            empty += assert_sound(RealLinearOperator(t * C0, B))
+    assert empty >= 20
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_no_empty_verdict_inside_the_error_bound_at_the_crossing(n):
+    # Where lambda_min(G) of R_t crosses 0, the verdict must turn before the
+    # exact oracle's lambda_min(G) reaches the bound.
+    rng = np.random.default_rng(21 + n)
+    X = crandn(rng, n, n)
+    B = (X - X.T) / np.linalg.norm(X - X.T, 2)
+    C0 = crandn(rng, n, n)
+    C0 /= np.linalg.norm(C0, 2)
+
+    def g_min(t):
+        return emptiness_certificates(RealLinearOperator(t * C0, B)).g_min_eigenvalue
+
+    lo, hi = 0.0, 3.0
+    assert g_min(lo) > 0.0 > g_min(hi)
+    while (lo + hi) / 2 not in (lo, hi):
+        lo, hi = ((lo + hi) / 2, hi) if g_min((lo + hi) / 2) > 0.0 else (lo, (lo + hi) / 2)
+    empty = 0
+    for offset in np.concatenate([-np.logspace(-15, -9, 13), [0.0, 1e-14]]):
+        empty += assert_sound(RealLinearOperator(lo * (1 + offset) * C0, B))
+    assert empty >= 6

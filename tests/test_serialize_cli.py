@@ -19,6 +19,7 @@ from rlspec import (
     ValidationError,
     coeff_matrix,
     conjugation,
+    emptiness_certificates,
     identity,
     operator_norm,
     range_and_coverage,
@@ -80,6 +81,10 @@ def test_coeff_json_round_trip():
     assert back.n == cm.n
     assert np.max(np.abs(back.H - cm.H)) == 0.0
     assert back.asymmetry == cm.asymmetry
+    assert back.norm == cm.norm == operator_norm(eps_operator())
+    del d["norm"]
+    with pytest.raises(ValidationError, match="'norm'"):
+        ser.coeff_from_dict(d)
 
 
 def test_symbol_json_round_trip_both_kinds():
@@ -231,9 +236,9 @@ def test_cli_info_json(tmp_path, capsys):
     assert payload["classification"].startswith("indefinite")
 
 
-def test_cli_info_takes_four_svds(tmp_path, capsys, monkeypatch):
-    # one operator norm inside coeff_matrix, one for the payload, and both
-    # Schatten norms from one SVD of C and one of B
+def test_cli_info_takes_three_svds(tmp_path, capsys, monkeypatch):
+    # one operator norm inside coeff_matrix, which the payload reuses, and
+    # both Schatten norms from one SVD of C and one of B
     R = random_operator(np.random.default_rng(15), 5)
     op = write_operator(tmp_path / "r.json", R)
     svd = np.linalg.svd
@@ -245,9 +250,10 @@ def test_cli_info_takes_four_svds(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert main(["info", op, "--json"]) == 0
-    assert sorted(shapes) == [(5, 5), (5, 5), (10, 10), (10, 10)]
+    assert sorted(shapes) == [(5, 5), (5, 5), (10, 10)]
     payload = json.loads(capsys.readouterr().out)
     monkeypatch.undo()
+    assert payload["operator_norm"] == operator_norm(R)
     sC = np.linalg.svd(R.C, compute_uv=False)
     sB = np.linalg.svd(R.B, compute_uv=False)
     assert payload["schatten_1"] == pytest.approx(np.sum(sC) + np.sum(sB), rel=1e-14)
@@ -477,7 +483,6 @@ def test_cli_bad_rays_exits_2(tmp_path):
     [
         ("spectrum", "--tol", "0"),
         ("spectrum", "--rays", "0"),
-        ("info", "--pd-threshold", "0"),
         ("info", "--validate-tol", "-1e-6"),
         ("charpoly", "--validate-tol", "0"),
         ("numfun", "--validate-tol", "nan"),
@@ -493,6 +498,27 @@ def test_cli_bad_option_value_exits_2_with_error_json(tmp_path, capsys, command,
     assert payload["type"] == "ValidationError"
     assert option in payload["error"]
     assert "error:" in captured.err
+
+
+def test_cli_info_refuses_the_retired_pd_threshold(tmp_path, capsys):
+    op = write_operator(tmp_path / "tau.json", conjugation(1))
+    assert main(["info", op, "--pd-threshold", "1e-10", "--error-json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["type"] == "ValidationError"
+    assert payload["error"].startswith("unrecognized arguments")
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_cli_info_skew_is_positive_definite_at_every_scale(tmp_path, capsys, s):
+    # H = diag(s**4, 2 s**2, 1) is positive definite at every s; G does not
+    # depend on s
+    skew = RealLinearOperator(np.zeros((2, 2)), [[0.0, s], [-s, 0.0]])
+    assert main(["info", write_operator(tmp_path / "skew.json", skew), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["classification"] == "positive definite (spectrum empty)"
+    ref = emptiness_certificates(RealLinearOperator(np.zeros((2, 2)), [[0.0, 1.0], [-1.0, 0.0]]))
+    assert payload["g_min_eigenvalue"] == pytest.approx(ref.g_min_eigenvalue, rel=1e-12)
+    assert 0.0 < payload["eps_g"] < 1e-12
 
 
 def test_cli_numerical_failure_exits_3_with_error_json(tmp_path, capsys):
