@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, NumericalFailure, ValidationError
-from .operators import RealLinearOperator, _real_block, complexify, operator_norm
+from .operators import RealLinearOperator, _real_block, complexify, operator_norm, realify
 
 __all__ = [
     "CoeffMatrix",
@@ -41,6 +41,7 @@ __all__ = [
 # (128 KiB), so the determinant and eigenvalue stacks stay bounded at any n.
 _DET_STACK_ENTRIES = 1 << 14
 _HERM_TOL = 1e-6  # largest Hermitian defect max|G - G*| / max|G| that extraction accepts
+_LOG_MAX = np.log(np.finfo(float).max)
 
 
 def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -157,15 +158,17 @@ def _torus_log_weights(n: int, norm: float) -> np.ndarray:
     return np.arange(n, -1, -1) * np.log(norm or 1.0) - np.arange(n + 1) * np.log(1.0 + 1.0 / n)
 
 
-def _coeff_torus(R: RealLinearOperator) -> np.ndarray:
-    """``G[i, j] = H[i, j] * r**(i + j)`` from one 2-D DFT, with ``r = 1 + 1/n``.
+def _coeff_torus(C: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``G[i, j] = H[i, j] * r**(i + j)`` of ``z -> C z + B conj(z)`` from one 2-D DFT.
 
-    ``p(lam, mu)`` has degree <= n in each variable, so its values at
-    ``(r w**a, r w**b)``, with ``w`` a primitive (n+1)-th root of unity
-    and ``a, b = 0..n``, determine every coefficient: the 2-D DFT of the
-    samples (rows indexed by ``b``) is ``(n+1)**2 * G``.  ``R`` must have
-    ``||R|| <= 1``.  Then ``||C|| <= 1``, so ``D = conj(C) - mu I`` has
-    ``sigma_min(D) >= 1/n`` on the grid, and its Schur complement gives ::
+    Here ``r = 1 + 1/n``.  ``p(lam, mu)`` has degree <= n in each variable,
+    so its values at ``(r w**a, r w**b)``, with ``w`` a primitive (n+1)-th
+    root of unity and ``a, b = 0..n``, determine every coefficient: the 2-D
+    DFT of the samples (rows indexed by ``b``) is ``(n+1)**2 * G``.  The
+    operator must have ``||R|| <= 1``: the caller passes ``C`` and ``B``
+    already divided by ``||R||``, and they are neither checked nor copied.
+    Then ``||C|| <= 1``, so ``D = conj(C) - mu I`` has ``sigma_min(D) >= 1/n``
+    on the grid, and its Schur complement gives ::
 
         p(lam, mu) = det(D) * prod_k (s_k(mu) - lam)
 
@@ -173,14 +176,14 @@ def _coeff_torus(R: RealLinearOperator) -> np.ndarray:
     The n+1 values of ``mu`` take one batched n x n ``solve``, ``eigvals``
     and ``det``; all n+1 values of ``lam`` share those eigenvalues.
     """
-    n = R.n
+    n = C.shape[0]
     r = 1.0 + 1.0 / n
     z = r * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    D = R.C.conj() - z[:, None, None] * np.eye(n)
+    D = C.conj() - z[:, None, None] * np.eye(n)
     # Right-hand sides as a full stack: numpy < 2 reads an (n, n) one as n vectors.
-    X = np.linalg.solve(D, np.broadcast_to(R.B.conj(), D.shape))
-    s = np.linalg.eigvals(R.C - R.B @ X)
-    P = np.linalg.det(D)[:, None] * np.prod(s[:, None, :] - z[None, :, None], axis=-1)
+    X = np.linalg.solve(D, np.broadcast_to(B.conj(), D.shape))
+    s = np.linalg.eigvals(C - B @ X)
+    P = np.linalg.det(D)[:, None] * (s[:, None, :] - z[:, None]).prod(axis=-1)
     return np.fft.fft2(P) / (n + 1) ** 2
 
 
@@ -233,8 +236,10 @@ def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float, norm: floa
     Point k = 0..2n+2 has radius k of ``linspace(0.6 s, 1.9 s, 2n+3)``,
     ``s = 1 + norm`` (``norm`` is ``||R||``), and angle
     ``2 pi (k + 0.37) / (2n+3)``.  The first point where the two differ by
-    more than ``tol * (s + |lam|)**(2n)`` is reported.  Both are divided by that scale in the log domain (the
-    monomials taken as ``lam**j / (s + |lam|)**n``), so nothing overflows.
+    more than ``tol * (s + |lam|)**(2n)`` is reported.  Both are divided by
+    that scale in the log domain (the monomials taken as
+    ``lam**j / (s + |lam|)**n``), so nothing overflows; ``v* H v`` is one
+    matmul and a row sum over the 2n+3 points.
     """
     n = R.n
     s = 1.0 + norm
@@ -243,9 +248,8 @@ def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float, norm: floa
     thetas = 2.0 * np.pi * (np.arange(m) + 0.37) / m
     lams = radii * np.exp(1j * thetas)
     logt = np.log(s + radii)
-    j = np.arange(n + 1)
-    V = np.exp(np.outer(np.log(radii), j) - n * logt[:, None] + 1j * np.outer(thetas, j))
-    gots = np.einsum("ki,ij,kj->k", V.conj(), H, V).real
+    V = np.exp((np.log(radii) + 1j * thetas)[:, None] * np.arange(n + 1) - n * logt[:, None])
+    gots = (V.conj() @ H * V).sum(axis=1).real
     sign, logabs = _real_slogdets(R, lams)
     refs = sign * np.exp(logabs - 2 * n * logt)
     # Negated, so that a NaN fails.
@@ -303,14 +307,15 @@ def coeff_matrix(
     lw = _torus_log_weights(n, norm)
     if mode == "interpolation":
         s = norm or 1.0
-        G = _coeff_torus(RealLinearOperator(R.C / s, R.B / s))
+        G = _coeff_torus(R.C / s, R.B / s)
     elif mode == "exact":
         G, lw = _coeff_exact(R), np.zeros(n + 1)
     else:
         raise ValidationError(f"unknown mode {mode!r}, expected 'interpolation' or 'exact'")
 
-    gasym = float(np.max(np.abs(G - G.conj().T)))
-    gscale = float(np.max(np.abs(G)))
+    absg = np.abs(G)
+    gasym = float(np.abs(G - G.conj().T).max())
+    gscale = float(absg.max())
     # Strict and negated, so a NaN or an all-zero G fails too.
     if not gasym < _HERM_TOL * gscale:
         raise NumericalFailure(
@@ -319,8 +324,8 @@ def coeff_matrix(
         )
     # H = W G W, sized in the log domain first.
     with np.errstate(divide="ignore"):
-        logh = np.log(np.abs(G)) + lw[:, None] + lw
-    if np.max(logh) >= np.log(np.finfo(float).max):
+        logh = np.log(absg) + lw[:, None] + lw
+    if logh.max() >= _LOG_MAX:
         i, j = np.unravel_index(np.argmax(logh), logh.shape)
         raise NumericalFailure(
             f"H[{i}, {j}] of about 1e{logh[i, j] / np.log(10):.0f} overflows double range "
@@ -461,15 +466,21 @@ def emptiness_certificates(
     by at most ``eps_g max|G|`` entrywise (``eps_g = asymmetry + (n+1) u``, u
     the unit roundoff): by Weyl, ``lambda_min(G) > (n+1) eps_g max|G|`` proves
     H positive definite, and its Cholesky sum of squares the spectrum empty.
-    If the determinant of the complexification is <= 0, ``f(r) = p(r, r)``
-    starts nonpositive and grows like ``r**(2n)``, so it has a nonnegative
-    root.  Since ``p(r, r) = det(realify(R) - r I)``, those roots are the real
-    eigenvalues of ``realify(R)`` (line 0 of the ray kernel), which LAPACK
-    returns as exactly real; the smallest nonnegative one is reported.
+    The real-axis test reads the sign of ``p(0, 0) = det(realify(R))`` from
+    ``slogdet``, so an underflowing determinant keeps its sign.  Sign 0 makes
+    0 a spectral point.  A negative sign means ``f(r) = p(r, r)`` starts
+    negative and grows like ``r**(2n)``, so it has a positive root.  Since
+    ``p(r, r) = det(realify(R) - r I)``, those roots are the real eigenvalues
+    of ``realify(R)`` (line 0 of the ray kernel), and the smallest
+    nonnegative exactly real one is reported.  Roundoff can split a root
+    into a complex pair: then the smallest ``Re mu >= 0`` among the
+    eigenvalues that pass the sweep's hit test,
+    ``|Im mu| <= 1e-8 (||R|| + |mu|)``, is reported, and if none passes the
+    real-axis test is inconclusive.
     ``coeff`` supplies an already extracted H (for example ``mode="exact"``).
     """
     cm = coeff if coeff is not None else coeff_matrix(R)
-    det0 = charpoly_eval(R, 0.0)
+    sign0, logabs0 = np.linalg.slogdet(realify(R))
     W = np.exp(_torus_log_weights(cm.n, cm.norm))
     G = cm.H / W[:, None] / W
     g_min = float(np.linalg.eigvalsh(G)[0] / np.max(np.abs(G)))
@@ -477,22 +488,20 @@ def emptiness_certificates(
     pd_cert = _cholesky_rows(cm.H) if g_min > (cm.n + 1) * eps_g else None
 
     zero = None
-    if det0 == 0.0:
+    if sign0 == 0.0:
         zero = 0.0
-    elif det0 < 0.0:
+    elif sign0 < 0.0:
         ev = _line_eigvals(R, [0.0])[0]
         roots = ev.real[(ev.imag == 0.0) & (ev.real >= 0.0)]
         if roots.size == 0:
-            raise NumericalFailure(
-                f"det of the complexification is {det0:.3e} < 0, yet realify(R) "
-                "has no exactly real nonnegative eigenvalue"
-            )
-        zero = float(roots.min())
+            roots = ev.real[(np.abs(ev.imag) <= 1e-8 * (cm.norm + np.abs(ev))) & (ev.real >= 0.0)]
+        if roots.size:
+            zero = float(roots.min())
 
     return EmptinessCertificates(
         pd_certificate=pd_cert,
         real_axis_zero=zero,
-        det_complexification=det0,
+        det_complexification=float(sign0 * np.exp(logabs0)),
         h_eigenvalues=tuple(np.linalg.eigvalsh((cm.H + cm.H.conj().T) / 2.0).tolist()),
         g_min_eigenvalue=g_min,
         eps_g=eps_g,

@@ -2,9 +2,11 @@
 
 All floats are written with 17 significant digits in lowercase scientific
 notation, and every container is emitted in a fixed order, so identical
-inputs produce byte-identical files at a fixed BLAS thread count.  Files are
-written by ``write_text``, which overwrites in place and cuts the file to
-length; the package never fsyncs an output.
+inputs produce byte-identical files at a fixed BLAS thread count.  A JSON
+list whose items are all Python floats is written with one ``%.16e``
+template for the whole list, as a CSV row is.  Files are written by
+``write_text``, which overwrites in place and cuts the file to length; the
+package never fsyncs an output.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ def _emit(obj, out: list[str]) -> None:
             _emit(v, out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {float}:
+            out.append("[" + ", ".join(["%.16e"] * len(obj)) % tuple(obj) + "]")
+            return
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -128,8 +133,7 @@ def write_text(path: str, content: str) -> None:
 
 
 def _mat_rows(M: np.ndarray, part: str) -> list[list[float]]:
-    A = M.real if part == "re" else M.imag
-    return [[float(x) for x in row] for row in A]
+    return (M.real if part == "re" else M.imag).tolist()
 
 
 def _mat_from(d: dict, key_re: str, key_im: str, shape: tuple, what: str) -> np.ndarray:
@@ -198,7 +202,7 @@ def coeff_from_dict(d: dict) -> CoeffMatrix:
 
 def sos_to_dict(sos: SosDecomposition) -> dict:
     return {
-        "d": [float(x) for x in sos.d],
+        "d": sos.d.tolist(),
         "U_re": _mat_rows(sos.U, "re"),
         "U_im": _mat_rows(sos.U, "im"),
         "kind": sos.kind,
@@ -209,8 +213,8 @@ def symbol_to_dict(sym: SymbolSeries) -> dict:
     coeffs = sym.coeffs if sym.coeffs is not None else np.zeros(0)
     return {
         "kind": sym.kind,
-        "coeffs_re": [float(x) for x in coeffs.real],
-        "coeffs_im": [float(x) for x in coeffs.imag],
+        "coeffs_re": coeffs.real.tolist(),
+        "coeffs_im": coeffs.imag.tolist(),
         "m": sym.m,
         "decay": {"tag": sym.decay.tag, "param": sym.decay.param},
     }

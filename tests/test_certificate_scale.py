@@ -8,7 +8,7 @@ error bound ``eps_g = asymmetry + (n+1) u`` (relative to ``max|G|``).
 import numpy as np
 import pytest
 
-from randops import crandn
+from randops import crandn, random_operator
 from rlspec import (
     RealLinearOperator,
     charpoly_eval,
@@ -16,6 +16,7 @@ from rlspec import (
     emptiness_certificates,
     no_eigenvalue_certificate,
     operator_norm,
+    realify,
     sos_eval,
 )
 from rlspec.charpoly import _coeff_exact, _torus_log_weights
@@ -154,3 +155,45 @@ def test_no_empty_verdict_inside_the_error_bound_at_the_crossing(n):
     for offset in np.concatenate([-np.logspace(-15, -9, 13), [0.0, 1e-14]]):
         empty += assert_sound(RealLinearOperator(lo * (1 + offset) * C0, B))
     assert empty >= 6
+
+
+def odd_skew(n, seed, norm):
+    # C = 0 and skew B of odd size: det(B) = 0, so p(0) = |det B|**2 = 0 exactly,
+    # and roundoff decides the sign of the computed det(realify(R))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    B = A - A.T
+    return RealLinearOperator(np.zeros((n, n)), norm * B / np.linalg.norm(B, 2))
+
+
+def assert_real_axis_zero_is_spectral(R, cert):
+    r = cert.real_axis_zero
+    A = realify(R) - r * np.eye(2 * R.n)
+    assert np.linalg.svd(A, compute_uv=False)[-1] <= 1e-8 * (operator_norm(R) + r)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_real_axis_certificate_never_raises_on_odd_skew(n):
+    nonempty = 0
+    for norm in NORMS:
+        for seed in range(10):
+            R = odd_skew(n, seed, norm)
+            cert = emptiness_certificates(R)
+            assert cert.verdict != "empty", (n, norm, seed)
+            if cert.real_axis_zero is not None:
+                nonempty += 1
+                assert_real_axis_zero_is_spectral(R, cert)
+    assert nonempty >= 5
+
+
+def test_real_axis_certificate_reads_the_sign_of_an_underflowing_determinant():
+    # det(realify(R)) is e**-1034 > 0 and underflows to 0.0; 0 is no spectral
+    # point (the smallest |eig realify(R)| is 5e-5), so no real-axis zero
+    R = random_operator(np.random.default_rng(3), 64)
+    R = RealLinearOperator(1e-3 * R.C / operator_norm(R), 1e-3 * R.B / operator_norm(R))
+    sign, logabs = np.linalg.slogdet(realify(R))
+    assert sign == 1.0 and logabs < -1000
+    cert = emptiness_certificates(R)
+    assert cert.det_complexification == 0.0
+    assert cert.real_axis_zero is None
+    assert cert.verdict != "empty"

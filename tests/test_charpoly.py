@@ -591,12 +591,27 @@ def test_real_axis_zero_is_the_smallest_nonnegative_root():
 
 
 def test_certificates_report_missing_real_eigenvalue(monkeypatch):
-    # det0 < 0 forces a nonnegative real root; if the eigen solve returns
-    # none (say, a near-double root split into a complex pair) it must fail
-    # (the eigenvalues +-i of [[0, -1], [1, 0]] in place of line 0 of the ray kernel)
+    # det0 < 0 forces a nonnegative real root; if the eigen solve returns none
+    # that passes the sweep's hit test (the eigenvalues +-i of
+    # [[0, -1], [1, 0]] in place of line 0 of the ray kernel), the real-axis
+    # test is inconclusive rather than a failure
     monkeypatch.setattr(charpoly_module, "_line_eigvals", lambda R, lines: np.array([[1j, -1j]]))
-    with pytest.raises(NumericalFailure, match="no exactly real nonnegative eigenvalue"):
-        emptiness_certificates(conjugation(1))
+    cert = emptiness_certificates(conjugation(1))
+    assert cert.det_complexification == pytest.approx(-1.0)
+    assert cert.real_axis_zero is None
+    assert cert.verdict == "inconclusive"
+
+
+def test_certificates_fall_back_to_the_hit_test(monkeypatch):
+    # a real root split by roundoff into a near-real pair is read off the
+    # pair's real part when no eigenvalue is exactly real; a negative real
+    # part and a pair off the hit test are skipped
+    eigs = np.array([[-0.25 + 1e-12j, -0.25 - 1e-12j, 3.0 + 1e-3j, 3.0 - 1e-3j,
+                      1.5 + 1e-9j, 1.5 - 1e-9j]])
+    monkeypatch.setattr(charpoly_module, "_line_eigvals", lambda R, lines: eigs)
+    cert = emptiness_certificates(conjugation(1))
+    assert cert.real_axis_zero == 1.5
+    assert cert.verdict == "nonempty"
 
 
 # -------------------------------------------------------------------- adjoint

@@ -24,6 +24,7 @@ from rlspec import (
     operator_norm,
     range_and_coverage,
     ray_extrema,
+    sos_decompose,
     spectrum_sweep,
 )
 from rlspec import serialize as ser
@@ -157,6 +158,116 @@ def test_svg_scatter_contains_points_and_circle():
     assert svg.count("<circle") == 1 + len(cloud.points)
 
 
+def _reference_emit(obj, out):
+    # The recursive emitter that wrote every value with its own fmt_float call,
+    # kept as the byte reference of dump_json.
+    if isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(", ")
+            out.append(json.dumps(k))
+            out.append(": ")
+            _reference_emit(v, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(", ")
+            _reference_emit(v, out)
+        out.append("]")
+    elif isinstance(obj, bool) or obj is None:
+        out.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(ser.fmt_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def reference_json(obj):
+    pieces = []
+    _reference_emit(obj, pieces)
+    return "".join(pieces) + "\n"
+
+
+def _reference_rows(M, part):
+    return [[float(x) for x in row] for row in (M.real if part == "re" else M.imag)]
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, float("nan"), float("inf"), float("-inf"), 0.1, -1.0 / 3.0]
+
+
+@pytest.mark.parametrize("obj", [
+    SPECIAL_FLOATS,
+    [[x, -x] for x in SPECIAL_FLOATS],
+    tuple(SPECIAL_FLOATS),
+    {"x": SPECIAL_FLOATS[0], "y": SPECIAL_FLOATS},
+    [np.float64(0.1), np.float64(-0.0), np.float64("nan")],
+    [np.float32(0.1), np.float32(-2.5), np.float32("inf")],
+    [0.5, np.float64(0.25)],
+    [np.float64(0.25), 0.5],
+    [1.0, True],
+    [True, 1.0, False],
+    [True, False],
+    [1, 2, np.int64(3), -4],
+    [1.0, 2],
+    [1.0, np.int64(2)],
+    [None, 1.0, None],
+    None,
+    np.float64(-0.0),
+    np.float32(1e-3),
+    np.int64(-7),
+    "quote \" backslash \\ newline \n tab \t nul \x00 snowman \u2603",
+    ["a\"b", 1.0],
+    [],
+    (),
+    [[]],
+    [[], [1.0], [[2.0, 3.0]]],
+    {},
+    {"a": {"b": {"c": [1.0, {"d": ()}]}, "e": []}, "\u00e9": [-0.0]},
+])
+def test_dump_json_matches_the_recursive_reference(obj):
+    assert ser.dump_json(obj) == reference_json(obj)
+
+
+def test_dump_json_refuses_what_the_reference_refuses():
+    for bad in ([1.0, object()], {"k": {1.0}}, [1j]):
+        with pytest.raises(ValidationError, match="cannot serialize"):
+            ser.dump_json(bad)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_coeff_sos_and_info_json_match_the_reference(n, tmp_path, capsys, monkeypatch):
+    R = random_operator(np.random.default_rng(40 + n), n)
+    cm = coeff_matrix(R)
+    sos = sos_decompose(cm)
+    coeff_ref = {"n": cm.n, "H_re": _reference_rows(cm.H, "re"), "H_im": _reference_rows(cm.H, "im"),
+                 "asymmetry": cm.asymmetry, "norm": cm.norm}
+    sos_ref = {"d": [float(x) for x in sos.d], "U_re": _reference_rows(sos.U, "re"),
+               "U_im": _reference_rows(sos.U, "im"), "kind": sos.kind}
+    assert ser.dump_json(ser.coeff_to_dict(cm)) == reference_json(coeff_ref)
+    assert ser.dump_json(ser.sos_to_dict(sos)) == reference_json(sos_ref)
+
+    payloads = []
+    dump_json = ser.dump_json
+
+    def recorded(obj):
+        payloads.append(obj)
+        return dump_json(obj)
+
+    op = write_operator(tmp_path / "r.json", R)
+    monkeypatch.setattr(ser, "dump_json", recorded)
+    assert main(["info", op, "--json"]) == 0
+    assert len(payloads) == 1
+    assert capsys.readouterr().out == reference_json(payloads[0])
+
+
 # ---------------------------------------------------------------- write_text
 
 def test_write_text_overwrites_longer_file_exactly(tmp_path):
@@ -258,6 +369,48 @@ def test_cli_info_takes_three_svds(tmp_path, capsys, monkeypatch):
     sB = np.linalg.svd(R.B, compute_uv=False)
     assert payload["schatten_1"] == pytest.approx(np.sum(sC) + np.sum(sB), rel=1e-14)
     assert payload["schatten_2"] == pytest.approx(np.linalg.norm(sC) + np.linalg.norm(sB), rel=1e-14)
+
+
+def record_linalg(monkeypatch):
+    """Record ``(name, matrices, rows, cols)`` of every ``np.linalg`` call.
+
+    ``matrices`` is the product of the leading batch dimensions, so a single
+    matrix and a stack of one are the same LAPACK work.
+    """
+    calls = []
+
+    def wrap(name, fn):
+        def recorded(a, *args, **kwargs):
+            shape = np.shape(a)
+            calls.append((name, int(np.prod(shape[:-2])), *shape[-2:]))
+            return fn(a, *args, **kwargs)
+        return recorded
+
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if name.startswith("_") or name == "test" or isinstance(fn, type) or not callable(fn):
+            continue
+        monkeypatch.setattr(np.linalg, name, wrap(name, fn))
+    return calls
+
+
+def test_cli_charpoly_and_info_lapack_work_is_pinned(tmp_path, capsys, monkeypatch):
+    # The LAPACK calls of `charpoly --out --sos` and `info --json` at n = 4, in
+    # order; glue around them may change, these may not.  det(realify(R)) < 0
+    # here, so `info` also solves line 0 of the ray kernel.
+    R = random_operator(np.random.default_rng(2), 4)
+    op = write_operator(tmp_path / "r.json", R)
+    extract = [("svd", 1, 8, 8), ("solve", 5, 4, 4), ("eigvals", 5, 4, 4), ("det", 5, 4, 4),
+               ("slogdet", 11, 8, 8)]
+    calls = record_linalg(monkeypatch)
+    assert main(["charpoly", op, "--out", str(tmp_path / "H.json"),
+                 "--sos", str(tmp_path / "sos.json")]) == 0
+    assert calls == extract + [("eigh", 1, 5, 5)]
+    calls.clear()
+    assert main(["info", op, "--json"]) == 0
+    assert calls == extract + [("slogdet", 1, 8, 8), ("eigvalsh", 1, 5, 5), ("eigvals", 1, 8, 8),
+                               ("eigvalsh", 1, 5, 5), ("svd", 1, 4, 4), ("svd", 1, 4, 4)]
+    assert json.loads(capsys.readouterr().out)["real_axis_zero"] is not None
 
 
 def test_cli_info_identity(tmp_path, capsys):
