@@ -34,9 +34,15 @@ __all__ = [
 ]
 
 
-def numfun_eval(R: RealLinearOperator, lam: complex) -> float:
-    """``p(lam, conj(lam)) / sum_j |lam|**(2j)``, in product form on the line ``angle(lam)``."""
-    return float(_values(_line_eigvals(R, [np.angle(lam)]), np.array([abs(lam)]))[0])
+def numfun_eval(R: RealLinearOperator, lam) -> float | np.ndarray:
+    """``p(lam, conj(lam)) / sum_j |lam|**(2j)``, in product form on the line ``angle(lam)``.
+
+    ``lam`` may be an array: all its lines are solved in one batched stack per
+    chunk, and the values come back in its shape; a scalar gives a ``float``.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    vals = _values(_line_eigvals(R, np.angle(lam).ravel()), np.abs(lam).ravel())
+    return float(vals[0]) if lam.ndim == 0 else vals.reshape(lam.shape)
 
 
 def convex_weights(H, lam: complex, sos: SosDecomposition | None = None) -> np.ndarray:
@@ -89,7 +95,9 @@ def _ray_extrema(R: RealLinearOperator, lines) -> list[list[tuple[float, float]]
     blocks, and the null vectors (t = inf), the same on every line, are
     projected out.  A flat line (``sum b = 0`` to roundoff) has no critical
     point; roots within ``1e-10 (1 + ||R|| + r)`` of the one before or of r = 0
-    merge into it, and F is evaluated in product form.
+    merge into it, and F is evaluated in product form.  Sorting, merging and
+    evaluation are whole-array passes over the ``(2 lines, 4n - 2)`` roots of
+    both rays of every line.
     """
     lines = np.asarray(lines, dtype=float)
     n, scale, u = R.n, operator_norm(R), np.finfo(float).eps
@@ -129,17 +137,17 @@ def _ray_extrema(R: RealLinearOperator, lines) -> list[list[tuple[float, float]]
     t = c0 + 1.0 / np.where(finite, s, 1.0)
     real = finite & ~flat[:, None] & (np.abs(t.imag) <= 1e-8 * (scale + np.abs(t)))
 
-    radii, line_of, ts = [], [], []
-    for side in (1.0, -1.0):
-        for k in range(lines.size):
-            pos = np.sort(side * t.real[k, real[k]])
-            pos = pos[pos > 0.0]
-            pos = pos[np.diff(pos, prepend=0.0) > 1e-10 * (1.0 + scale + pos)]
-            radii.append([0.0] + pos.tolist())
-            line_of += [k] * len(radii[-1])
-            ts += [side * r for r in radii[-1]]
-    values = iter(_values(mu[line_of], np.array(ts)).tolist())
-    return [[(r, next(values)) for r in rs] + [(math.inf, 1.0)] for rs in radii]
+    # the roots of both rays of every line, sorted after r = 0, every other entry
+    # at +inf: the gap test keeps r = 0 and drops the infs (inf - inf is nan)
+    pos = np.concatenate([t.real, -t.real])
+    pos = np.where(np.concatenate([real, real]) & (pos > 0.0), pos, np.inf)
+    pos = np.sort(np.concatenate([np.zeros((pos.shape[0], 1)), pos], axis=1), axis=1)
+    with np.errstate(invalid="ignore"):
+        rows, cols = np.nonzero(np.diff(pos, axis=1, prepend=-np.inf) > 1e-10 * (1.0 + scale + pos))
+    radii = pos[rows, cols]
+    values = _values(mu[rows % lines.size], np.where(rows < lines.size, 1.0, -1.0) * radii).tolist()
+    radii, ends = radii.tolist(), np.cumsum(np.bincount(rows)).tolist()
+    return [list(zip(radii[a:b], values[a:b])) + [(math.inf, 1.0)] for a, b in zip([0] + ends, ends)]
 
 
 def ray_extrema(R: RealLinearOperator, theta: float) -> list[tuple[float, float]]:

@@ -19,6 +19,8 @@ A hit with ``|Im mu| <= tol (||R|| + |mu|)`` thus has normwise backward
 error at most ``tol + O(u)``, with no determinant per hit and a test that
 scaling ``R`` leaves unchanged.  An antilinear operator (``C = 0``) has the
 matrix ``realify(R)`` on every line: its sweep solves one line for all.
+The hit test, and the merge of hits within ``1e-9 (||R|| + |r|)`` of the one
+before them on their line (single linkage), is one pass over all lines.
 """
 
 from __future__ import annotations
@@ -75,20 +77,19 @@ class SpectrumCloud:
         return np.array([p.lam for p in self.points], dtype=complex)
 
 
-def _line_hits(eigs: np.ndarray, tol: float, norm: float) -> list[tuple[float, float]]:
-    # eigenvalues with |Im mu| <= tol (||R|| + |mu|), by real part, with those
-    # within 1e-9 (||R|| + |r|) of each other collapsed; written as a product,
-    # so the zero operator keeps its (exactly real) zero eigenvalues
+def _merged_hits(eigs: np.ndarray, tol: float, norm: float):
+    # (line, r, res) of the hits of every row, merged as ray_spectrum says and
+    # sorted by (line, r); the test is a product, so the zero operator keeps its zeros
     scale = norm + np.abs(eigs)
     keep = np.abs(eigs.imag) <= tol * scale
     defect = np.abs(eigs.imag) / np.where(scale > 0.0, scale, 1.0)
-    merged: list[tuple[float, float]] = []
-    for r, res in sorted(zip(eigs.real[keep].tolist(), defect[keep].tolist())):
-        if merged and abs(r - merged[-1][0]) <= 1e-9 * (norm + abs(r)):
-            merged[-1] = (merged[-1][0], min(merged[-1][1], res))
-        else:
-            merged.append((r, res))
-    return merged
+    line, r, res = np.nonzero(keep)[0], eigs.real[keep], defect[keep]
+    order = np.lexsort((res, r, line))
+    line, r, res = line[order], r[order], res[order]
+    new = np.ones(r.size, dtype=bool)
+    new[1:] = (np.diff(line) != 0) | (np.diff(r) > 1e-9 * (norm + np.abs(r[1:])))
+    first = np.flatnonzero(new)
+    return line[first], r[first], np.minimum.reduceat(res, first)
 
 
 def ray_spectrum(R: RealLinearOperator, theta: float, tol: float = 1e-8) -> list[tuple[float, float]]:
@@ -98,10 +99,12 @@ def ray_spectrum(R: RealLinearOperator, theta: float, tol: float = 1e-8) -> list
     operator and keeps eigenvalues ``mu`` with ``|Im mu| <= tol (||R|| + |mu|)``
     (module docstring).  A returned pair ``(r, res)`` is the point
     ``r * exp(i theta)`` (negative r lands on the opposite ray at
-    ``theta + pi``) with ``res = |Im mu| / (||R|| + |mu|)``.  Hits within
-    ``1e-9 (||R|| + |r|)`` of each other are collapsed.
+    ``theta + pi``) with ``res = |Im mu| / (||R|| + |mu|)``.  By r, a hit within
+    ``1e-9 (||R|| + |r|)`` of the one before it joins its cluster (single linkage),
+    which keeps its first r and least residual: the sweep's pass on one line.
     """
-    return _line_hits(_line_eigvals(R, [theta])[0], tol, operator_norm(R))
+    _, r, res = _merged_hits(_line_eigvals(R, [theta]), tol, operator_norm(R))
+    return list(zip(r.tolist(), res.tolist()))
 
 
 def spectrum_sweep(
@@ -118,9 +121,11 @@ def spectrum_sweep(
     performed on [0, pi) and negative radii are remapped to ``theta + pi``.
     Odd ray counts are rounded up to the next even number.  Explicit line
     angles can be passed via ``thetas`` (reduced mod pi), which overrides
-    ``n_rays``.  All lines are solved in batched, memory-bounded stacks, and
-    each line keeps the hits of ``ray_spectrum``; ``||R||`` is one SVD per
-    sweep.  The merged cloud is sorted by (theta, r).
+    ``n_rays``.  All lines are solved in batched, memory-bounded stacks;
+    ``||R||`` is one SVD per sweep.  The hit test and the merge of
+    ``ray_spectrum`` run once over the whole ``(lines, 2n)`` eigenvalue
+    array, so every line keeps the hits ``ray_spectrum`` returns for it.
+    The merged cloud is sorted by (theta, r).
     """
     if thetas is None:
         if n_rays < 1:
@@ -134,15 +139,16 @@ def spectrum_sweep(
 
     norm = operator_norm(R)
     if not R.C.any():
-        # every line has the matrix realify(R), so the first line's hits serve all
-        rows = [_line_hits(_line_eigvals(R, lines[:1])[0], tol, norm)] * len(lines)
+        # every line has the matrix realify(R), so the first line's solve serves all
+        eigs = np.broadcast_to(_line_eigvals(R, lines[:1]), (len(lines), 2 * R.n))
     else:
-        rows = [_line_hits(row, tol, norm) for row in _line_eigvals(R, lines)]
-    points = sorted(
-        (SpectralPoint(th if r >= 0 else th + math.pi, abs(r), complex(r * np.exp(1j * th)), res)
-         for th, row in zip(lines, rows) for r, res in row),
-        key=lambda p: (p.theta, p.r),
-    )
+        eigs = _line_eigvals(R, lines)
+    line, r, res = _merged_hits(eigs, tol, norm)
+    th = np.array(lines)[line]
+    theta = np.where(r >= 0.0, th, th + math.pi)
+    order = np.lexsort((np.abs(r), theta))
+    points = map(SpectralPoint, theta[order].tolist(), np.abs(r)[order].tolist(),
+                 (r * np.exp(1j * th))[order].tolist(), res[order].tolist())
     return SpectrumCloud(points=tuple(points), tol=tol, n_rays=2 * len(lines), norm=norm)
 
 

@@ -87,6 +87,45 @@ def test_value_matches_the_determinant_at_n32():
     assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("make", [random_operator, random_antilinear])
+def test_array_values_equal_point_values(make, n):
+    # an array of lam comes back in its shape, equal to the values taken one
+    # point at a time, bitwise.  At n = 1 numpy multiplies a stack of 1 x 1
+    # blocks by the phases in another loop than a single block, so a general
+    # line matrix (complex C) may differ in the last bit: there, to roundoff
+    R = make(np.random.default_rng(30 + n), n)
+    grid = np.linspace(0.1, 3.0, 14)[:, None] * np.exp(1j * np.linspace(0.0, 6.2, 9))
+    lam = np.concatenate([[0.0, -1.0, 2.0, 0.5j, -0.3j, 1 + 1j, -2 - 0.5j], grid.ravel()]).reshape(19, 7)
+    got = numfun_eval(R, lam)
+    ref = np.array([numfun_eval(R, x) for x in lam.ravel()]).reshape(lam.shape)
+    assert got.shape == lam.shape and isinstance(numfun_eval(R, lam[0, 0]), float)
+    if n == 1 and make is random_operator:
+        assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+    else:
+        assert got.tobytes() == ref.tobytes()
+    assert numfun_eval(R, [0.5j]).tolist() == [numfun_eval(R, 0.5j)]
+
+
+def test_polar_grid_takes_one_solve_per_chunk(monkeypatch):
+    # 32,000 points at n = 1: stacks of 2**14 entries hold 4096 line matrices
+    R = random_operator(np.random.default_rng(31), 1)
+    lam = np.linspace(0.0, 5.0, 500)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
+    real_eigvals = np.linalg.eigvals
+    shapes = []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    vals = numfun_eval(R, lam)
+    assert shapes == [(4096, 2, 2)] * 7 + [(32000 - 7 * 4096, 2, 2)]
+    eigs = np.linalg.eigvalsh(coeff_matrix(R).H)
+    assert vals.shape == (500, 64)
+    assert np.all((eigs[0] - 1e-10 <= vals) & (vals <= eigs[-1] + 1e-10))
+
+
 def test_values_stay_in_field_of_values():
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -11,6 +11,7 @@ from randops import crandn, random_antilinear, random_operator
 from rlspec import (
     NumericalFailure,
     RealLinearOperator,
+    SpectralPoint,
     ValidationError,
     apply,
     charpoly_eval,
@@ -29,6 +30,7 @@ from rlspec import (
     scale,
     spectrum_sweep,
 )
+import rlspec.spectrum as spectrum_mod
 
 
 def skew_operator():
@@ -91,6 +93,7 @@ def test_sweep_complex_linear_aimed_rays():
 
 
 def test_sweep_eps_example_empty():
+    # no line has a hit, so the merge runs its reduceat on empty arrays
     cloud = spectrum_sweep(eps_operator(0.5), 32)
     assert cloud.points == ()
 
@@ -200,6 +203,47 @@ def test_sweep_matches_complex_line_reference(n, antilinear):
         for p, (th, r) in zip(cloud.points, ref):
             assert p.theta == th
             assert abs(p.r - r) <= 1e-9 * (1 + abs(r))
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("antilinear", [False, True])
+def test_sweep_rows_equal_ray_spectrum(n, antilinear, monkeypatch):
+    # the whole-array pass of the sweep keeps, on every line, exactly the hits
+    # that ray_spectrum returns for that line alone, bitwise.  At n = 1 numpy
+    # multiplies a stack of 1 x 1 blocks by the phases in another loop than a
+    # single block, and the line matrices differ in the last bit; there
+    # ray_spectrum is handed the stacked eigenvalues, so only the pass is compared
+    R = (random_antilinear if antilinear else random_operator)(np.random.default_rng(20 + n), n)
+    lines = [math.pi * j / 32 for j in range(32)]
+    cloud = spectrum_sweep(R, 64)
+    if n == 1:
+        eigs = spectrum_mod._line_eigvals(R, lines)
+        monkeypatch.setattr(spectrum_mod, "_line_eigvals", lambda R, ths: eigs[[lines.index(t) for t in ths]])
+    expected = sorted(
+        (SpectralPoint(th if r >= 0 else th + math.pi, abs(r), complex(r * np.exp(1j * th)), res)
+         for th in lines for r, res in ray_spectrum(R, th)),
+        key=lambda p: (p.theta, p.r),
+    )
+    assert expected
+    assert cloud.points == tuple(expected)
+
+
+def test_merge_is_single_linkage():
+    # three hits on line 0, 0.6 of the merge tolerance apart: each is within
+    # tolerance of the one before, the last is not of the first.  One hit
+    # stays, at the smallest r, with the least residual of the three (the
+    # middle one's); merging against a cluster's first hit kept two
+    gap = 0.6 * 1e-9 * 2.0
+    a = 1.0 + gap * np.arange(3)
+    b = np.array([2e-10, 1e-10, 3e-10])
+    R = RealLinearOperator(np.diag(a + 1j * b), np.zeros((3, 3)))
+    norm = operator_norm(R)
+    assert a[2] - a[0] > 1e-9 * (norm + a[2])
+    [(r, res)] = ray_spectrum(R, 0.0)
+    assert r == pytest.approx(a[0], abs=1e-15)
+    assert res == pytest.approx(b[1] / (norm + abs(a[1] + 1j * b[1])), rel=1e-6)
+    cloud = spectrum_sweep(R, thetas=[0.0, 1.0])
+    assert [(p.theta, p.r, p.residual) for p in cloud.points] == [(0.0, r, res)]
 
 
 def test_sweep_solves_each_chunk_in_one_call(monkeypatch):
