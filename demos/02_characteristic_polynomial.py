@@ -49,7 +49,9 @@ print("\nSOS weights:", np.round(sos.d, 9))
 print("reconstruction residual:", abs(rl.sos_eval(sos, lam) - rl.charpoly_eval(E, lam)))
 
 # A positive definite H admits a unit-weight Cholesky SOS with polynomial
-# degrees 0, 1, ..., n: a proof that p > 0 and the spectrum is empty.
+# degrees 0, 1, ..., n: a proof that p > 0 and the spectrum is empty.  The
+# certificate and cholesky_sos decide definiteness by one scale-free test, on
+# the torus matrix G of H.
 skew = rl.RealLinearOperator(np.zeros((2, 2)), [[0.0, 1.0], [-1.0, 0.0]])
 cert = rl.emptiness_certificates(skew)
 print("\nskew operator verdict:", cert.verdict)

@@ -31,7 +31,6 @@ __all__ = [
     "sos_decompose",
     "cholesky_sos",
     "sos_eval",
-    "common_zero_free",
     "EmptinessCertificates",
     "emptiness_certificates",
 ]
@@ -91,12 +90,15 @@ def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
 
     The ray kernel of sweeps, numerical-function rays and the real-axis
     certificate (line 0 is ``realify(R)``): for real t,
-    ``det(realify(R - t e^{i theta} I)) = prod_k (mu_k - t)``.
+    ``det(realify(R - t e^{i theta} I)) = prod_k (mu_k - t)``.  A line matrix
+    is ``cos(theta) K - sin(theta) L + M``, with K, L and M the real forms of
+    ``C z``, ``i C z`` and ``B conj(z)``; real arithmetic rounds it alike in a
+    stack of any size.
     """
     lines = np.asarray(lines, dtype=float)
     ph = np.exp(-1j * lines)[:, None, None]
-    return _stacked_eigvals(lambda part: _real_block(ph[part] * R.C + R.B, ph[part] * R.C - R.B),
-                            lines, 2 * R.n)
+    K, L, M = _real_block(R.C, R.C), _real_block(1j * R.C, 1j * R.C), _real_block(R.B, -R.B)
+    return _stacked_eigvals(lambda part: ph[part].real * K + ph[part].imag * L + M, lines, 2 * R.n)
 
 
 def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:
@@ -137,13 +139,13 @@ class CoeffMatrix:
 
 
 def _coeff_array(H) -> np.ndarray:
-    """Accept a CoeffMatrix or a plain Hermitian matrix."""
+    """The H of a CoeffMatrix, exactly Hermitian already, or the Hermitian part of a plain matrix."""
     if isinstance(H, CoeffMatrix):
         return H.H
     A = np.asarray(H, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValidationError(f"square coefficient matrix expected, got shape {A.shape}")
-    return A
+    return (A + A.conj().T) / 2.0
 
 
 def coeff_poly_eval(H, lam: complex) -> float:
@@ -268,7 +270,6 @@ def coeff_matrix(
     mode: str = "interpolation",
     *,
     validate: bool = True,
-    validate_tol: float = 1e-6,
 ) -> CoeffMatrix:
     """Extract the Hermitian coefficient matrix of the characteristic polynomial.
 
@@ -289,12 +290,10 @@ def coeff_matrix(
     validate : bool
         Compare ``v* H v`` with the exactly real ``det(realify(R - lam I))``
         at 2n+3 off-grid points, one per radius between ``0.6 s`` and
-        ``1.9 s`` (``s = 1 + ||R||``), and fail loudly on disagreement.  The
-        real 2n x 2n matrices are stacked in bounded chunks, one batched
-        ``slogdet`` per chunk.
-    validate_tol : float
-        Tolerance for validation, relative to ``(s + |lam|)**(2n)`` and
-        applied in the log domain so the bound stays finite at any norm.
+        ``1.9 s`` (``s = 1 + ||R||``), and fail loudly where they differ by
+        more than ``1e-6 (s + |lam|)**(2n)``, compared in the log domain so
+        the bound stays finite at any norm.  The real 2n x 2n matrices are
+        stacked in bounded chunks, one batched ``slogdet`` per chunk.
 
     Returns
     -------
@@ -335,7 +334,7 @@ def coeff_matrix(
     Hraw = G * W[:, None] * W
     H = (Hraw + Hraw.conj().T) / 2.0
     if validate:
-        _validate_coeff(R, H, validate_tol, norm)
+        _validate_coeff(R, H, 1e-6, norm)
     return CoeffMatrix(n=n, H=H, norm=norm, asymmetry=gasym / gscale)
 
 
@@ -370,40 +369,51 @@ def sos_decompose(H) -> SosDecomposition:
 
     Diagonalizing ``H = U* D U`` with unitary U turns ``v* H v`` into
     ``sum d_i |p_i(lam)|**2`` where ``p_i`` has coefficient row ``U[i]``.
-    Weights are returned in ascending order (eigenvalue order).
+    Weights ascend (eigenvalue order); a plain matrix is read through its Hermitian part.
     """
-    A = _coeff_array(H)
-    w, V = np.linalg.eigh((A + A.conj().T) / 2.0)
+    w, V = np.linalg.eigh(_coeff_array(H))
     return SosDecomposition(d=w, U=V.conj().T, kind="eigen")
 
 
-def cholesky_sos(H, *, pd_threshold: float = 1e-10) -> SosDecomposition:
-    """Unit-weight sum of squares from a Cholesky factorization.
+def _pd_test(H) -> tuple[float, float, SosDecomposition | None]:
+    """``(g_min, eps_g, rows)`` of the one positive-definiteness test of every Cholesky certificate.
 
-    Requires ``H`` positive definite (smallest eigenvalue above
-    ``pd_threshold * ||H||``).  Reversing the monomial order makes the
-    triangular factor produce polynomials of exact degree i, which have no
-    common zero; a successful decomposition therefore certifies that the
-    characteristic polynomial is strictly positive and the spectrum empty.
+    ``G = W**-1 H W**-1`` (torus weights of a CoeffMatrix; a plain matrix is its
+    own G) is off by at most ``eps_g max|G|``, ``eps_g = asymmetry + (n+1) u``.
+    By Weyl, ``g_min = lambda_min(G) / max|G| > (n+1) eps_g`` proves H positive
+    definite; only then are the Cholesky rows returned, of exact degrees 0..n.
     """
     A = _coeff_array(H)
-    w = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
-    scale = max(float(np.max(np.abs(w))), 1e-300)
-    if w[0] <= pd_threshold * scale:
+    n = A.shape[0] - 1
+    torus = isinstance(H, CoeffMatrix)
+    W = np.exp(_torus_log_weights(n, H.norm)) if torus else np.ones(n + 1)
+    asymmetry = H.asymmetry if torus else 0.0
+    G = A / W[:, None] / W
+    g_min = float(np.linalg.eigvalsh(G)[0] / np.max(np.abs(G)))
+    eps_g = float(asymmetry + (n + 1) * np.finfo(float).eps / 2)
+    if not g_min > (n + 1) * eps_g:
+        return g_min, eps_g, None
+    U = np.linalg.cholesky(A[::-1, ::-1]).conj().T[::-1, ::-1]
+    return g_min, eps_g, SosDecomposition(d=np.ones(n + 1), U=U, kind="cholesky")
+
+
+def cholesky_sos(H) -> SosDecomposition:
+    """Unit-weight sum of squares from a Cholesky factorization.
+
+    ``H`` must pass the scale-free test on G of :func:`emptiness_certificates`
+    (a plain matrix, read through its Hermitian part, is its own G), else
+    ``NotPositiveDefinite`` carries the smallest eigenvalue of H.  Row i has
+    exact degree i, so the rows prove p > 0 and the spectrum empty.
+    """
+    g_min, eps_g, rows = _pd_test(H)
+    if rows is None:
+        w0 = float(np.linalg.eigvalsh(_coeff_array(H))[0])
         raise NotPositiveDefinite(
-            f"coefficient matrix is not positive definite: smallest eigenvalue {w[0]:.6e}",
-            min_eigenvalue=float(w[0]),
+            f"coefficient matrix is not positive definite: lambda_min(G) / max|G| {g_min:.3e} "
+            f"(eps_g {eps_g:.3e}), smallest eigenvalue of H {w0:.6e}",
+            min_eigenvalue=w0,
         )
-    return _cholesky_rows(A)
-
-
-def _cholesky_rows(A: np.ndarray) -> SosDecomposition:
-    """Cholesky sum of squares of a coefficient matrix already known to be PD."""
-    Arev = A[::-1, ::-1]
-    L = np.linalg.cholesky((Arev + Arev.conj().T) / 2.0)
-    T = L.conj().T
-    U = T[::-1, ::-1]
-    return SosDecomposition(d=np.ones(A.shape[0]), U=U, kind="cholesky")
+    return rows
 
 
 def sos_eval(sos: SosDecomposition, lam: complex) -> float:
@@ -411,16 +421,6 @@ def sos_eval(sos: SosDecomposition, lam: complex) -> float:
     v = np.asarray(lam, dtype=complex) ** np.arange(sos.U.shape[1])
     vals = sos.U @ v
     return float(np.sum(sos.d * np.abs(vals) ** 2))
-
-
-def common_zero_free(sos: SosDecomposition, tol: float = 1e-10) -> bool:
-    """True when the squared polynomials can have no common zero.
-
-    A common zero ``mu`` would put the monomial vector ``v_mu != 0`` in the
-    kernel of the coefficient row matrix, so full column rank rules it out.
-    """
-    s = np.linalg.svd(sos.U, compute_uv=False)
-    return bool(s[-1] > tol * max(s[0], 1e-300))
 
 
 @dataclass(frozen=True)
@@ -462,10 +462,8 @@ def emptiness_certificates(
 ) -> EmptinessCertificates:
     """Run both spectrum certificates on ``R``.
 
-    The PD test runs on the scale-free torus matrix ``G = W**-1 H W**-1``, off
-    by at most ``eps_g max|G|`` entrywise (``eps_g = asymmetry + (n+1) u``, u
-    the unit roundoff): by Weyl, ``lambda_min(G) > (n+1) eps_g max|G|`` proves
-    H positive definite, and its Cholesky sum of squares the spectrum empty.
+    The PD test, shared with :func:`cholesky_sos`, runs on the scale-free torus matrix
+    G against its error bound ``eps_g``; its Cholesky sum of squares proves the spectrum empty.
     The real-axis test reads the sign of ``p(0, 0) = det(realify(R))`` from
     ``slogdet``, so an underflowing determinant keeps its sign.  Sign 0 makes
     0 a spectral point.  A negative sign means ``f(r) = p(r, r)`` starts
@@ -481,11 +479,7 @@ def emptiness_certificates(
     """
     cm = coeff if coeff is not None else coeff_matrix(R)
     sign0, logabs0 = np.linalg.slogdet(realify(R))
-    W = np.exp(_torus_log_weights(cm.n, cm.norm))
-    G = cm.H / W[:, None] / W
-    g_min = float(np.linalg.eigvalsh(G)[0] / np.max(np.abs(G)))
-    eps_g = float(cm.asymmetry + (cm.n + 1) * np.finfo(float).eps / 2)
-    pd_cert = _cholesky_rows(cm.H) if g_min > (cm.n + 1) * eps_g else None
+    g_min, eps_g, pd_cert = _pd_test(cm)
 
     zero = None
     if sign0 == 0.0:
@@ -502,7 +496,7 @@ def emptiness_certificates(
         pd_certificate=pd_cert,
         real_axis_zero=zero,
         det_complexification=float(sign0 * np.exp(logabs0)),
-        h_eigenvalues=tuple(np.linalg.eigvalsh((cm.H + cm.H.conj().T) / 2.0).tolist()),
+        h_eigenvalues=tuple(np.linalg.eigvalsh(cm.H).tolist()),
         g_min_eigenvalue=g_min,
         eps_g=eps_g,
     )

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import serialize as ser
-from .charpoly import coeff_matrix, emptiness_certificates
+from .charpoly import coeff_matrix, emptiness_certificates, sos_decompose
 from .errors import NumericalFailure, ValidationError
 from .numfun import range_and_coverage
 from .operators import _schatten_norms
@@ -58,7 +58,7 @@ def _out(path: str, content: str) -> None:
 
 def _cmd_info(args) -> int:
     R = ser.load_operator(args.opfile)
-    cm = coeff_matrix(R, validate_tol=args.validate_tol)
+    cm = coeff_matrix(R)
     cert = emptiness_certificates(R, coeff=cm)
 
     if cert.pd_certificate is not None:
@@ -104,11 +104,9 @@ def _cmd_info(args) -> int:
 def _cmd_charpoly(args) -> int:
     R = ser.load_operator(args.opfile)
     mode = "exact" if args.exact else "interpolation"
-    cm = coeff_matrix(R, mode=mode, validate_tol=args.validate_tol)
+    cm = coeff_matrix(R, mode=mode)
     _out(args.out, ser.dump_json(ser.coeff_to_dict(cm)))
     if args.sos is not None:
-        from .charpoly import sos_decompose
-
         _out(args.sos, ser.dump_json(ser.sos_to_dict(sos_decompose(cm))))
     return 0
 
@@ -124,7 +122,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_numfun(args) -> int:
     R = ser.load_operator(args.opfile)
-    cm = coeff_matrix(R, validate_tol=args.validate_tol)
+    cm = coeff_matrix(R)
     rep = range_and_coverage(R, n_rays=args.rays, coeff=cm)
     if args.out.endswith(".csv"):
         _out(args.out, ser.ray_minima_csv(rep.ray_minima))
@@ -193,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info", help="norms, determinant, coefficient spectrum, certificates")
     p.add_argument("opfile")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.add_argument("--validate-tol", type=_positive_float, default=1e-6)
     common(p)
     p.set_defaults(fn=_cmd_info)
 
@@ -202,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="use the exact minor-expansion oracle")
     p.add_argument("--out", default="-", help="coefficient JSON path ('-' for stdout)")
     p.add_argument("--sos", default=None, help="also write the eigen-kind SOS JSON here")
-    p.add_argument("--validate-tol", type=_positive_float, default=1e-6)
     common(p)
     p.set_defaults(fn=_cmd_charpoly)
 
@@ -227,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="-",
         help="report path: *.csv emits per-ray minima, anything else the JSON report",
     )
-    p.add_argument("--validate-tol", type=_positive_float, default=1e-6)
     common(p)
     p.set_defaults(fn=_cmd_numfun)
 

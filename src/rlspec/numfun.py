@@ -207,8 +207,7 @@ def range_and_coverage(R: RealLinearOperator, n_rays: int = 128, *,
     lo, hi = min(values), max(values)
     rmax = max(r for ext in per_ray for r, _ in ext if math.isfinite(r))
 
-    A = (coeff if coeff is not None else coeff_matrix(R)).H
-    eigs = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
+    eigs = np.linalg.eigvalsh((coeff if coeff is not None else coeff_matrix(R)).H)
     fov = (float(eigs[0]), float(eigs[-1]))
     return NumFunReport(
         f0=charpoly_eval(R, 0.0),

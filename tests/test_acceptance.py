@@ -19,7 +19,6 @@ from rlspec import (
     charpoly_eval,
     coeff_matrix,
     common_invariant_1d,
-    common_zero_free,
     complexify,
     compose,
     conjugation,
@@ -171,7 +170,10 @@ def test_criterion_5_certificates():
     sos_ok = (
         cert.pd_certificate is not None
         and cert.pd_certificate.kind == "cholesky"
-        and common_zero_free(cert.pd_certificate)
+        # exact degrees 0..n: zeros above a positive real diagonal
+        and np.all(np.triu(cert.pd_certificate.U, 1) == 0.0)
+        and np.all(np.diag(cert.pd_certificate.U).real > 0.0)
+        and np.all(np.diag(cert.pd_certificate.U).imag == 0.0)
         and abs(sos_eval(cert.pd_certificate, 0.7j) - charpoly_eval(skew, 0.7j)) < 1e-10
     )
     noeig = no_eigenvalue_certificate(skew)

@@ -10,8 +10,10 @@ import pytest
 
 from randops import crandn, random_operator
 from rlspec import (
+    NotPositiveDefinite,
     RealLinearOperator,
     charpoly_eval,
+    cholesky_sos,
     coeff_matrix,
     emptiness_certificates,
     no_eigenvalue_certificate,
@@ -64,6 +66,49 @@ def test_empty_verdict_does_not_depend_on_scale(s):
         assert cert.verdict == "empty", (R.n, s, cert.g_min_eigenvalue)
         p = charpoly_eval(Rs, lam)
         assert abs(sos_eval(cert.pd_certificate, lam) - p) <= 1e-8 * p
+
+
+def assert_cholesky_rows(sos):
+    # exact degrees 0..n: zeros above a positive real diagonal
+    assert sos.kind == "cholesky"
+    assert np.all(np.triu(sos.U, 1) == 0.0)
+    assert np.all(np.diag(sos.U).real > 0.0) and np.all(np.diag(sos.U).imag == 0.0)
+
+
+def cholesky_agrees(R):
+    """Whether ``cholesky_sos`` succeeds exactly where the verdict is empty."""
+    cm = coeff_matrix(R)
+    cert = emptiness_certificates(R, coeff=cm)
+    if cert.verdict != "empty":
+        with pytest.raises(NotPositiveDefinite):
+            cholesky_sos(cm)
+        return False
+    sos = cholesky_sos(cm)
+    assert_cholesky_rows(sos)
+    assert np.array_equal(sos.U, cert.pd_certificate.U)
+    return True
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_cholesky_sos_agrees_with_the_certificate(s):
+    # one PD rule for both: every skew operator is certified, and cholesky_sos
+    # refuses the path operators the certificate leaves open
+    example = RealLinearOperator(0.05 * np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    assert all(cholesky_agrees(scaled(R, s)) for R in [*skew_family(), example])
+    ends = [cholesky_agrees(scaled(RealLinearOperator(t * C0, B), s))
+            for C0, B in path_operators() for t in (0.0, 3.0)]
+    assert 0 < sum(ends) < len(ends)
+
+
+@pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
+def test_cholesky_sos_of_a_plain_matrix_does_not_depend_on_scale(s):
+    # a plain matrix is its own G: its verdict does not move with s
+    rng = np.random.default_rng(24)
+    X = crandn(rng, 5, 5)
+    A = X @ X.conj().T + 0.1 * np.eye(5)
+    assert_cholesky_rows(cholesky_sos(s * A))
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_sos(s * (A - 2 * np.linalg.eigvalsh(A)[0] * np.eye(5)))
 
 
 def error_model_operators():

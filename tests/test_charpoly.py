@@ -16,7 +16,6 @@ from rlspec import (
     cholesky_sos,
     coeff_matrix,
     coeff_poly_eval,
-    common_zero_free,
     complexify,
     conjugation,
     emptiness_certificates,
@@ -478,7 +477,7 @@ def test_sos_rows_are_unitary_pointwise():
         lhs = float(np.sum(np.abs(sos.U @ v) ** 2))
         rhs = float(np.sum(np.abs(v) ** 2))
         assert abs(lhs - rhs) < 1e-9 * (1 + rhs)
-    assert common_zero_free(sos)
+    assert np.max(np.abs(sos.U @ sos.U.conj().T - np.eye(5))) < 1e-12
 
 
 def test_cholesky_sos_skew_example():
@@ -496,7 +495,9 @@ def test_cholesky_sos_skew_example():
     assert abs(sos.U[1, 1] - np.sqrt(2.0)) < 1e-12
     for lam in (0.0, 0.5 + 0.2j, -1.3j):
         assert abs(sos_eval(sos, lam) - charpoly_eval(R, lam)) < 1e-10
-    assert common_zero_free(sos)
+    # exact degrees 0..n: zeros above a positive real diagonal
+    assert np.all(np.triu(sos.U, 1) == 0.0)
+    assert np.all(np.diag(sos.U).real > 0.0) and np.all(np.diag(sos.U).imag == 0.0)
 
 
 def test_cholesky_sos_identity_matrix():

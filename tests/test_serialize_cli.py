@@ -636,6 +636,7 @@ def test_cli_bad_rays_exits_2(tmp_path):
     [
         ("spectrum", "--tol", "0"),
         ("spectrum", "--rays", "0"),
+        # the retired --validate-tol is refused as an unrecognized argument
         ("info", "--validate-tol", "-1e-6"),
         ("charpoly", "--validate-tol", "0"),
         ("numfun", "--validate-tol", "nan"),
@@ -661,6 +662,16 @@ def test_cli_info_refuses_the_retired_pd_threshold(tmp_path, capsys):
     assert payload["error"].startswith("unrecognized arguments")
 
 
+def test_cli_refuses_the_retired_validate_tol(tmp_path, capsys):
+    # validation runs at its one tolerance, 1e-6
+    op = write_operator(tmp_path / "tau.json", conjugation(1))
+    for command in ("info", "charpoly", "numfun"):
+        assert main([command, op, "--validate-tol", "1e-6", "--error-json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["type"] == "ValidationError"
+        assert payload["error"] == "unrecognized arguments: --validate-tol 1e-6"
+
+
 @pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
 def test_cli_info_skew_is_positive_definite_at_every_scale(tmp_path, capsys, s):
     # H = diag(s**4, 2 s**2, 1) is positive definite at every s; G does not
@@ -675,14 +686,17 @@ def test_cli_info_skew_is_positive_definite_at_every_scale(tmp_path, capsys, s):
 
 
 def test_cli_numerical_failure_exits_3_with_error_json(tmp_path, capsys):
-    rng = np.random.default_rng(7)
-    op = write_operator(tmp_path / "r.json", random_operator(rng, 4))
-    code = main(["charpoly", op, "--validate-tol", "1e-30", "--error-json"])
+    # at ||R|| = 1e80, H[0, 0] = det of the complexification is about 1e637
+    R = random_operator(np.random.default_rng(7), 4)
+    s = 1e80 / operator_norm(R)
+    op = write_operator(tmp_path / "r.json", RealLinearOperator(s * R.C, s * R.B))
+    code = main(["charpoly", op, "--error-json"])
     assert code == 3
     captured = capsys.readouterr()
     payload = json.loads(captured.out)
     assert payload["exit_code"] == 3
     assert payload["type"] == "NumericalFailure"
+    assert "overflows double range" in payload["error"]
     assert "error:" in captured.err
 
 
@@ -691,7 +705,7 @@ def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     op = write_operator(tmp_path / "r.json", random_operator(np.random.default_rng(14), 3))
     calls = [
         ["info", op, "--json"],
-        ["info", op, "--validate-tol", "0", "--error-json"],
+        ["spectrum", op, "--tol", "0", "--error-json"],
         ["charpoly", op],
         ["info", op, "--json"],
     ]

@@ -205,27 +205,37 @@ def test_sweep_matches_complex_line_reference(n, antilinear):
             assert abs(p.r - r) <= 1e-9 * (1 + abs(r))
 
 
-@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("n", [1, 2, 4])
 @pytest.mark.parametrize("antilinear", [False, True])
-def test_sweep_rows_equal_ray_spectrum(n, antilinear, monkeypatch):
-    # the whole-array pass of the sweep keeps, on every line, exactly the hits
-    # that ray_spectrum returns for that line alone, bitwise.  At n = 1 numpy
-    # multiplies a stack of 1 x 1 blocks by the phases in another loop than a
-    # single block, and the line matrices differ in the last bit; there
-    # ray_spectrum is handed the stacked eigenvalues, so only the pass is compared
-    R = (random_antilinear if antilinear else random_operator)(np.random.default_rng(20 + n), n)
+def test_line_matrices_do_not_depend_on_the_stack_size(n, antilinear):
+    # the eigenvalues of 32 lines solved in one stack equal those of the same
+    # lines solved one at a time, bitwise, on every seed
+    make = random_antilinear if antilinear else random_operator
     lines = [math.pi * j / 32 for j in range(32)]
-    cloud = spectrum_sweep(R, 64)
-    if n == 1:
-        eigs = spectrum_mod._line_eigvals(R, lines)
-        monkeypatch.setattr(spectrum_mod, "_line_eigvals", lambda R, ths: eigs[[lines.index(t) for t in ths]])
-    expected = sorted(
-        (SpectralPoint(th if r >= 0 else th + math.pi, abs(r), complex(r * np.exp(1j * th)), res)
-         for th in lines for r, res in ray_spectrum(R, th)),
-        key=lambda p: (p.theta, p.r),
-    )
-    assert expected
-    assert cloud.points == tuple(expected)
+    for seed in range(10):
+        R = make(np.random.default_rng(seed), n)
+        one_by_one = np.concatenate([spectrum_mod._line_eigvals(R, [th]) for th in lines])
+        assert spectrum_mod._line_eigvals(R, lines).tobytes() == one_by_one.tobytes(), seed
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16])
+@pytest.mark.parametrize("antilinear", [False, True])
+def test_sweep_rows_equal_ray_spectrum(n, antilinear):
+    # the whole-array pass of the sweep keeps, on every line, exactly the hits
+    # that ray_spectrum returns for that line alone, bitwise.  An antilinear
+    # spectrum may be empty, so three operators are swept and some must hit
+    lines = [math.pi * j / 32 for j in range(32)]
+    hits = 0
+    for seed in (20 + n, 40 + n, 60 + n):
+        R = (random_antilinear if antilinear else random_operator)(np.random.default_rng(seed), n)
+        expected = sorted(
+            (SpectralPoint(th if r >= 0 else th + math.pi, abs(r), complex(r * np.exp(1j * th)), res)
+             for th in lines for r, res in ray_spectrum(R, th)),
+            key=lambda p: (p.theta, p.r),
+        )
+        assert spectrum_sweep(R, 64).points == tuple(expected), seed
+        hits += len(expected)
+    assert hits
 
 
 def test_merge_is_single_linkage():
