@@ -9,137 +9,23 @@ coverage, and trace-class characteristic functions as determinant limits of
 Hankel/Bergman-type truncations.
 """
 
-from .charpoly import (
-    CoeffMatrix,
-    EmptinessCertificates,
-    SosDecomposition,
-    charpoly_eval,
-    cholesky_sos,
-    coeff_matrix,
-    coeff_poly_eval,
-    emptiness_certificates,
-    sos_decompose,
-    sos_eval,
-)
-from .errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    NumericalFailure,
-    ValidationError,
-)
-from .numfun import (
-    NumFunReport,
-    convex_weights,
-    numfun_eval,
-    range_and_coverage,
-    ray_extrema,
-)
-from .operators import (
-    RealLinearOperator,
-    add,
-    adjoint,
-    apply,
-    complexify,
-    compose,
-    conjugation,
-    identity,
-    min_modulus,
-    operator_norm,
-    parts_from_action,
-    poly_apply,
-    realify,
-    rotate,
-    scalar_operator,
-    scale,
-    schatten_norm,
-)
-from .spectrum import (
-    InvariantLines,
-    KrylovSpan,
-    NoEigenvalueCertificate,
-    SpectralPoint,
-    SpectrumCloud,
-    common_invariant_1d,
-    eigenvector,
-    krylov_cspan,
-    no_eigenvalue_certificate,
-    ray_spectrum,
-    spectrum_sweep,
-)
-from .traceclass import (
-    CharFunTable,
-    DecaySpec,
-    SymbolSeries,
-    charfun_convergence,
-    charfun_eval,
-    det_continuity_check,
-    disk_truncation,
-    hankel_truncation,
-    symbol_scale,
-    tail_weight,
-    trace_norm,
-)
+from . import charpoly, errors, numfun, operators, spectrum, traceclass
+from .charpoly import *
+from .errors import *
+from .numfun import *
+from .operators import *
+from .spectrum import *
+from .traceclass import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "RealLinearOperator",
-    "identity",
-    "conjugation",
-    "scalar_operator",
-    "apply",
-    "parts_from_action",
-    "add",
-    "scale",
-    "compose",
-    "adjoint",
-    "complexify",
-    "realify",
-    "operator_norm",
-    "min_modulus",
-    "schatten_norm",
-    "poly_apply",
-    "rotate",
-    "CoeffMatrix",
-    "SosDecomposition",
-    "EmptinessCertificates",
-    "charpoly_eval",
-    "coeff_matrix",
-    "coeff_poly_eval",
-    "sos_decompose",
-    "cholesky_sos",
-    "sos_eval",
-    "emptiness_certificates",
-    "SpectralPoint",
-    "SpectrumCloud",
-    "ray_spectrum",
-    "spectrum_sweep",
-    "eigenvector",
-    "NoEigenvalueCertificate",
-    "no_eigenvalue_certificate",
-    "InvariantLines",
-    "common_invariant_1d",
-    "KrylovSpan",
-    "krylov_cspan",
-    "NumFunReport",
-    "numfun_eval",
-    "convex_weights",
-    "ray_extrema",
-    "range_and_coverage",
-    "DecaySpec",
-    "SymbolSeries",
-    "symbol_scale",
-    "tail_weight",
-    "hankel_truncation",
-    "disk_truncation",
-    "charfun_eval",
-    "CharFunTable",
-    "charfun_convergence",
-    "trace_norm",
-    "det_continuity_check",
-    "ValidationError",
-    "DimensionMismatch",
-    "NumericalFailure",
-    "NotPositiveDefinite",
+    *operators.__all__,
+    *charpoly.__all__,
+    *spectrum.__all__,
+    *numfun.__all__,
+    *traceclass.__all__,
+    *errors.__all__,
     "__version__",
 ]

@@ -85,6 +85,20 @@ def _stacked_eigvals(build, lines: np.ndarray, size: int) -> np.ndarray:
     return eigs
 
 
+def _line_grid(n_rays: int) -> np.ndarray:
+    """The ``m = ceil(n_rays / 2)`` line angles ``pi j / m`` of ``n_rays`` rays; odd counts round up."""
+    if n_rays < 1:
+        raise ValidationError(f"n_rays must be >= 1, got {n_rays}")
+    m = (n_rays + 1) // 2
+    return np.pi * np.arange(m) / m
+
+
+def _distinct_lines(R: RealLinearOperator, lines) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct angles of ``lines`` and each line's index in them; all one line when ``C = 0``."""
+    keys, inverse = np.unique(np.asarray(lines, dtype=float), return_inverse=True)
+    return (keys, inverse) if R.C.any() else (keys[:1], np.zeros_like(inverse))
+
+
 def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
     """Eigenvalues ``mu_k`` of ``realify(rotate(R, theta))``, one row per line angle.
 
@@ -93,12 +107,12 @@ def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
     ``det(realify(R - t e^{i theta} I)) = prod_k (mu_k - t)``.  A line matrix
     is ``cos(theta) K - sin(theta) L + M``, with K, L and M the real forms of
     ``C z``, ``i C z`` and ``B conj(z)``; real arithmetic rounds it alike in a
-    stack of any size.
+    stack of any size.  Each distinct line is solved once (:func:`_distinct_lines`).
     """
-    lines = np.asarray(lines, dtype=float)
-    ph = np.exp(-1j * lines)[:, None, None]
+    keys, inverse = _distinct_lines(R, lines)
+    ph = np.exp(-1j * keys)[:, None, None]
     K, L, M = _real_block(R.C, R.C), _real_block(1j * R.C, 1j * R.C), _real_block(R.B, -R.B)
-    return _stacked_eigvals(lambda part: ph[part].real * K + ph[part].imag * L + M, lines, 2 * R.n)
+    return _stacked_eigvals(lambda p: ph[p].real * K + ph[p].imag * L + M, keys, 2 * R.n)[inverse]
 
 
 def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:

@@ -27,10 +27,10 @@ from .traceclass import charfun_convergence, disk_truncation, hankel_truncation
 __all__ = ["main"]
 
 
-def _positive_float(text: str) -> float:
+def _unit_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
     return value
 
 
@@ -148,7 +148,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ValidationError(
             f"grid spec must look like 'rmin:rmax:nr:nangles', got {spec!r}"
         )
-    if not (0 < rmin <= rmax) or nr < 1 or na < 1:
+    if not (0 < rmin <= rmax < np.inf) or nr < 1 or na < 1:
         raise ValidationError(f"grid spec values out of range: {spec!r}")
     radii = np.linspace(rmin, rmax, nr)
     angles = 2.0 * np.pi * np.arange(na) / na
@@ -206,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("opfile")
     p.add_argument("--rays", type=_ray_count, default=64, help="ray directions on the full circle")
     p.add_argument(
-        "--tol", type=_positive_float, default=1e-8,
-        help="bound on |Im mu| / (||R|| + |mu|) of line eigenvalues mu (a backward error)",
+        "--tol", type=_unit_float, default=1e-8,
+        help="bound in (0, 1) on |Im mu| / (||R|| + |mu|) of line eigenvalues mu (a backward error)",
     )
     p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
     p.add_argument("--svg", default=None, help="optional scatter SVG path ('-' for stdout)")

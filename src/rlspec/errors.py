@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ValidationError", "DimensionMismatch", "NumericalFailure", "NotPositiveDefinite"]
+
 
 class ValidationError(ValueError):
     """Input fails a structural precondition (shapes, formats, parameter ranges)."""

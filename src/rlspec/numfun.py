@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .charpoly import CoeffMatrix, SosDecomposition, _line_eigvals, _stacked_eigvals, charpoly_eval
-from .charpoly import coeff_matrix, sos_decompose
+from .charpoly import CoeffMatrix, SosDecomposition, _distinct_lines, _line_eigvals, _line_grid
+from .charpoly import _stacked_eigvals, charpoly_eval, coeff_matrix, sos_decompose
 from .errors import NumericalFailure, ValidationError
 from .operators import RealLinearOperator, operator_norm
 
@@ -37,8 +37,8 @@ __all__ = [
 def numfun_eval(R: RealLinearOperator, lam) -> float | np.ndarray:
     """``p(lam, conj(lam)) / sum_j |lam|**(2j)``, in product form on the line ``angle(lam)``.
 
-    ``lam`` may be an array: all its lines are solved in one batched stack per
-    chunk, and the values come back in its shape; a scalar gives a ``float``.
+    ``lam`` may be an array: each distinct line among its points is solved
+    once, and the values come back in its shape; a scalar gives a ``float``.
     """
     lam = np.asarray(lam, dtype=complex)
     vals = _values(_line_eigvals(R, np.angle(lam).ravel()), np.abs(lam).ravel())
@@ -97,9 +97,9 @@ def _ray_extrema(R: RealLinearOperator, lines) -> list[list[tuple[float, float]]
     point; roots within ``1e-10 (1 + ||R|| + r)`` of the one before or of r = 0
     merge into it, and F is evaluated in product form.  Sorting, merging and
     evaluation are whole-array passes over the ``(2 lines, 4n - 2)`` roots of
-    both rays of every line.
+    both rays of each distinct line, and every ray of ``lines`` takes its list.
     """
-    lines = np.asarray(lines, dtype=float)
+    lines, inverse = _distinct_lines(R, lines)
     n, scale, u = R.n, operator_norm(R), np.finfo(float).eps
     mu = _line_eigvals(R, lines)
     # pole pairs: the real mu first (an even number; LAPACK keeps conjugate
@@ -147,7 +147,8 @@ def _ray_extrema(R: RealLinearOperator, lines) -> list[list[tuple[float, float]]
     radii = pos[rows, cols]
     values = _values(mu[rows % lines.size], np.where(rows < lines.size, 1.0, -1.0) * radii).tolist()
     radii, ends = radii.tolist(), np.cumsum(np.bincount(rows)).tolist()
-    return [list(zip(radii[a:b], values[a:b])) + [(math.inf, 1.0)] for a, b in zip([0] + ends, ends)]
+    per_ray = [list(zip(radii[a:b], values[a:b])) + [(math.inf, 1.0)] for a, b in zip([0] + ends, ends)]
+    return [per_ray[k] for k in np.concatenate([inverse, inverse + lines.size]).tolist()]
 
 
 def ray_extrema(R: RealLinearOperator, theta: float) -> list[tuple[float, float]]:
@@ -190,16 +191,12 @@ def range_and_coverage(R: RealLinearOperator, n_rays: int = 128, *,
     """Estimate the range of the numerical function and its field-of-values coverage.
 
     The range is the union of exact per-ray ranges, so the only
-    discretization is the angle grid.  As in ``spectrum_sweep``, the
-    ``m = ceil(n_rays / 2)`` lines ``pi j / m`` are solved, each for its rays
-    ``pi j / m`` and ``pi j / m + pi``.  ``fov`` is read from ``coeff``, an
-    already extracted H, or else from ``coeff_matrix(R)``.
+    discretization is the angle grid of ``spectrum_sweep``: the lines ``pi j / m``,
+    ``m = ceil(n_rays / 2)``, each for its rays ``pi j / m`` and ``pi j / m + pi``.
+    ``fov`` is read from ``coeff``, an already extracted H, or else from ``coeff_matrix(R)``.
     """
-    if n_rays < 1:
-        raise ValidationError(f"n_rays must be >= 1, got {n_rays}")
-    m = (n_rays + 1) // 2
-    lines = [math.pi * j / m for j in range(m)]
-    thetas = lines + [th + math.pi for th in lines]
+    lines = _line_grid(n_rays)
+    thetas = np.concatenate([lines, lines + math.pi]).tolist()
     per_ray = _ray_extrema(R, lines)
 
     minima = tuple((theta, *min(ext, key=lambda t: t[1])) for theta, ext in zip(thetas, per_ray))
@@ -216,7 +213,7 @@ def range_and_coverage(R: RealLinearOperator, n_rays: int = 128, *,
         fov=fov,
         uncovered_low=max(0.0, lo - fov[0]),
         uncovered_high=max(0.0, fov[1] - hi),
-        n_rays=2 * m,
+        n_rays=2 * lines.size,
         max_critical_radius=rmax,
         ray_minima=minima,
     )

@@ -148,6 +148,8 @@ def _mat_from(d: dict, key_re: str, key_im: str, shape: tuple, what: str) -> np.
         raise ValidationError(
             f"{what}: {key_re}/{key_im} must have shape {shape}, got {re.shape} and {im.shape}"
         )
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValidationError(f"{what}: {key_re}/{key_im} must be finite, not NaN or infinity")
     return re + 1j * im
 
 

@@ -17,8 +17,8 @@ exact for ``M + E`` with ``||E|| = O(u ||R||)``, and Weyl's inequality gives
 ``sigma_min(realify(R - lam I)) <= |Im mu| + ||E||``, ``lam = Re(mu) e^{i theta}``.
 A hit with ``|Im mu| <= tol (||R|| + |mu|)`` thus has normwise backward
 error at most ``tol + O(u)``, with no determinant per hit and a test that
-scaling ``R`` leaves unchanged.  An antilinear operator (``C = 0``) has the
-matrix ``realify(R)`` on every line: its sweep solves one line for all.
+scaling ``R`` leaves unchanged.  Each distinct line is solved once, and an
+antilinear operator (``C = 0``), with ``realify(R)`` on every line, as one.
 The hit test, and the merge of hits within ``1e-9 (||R|| + |r|)`` of the one
 before them on their line (single linkage), is one pass over all lines.
 """
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import _line_eigvals
+from .charpoly import _line_eigvals, _line_grid
 from .errors import ValidationError
 from .operators import RealLinearOperator, apply, min_modulus, operator_norm, realify
 
@@ -121,30 +121,20 @@ def spectrum_sweep(
     performed on [0, pi) and negative radii are remapped to ``theta + pi``.
     Odd ray counts are rounded up to the next even number.  Explicit line
     angles can be passed via ``thetas`` (reduced mod pi), which overrides
-    ``n_rays``.  All lines are solved in batched, memory-bounded stacks;
-    ``||R||`` is one SVD per sweep.  The hit test and the merge of
-    ``ray_spectrum`` run once over the whole ``(lines, 2n)`` eigenvalue
-    array, so every line keeps the hits ``ray_spectrum`` returns for it.
+    ``n_rays``.  The lines are solved in batched, memory-bounded stacks, an
+    antilinear operator's as one; ``||R||`` is one SVD per sweep.  The hit
+    test and the merge of ``ray_spectrum`` run once over the whole
+    ``(lines, 2n)`` eigenvalue array, so every line keeps the hits
+    ``ray_spectrum`` returns for it.
     The merged cloud is sorted by (theta, r).
     """
-    if thetas is None:
-        if n_rays < 1:
-            raise ValidationError(f"n_rays must be >= 1, got {n_rays}")
-        m = (n_rays + 1) // 2
-        lines = [math.pi * j / m for j in range(m)]
-    else:
-        lines = sorted({float(t) % math.pi for t in np.atleast_1d(thetas)})
-        if not lines:
-            raise ValidationError("thetas must contain at least one angle")
+    lines = _line_grid(n_rays) if thetas is None else np.unique(np.asarray(thetas, dtype=float) % np.pi)
+    if not lines.size:
+        raise ValidationError("thetas must contain at least one angle")
 
     norm = operator_norm(R)
-    if not R.C.any():
-        # every line has the matrix realify(R), so the first line's solve serves all
-        eigs = np.broadcast_to(_line_eigvals(R, lines[:1]), (len(lines), 2 * R.n))
-    else:
-        eigs = _line_eigvals(R, lines)
-    line, r, res = _merged_hits(eigs, tol, norm)
-    th = np.array(lines)[line]
+    line, r, res = _merged_hits(_line_eigvals(R, lines), tol, norm)
+    th = lines[line]
     theta = np.where(r >= 0.0, th, th + math.pi)
     order = np.lexsort((np.abs(r), theta))
     points = map(SpectralPoint, theta[order].tolist(), np.abs(r)[order].tolist(),

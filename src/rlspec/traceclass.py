@@ -41,6 +41,7 @@ __all__ = [
     "DecaySpec",
     "SymbolSeries",
     "symbol_scale",
+    "tail_weight",
     "hankel_truncation",
     "disk_truncation",
     "charfun_eval",
@@ -74,9 +75,9 @@ class DecaySpec:
             if self.param is None or not 0.0 < self.param < 1.0:
                 raise ValidationError("geometric decay requires a ratio in (0, 1)")
         if self.tag == "polynomial":
-            if self.param is None or not self.param > 2.0:
+            if self.param is None or not 2.0 < self.param < math.inf:
                 raise ValidationError(
-                    "polynomial decay requires exponent > 2 for a trace-class tail"
+                    "polynomial decay requires a finite exponent > 2 for a trace-class tail"
                 )
 
 
@@ -101,8 +102,8 @@ class SymbolSeries:
             if self.coeffs is None:
                 raise ValidationError("circle-hankel symbol requires coefficients")
             a = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
-            if a.ndim != 1 or a.size < 1:
-                raise ValidationError("coefficients must form a nonempty one-dimensional sequence")
+            if a.ndim != 1 or a.size < 1 or not np.isfinite(a).all():
+                raise ValidationError("coefficients must be a finite, nonempty 1-D sequence")
             a.setflags(write=False)
             object.__setattr__(self, "coeffs", a)
         else:
@@ -288,6 +289,8 @@ def charfun_convergence(
     grid = np.atleast_1d(np.asarray(lambdas, dtype=complex))
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("lambda grid must be a nonempty one-dimensional array")
+    if lam_min is not None and not 0.0 <= lam_min < math.inf:
+        raise ValidationError(f"lam_min must be finite and >= 0, got {lam_min}")
     cutoff = lam_min if lam_min is not None else 0.1 * symbol_scale(sym)
     small = np.abs(grid) < cutoff
     if np.any(small):

@@ -103,8 +103,11 @@ def test_array_values_equal_point_values(make, n):
 
 
 def test_polar_grid_takes_one_solve_per_chunk(monkeypatch):
-    # 32,000 points at n = 1: stacks of 2**14 entries hold 4096 line matrices
+    # 32,000 distinct angles at n = 1: stacks of 2**14 entries hold 4096 line
+    # matrices.  A 500 x 64 polar grid solves each of its distinct angles once
     R = random_operator(np.random.default_rng(31), 1)
+    spread = np.linspace(0.5, 5.0, 32000) * np.exp(1j * np.linspace(-3.0, 3.0, 32000))
+    assert np.unique(np.angle(spread)).size == 32000
     lam = np.linspace(0.0, 5.0, 500)[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)
     real_eigvals = np.linalg.eigvals
     shapes = []
@@ -114,8 +117,12 @@ def test_polar_grid_takes_one_solve_per_chunk(monkeypatch):
         return real_eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
-    vals = numfun_eval(R, lam)
+    numfun_eval(R, spread)
     assert shapes == [(4096, 2, 2)] * 7 + [(32000 - 7 * 4096, 2, 2)]
+    shapes.clear()
+    vals = numfun_eval(R, lam)
+    assert [s[1:] for s in shapes] == [(2, 2)] * len(shapes)
+    assert sum(s[0] for s in shapes) == np.unique(np.angle(lam)).size < 1000
     eigs = np.linalg.eigvalsh(coeff_matrix(R).H)
     assert vals.shape == (500, 64)
     assert np.all((eigs[0] - 1e-10 <= vals) & (vals <= eigs[-1] + 1e-10))
@@ -454,9 +461,10 @@ def test_coverage_contains_origin_and_limit_values():
 
 def test_coverage_matches_dense_grid():
     # on the report's own rays, no grid value leaves range_est.  F is read
-    # from the operator on one grid array, one line solve a point; at n = 3
-    # also from H
-    for n, n_rays, r_max, n_radii in ((3, 96, 12.0, 300), (16, 32, 4.0, 24), (32, 32, 4.0, 12)):
+    # from the operator on one grid array, one line solve per distinct angle
+    # of its points; at n = 3 also from H
+    cells = ((3, 96, 12.0, 300), (16, 32, 4.0, 24), (32, 32, 4.0, 12), (64, 32, 4.0, 12))
+    for n, n_rays, r_max, n_radii in cells:
         R = random_operator(np.random.default_rng(9), n)
         H = coeff_matrix(R)
         rep = range_and_coverage(R, n_rays=n_rays, coeff=H)
@@ -488,6 +496,28 @@ def test_coverage_unitary_similarity_invariance(make, n):
         lam = r_s * np.exp(1j * th)
         den = sum(r_s ** (2 * j) for j in range(n + 1))
         assert abs(charpoly_eval(R, lam) / den - v) <= tol
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_antilinear_coverage_solves_one_line(monkeypatch, n):
+    # C = 0: every line has the matrix realify(R), so the 64 lines of the grid
+    # take one line solve and one pole-sum solve, and report what 64 would
+    R = random_antilinear(np.random.default_rng(50 + n), n)
+    cm = coeff_matrix(R)
+    lines = np.pi * np.arange(64) / 64
+    one_by_one = [_ray_extrema(R, [th]) for th in lines]
+    real_eigvals = np.linalg.eigvals
+    shapes = []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    rep = range_and_coverage(R, 128, coeff=cm)
+    assert shapes == [(1, 2 * n, 2 * n), (1, 4 * n - 2, 4 * n - 2)]
+    assert [ext[0] for ext in one_by_one] + [ext[1] for ext in one_by_one] == _ray_extrema(R, lines)
+    assert rep.n_rays == 128 and len(rep.ray_minima) == 128
 
 
 def test_coverage_rounds_odd_ray_counts_up():

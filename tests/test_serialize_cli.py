@@ -88,6 +88,14 @@ def test_coeff_json_round_trip():
         ser.coeff_from_dict(d)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_coeff_json_refuses_non_finite_entries(bad):
+    d = json.loads(ser.dump_json(ser.coeff_to_dict(coeff_matrix(eps_operator()))))
+    d["H_im"][1][0] = bad
+    with pytest.raises(ValidationError, match="H_re/H_im must be finite"):
+        ser.coeff_from_dict(d)
+
+
 def test_symbol_json_round_trip_both_kinds():
     s1 = SymbolSeries.circle_hankel([1.0, 0.5 + 0.1j], DecaySpec("geometric", 0.5))
     back = ser.symbol_from_dict(json.loads(ser.dump_json(ser.symbol_to_dict(s1))))
@@ -652,6 +660,50 @@ def test_cli_bad_option_value_exits_2_with_error_json(tmp_path, capsys, command,
     assert payload["type"] == "ValidationError"
     assert option in payload["error"]
     assert "error:" in captured.err
+
+
+def exits_2_with_validation_error(capsys, argv):
+    code = main([*argv, "--error-json"])
+    payload = json.loads(capsys.readouterr().out)
+    return code == 2 and payload["exit_code"] == 2 and payload["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["info", "charpoly", "spectrum", "numfun"])
+def test_cli_non_finite_operator_exits_2(tmp_path, capsys, command, literal):
+    # Python's json reads NaN and Infinity; the SVD of ||R|| used to fail on them (exit 3)
+    op = tmp_path / "op.json"
+    op.write_text(f'{{"n": 1, "C_re": [[0.5]], "C_im": [[0.0]], "B_re": [[{literal}]], "B_im": [[0.0]]}}')
+    assert exits_2_with_validation_error(capsys, [command, str(op)])
+
+
+def test_cli_non_finite_symbol_exits_2(tmp_path, capsys):
+    # a NaN coefficient used to give a table of 1.0
+    sym = tmp_path / "sym.json"
+    sym.write_text('{"kind": "circle-hankel", "coeffs_re": [0.5, NaN], "coeffs_im": [0.0, 0.0]}')
+    assert exits_2_with_validation_error(capsys, ["charfun", "--symbol", str(sym), "--nmax", "2"])
+
+
+@pytest.mark.parametrize("spec", ["0.5:inf:2:2", "nan:1:2:2", "0.5:nan:2:2"])
+def test_cli_non_finite_grid_exits_2(tmp_path, capsys, spec):
+    # an infinite radius used to write NaN rows
+    sym = write_symbol(tmp_path / "s.json", SymbolSeries.disk_monomial(1))
+    assert exits_2_with_validation_error(capsys, ["charfun", "--symbol", sym, "--nmax", "2", "--grid", spec])
+
+
+@pytest.mark.parametrize("tol", ["inf", "1", "1.5", "nan"])
+def test_cli_spectrum_tol_of_1_or_more_exits_2(tmp_path, capsys, tol):
+    # the residual is below 1, so a tol of 1 or more kept every eigenvalue
+    op = write_operator(tmp_path / "r.json", random_operator(np.random.default_rng(3), 3))
+    assert exits_2_with_validation_error(capsys, ["spectrum", op, "--tol", tol])
+
+
+@pytest.mark.parametrize("lam_min", ["nan", "inf", "-0.5"])
+def test_cli_charfun_lam_min_must_be_finite_and_nonnegative(tmp_path, capsys, lam_min):
+    # a NaN cutoff used to turn off the near-origin refusal
+    sym = write_symbol(tmp_path / "s.json", SymbolSeries.disk_monomial(1))
+    argv = ["charfun", "--symbol", sym, "--nmax", "2", "--grid", "0.01:1:2:2", "--lam-min", lam_min]
+    assert exits_2_with_validation_error(capsys, argv)
 
 
 def test_cli_info_refuses_the_retired_pd_threshold(tmp_path, capsys):

@@ -218,6 +218,30 @@ def test_line_matrices_do_not_depend_on_the_stack_size(n, antilinear):
         assert spectrum_mod._line_eigvals(R, lines).tobytes() == one_by_one.tobytes(), seed
 
 
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("antilinear", [False, True])
+def test_line_kernel_solves_each_distinct_line_once(monkeypatch, n, antilinear):
+    # repeated angles, and any angles of an antilinear operator, give the rows
+    # of line-by-line solves bitwise; only the distinct lines are solved, and
+    # an antilinear operator has one
+    make = random_antilinear if antilinear else random_operator
+    lines = np.array([0.3, 2.0, 0.3, -1.0, 2.0, 0.0, -1.0, 0.3, 3.1])
+    real_eigvals = np.linalg.eigvals
+    solved = []
+
+    def counting(a):
+        solved.append(np.shape(a)[0])
+        return real_eigvals(a)
+
+    ops = [make(np.random.default_rng(seed), n) for seed in range(5)]
+    refs = [np.concatenate([spectrum_mod._line_eigvals(R, [th]) for th in lines]) for R in ops]
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    for seed, (R, one_by_one) in enumerate(zip(ops, refs)):
+        solved.clear()
+        assert spectrum_mod._line_eigvals(R, lines).tobytes() == one_by_one.tobytes(), seed
+        assert solved == [1 if antilinear else np.unique(lines).size]
+
+
 @pytest.mark.parametrize("n", [1, 2, 4, 16])
 @pytest.mark.parametrize("antilinear", [False, True])
 def test_sweep_rows_equal_ray_spectrum(n, antilinear):

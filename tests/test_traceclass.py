@@ -1,5 +1,6 @@
 """Symbol truncations, characteristic function limits, determinant continuity."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -80,6 +81,17 @@ def test_symbol_validation():
         DecaySpec("geometric", 1.5)
     with pytest.raises(ValidationError):
         DecaySpec("polynomial", 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_symbol_rejects_non_finite_values(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        SymbolSeries.circle_hankel([0.5, bad])
+    with pytest.raises(ValidationError, match="finite"):
+        SymbolSeries.circle_hankel([0.5, 1j * bad])
+    for tag in ("geometric", "polynomial"):
+        with pytest.raises(ValidationError):
+            DecaySpec(tag, bad)
 
 
 def test_tail_weight_bounds_trace_norm_differences():
