@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import NotPositiveDefinite, NumericalFailure, ValidationError
 from .operators import RealLinearOperator, _real_block, complexify, operator_norm, realify
@@ -103,7 +104,7 @@ def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
     """Eigenvalues ``mu_k`` of ``realify(rotate(R, theta))``, one row per line angle.
 
     The ray kernel of sweeps, numerical-function rays and the real-axis
-    certificate (line 0 is ``realify(R)``): for real t,
+    certificate (line 0 is ``realify(R)`` to the bit): for real t,
     ``det(realify(R - t e^{i theta} I)) = prod_k (mu_k - t)``.  A line matrix
     is ``cos(theta) K - sin(theta) L + M``, with K, L and M the real forms of
     ``C z``, ``i C z`` and ``B conj(z)``; real arithmetic rounds it alike in a
@@ -115,14 +116,34 @@ def _line_eigvals(R: RealLinearOperator, lines) -> np.ndarray:
     return _stacked_eigvals(lambda p: ph[p].real * K + ph[p].imag * L + M, keys, 2 * R.n)[inverse]
 
 
+def _values(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``F = prod_k (mu[i, k] - t[i]) / sum_j t[i]**(2j)`` on line i; ``F = p(0, 0)`` at t = 0.
+
+    Log domain: ``log D = log sum_j u**j + 2n log max(|t|, 1)``, ``u = min(|t|, 1/|t|)**2``;
+    signed by the exactly real mu.  A value beyond double range raises ``NumericalFailure``.
+    """
+    n = mu.shape[1] // 2
+    diff = mu - t[:, None]
+    with np.errstate(divide="ignore"):
+        logf = np.sum(np.log(np.abs(diff)), axis=1)
+    a = np.abs(t)
+    logf -= np.log(npoly.polyval(np.minimum(a, 1.0 / np.maximum(a, 1.0)) ** 2, np.ones(n + 1)))
+    logf -= 2 * n * np.log(np.maximum(a, 1.0))
+    if not np.all(logf < _LOG_MAX):
+        raise NumericalFailure(f"a numerical function value overflows double range (n={n})")
+    return np.prod(np.where(mu.imag == 0.0, np.sign(diff.real), 1.0), axis=1) * np.exp(logf)
+
+
 def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:
     """Evaluate the characteristic polynomial at ``lam``.
 
-    Computed as ``det(realify(R - lam I))``, the determinant of a real
-    2n x 2n matrix similar to the shifted complexification, so the value is
-    exactly real; a singular matrix gives exactly 0.0.
+    Computed as ``det(realify(R - lam I))``, the determinant of a real 2n x 2n
+    matrix similar to the shifted complexification, so the value is exactly
+    real (0.0 if singular); a value beyond double range raises ``NumericalFailure``.
     """
     sign, logabs = _real_slogdets(R, [lam])
+    if logabs[0] >= _LOG_MAX:
+        raise NumericalFailure(f"p(lam) overflows double range at lam={complex(lam):.4g} (n={R.n})")
     return float(sign[0] * np.exp(logabs[0]))
 
 
@@ -147,6 +168,11 @@ class CoeffMatrix:
             raise ValidationError(
                 f"coefficient matrix must be {(self.n + 1, self.n + 1)}, got {H.shape}"
             )
+        if not np.isfinite(H).all():
+            raise ValidationError("coefficient matrix has non-finite entries")
+        for name, value in (("norm", self.norm), ("asymmetry", self.asymmetry)):
+            if not 0.0 <= value < np.inf:
+                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
         H = H.copy()
         H.setflags(write=False)
         object.__setattr__(self, "H", H)
@@ -442,10 +468,10 @@ class EmptinessCertificates:
     """Outcome of the two spectrum emptiness/nonemptiness criteria.
 
     ``pd_certificate`` is a Cholesky sum of squares proving the spectrum
-    empty; ``real_axis_zero`` is the smallest nonnegative real root r of
-    ``p(r, r) = 0``, a spectral point proving the spectrum nonempty.  Both
-    may be absent: the criteria are one-sided.  ``g_min_eigenvalue`` and
-    ``eps_g``, relative to ``max|G|``, are the smallest eigenvalue of G behind
+    empty; ``real_axis_zero``, the smallest exactly real eigenvalue r >= 0 of
+    ``realify(R)``, is a spectral point proving it nonempty, and ``det_complexification``
+    is ``p(0, 0)`` from the same eigenvalues.  The criteria are one-sided.  ``g_min_eigenvalue``
+    and ``eps_g``, relative to ``max|G|``, are the smallest eigenvalue of G behind
     the PD test and its error bound; ``h_eigenvalues`` is the spectrum of H.
     """
 
@@ -478,38 +504,22 @@ def emptiness_certificates(
 
     The PD test, shared with :func:`cholesky_sos`, runs on the scale-free torus matrix
     G against its error bound ``eps_g``; its Cholesky sum of squares proves the spectrum empty.
-    The real-axis test reads the sign of ``p(0, 0) = det(realify(R))`` from
-    ``slogdet``, so an underflowing determinant keeps its sign.  Sign 0 makes
-    0 a spectral point.  A negative sign means ``f(r) = p(r, r)`` starts
-    negative and grows like ``r**(2n)``, so it has a positive root.  Since
-    ``p(r, r) = det(realify(R) - r I)``, those roots are the real eigenvalues
-    of ``realify(R)`` (line 0 of the ray kernel), and the smallest
-    nonnegative exactly real one is reported.  Roundoff can split a root
-    into a complex pair: then the smallest ``Re mu >= 0`` among the
-    eigenvalues that pass the sweep's hit test,
-    ``|Im mu| <= 1e-8 (||R|| + |mu|)``, is reported, and if none passes the
-    real-axis test is inconclusive.
+    The real-axis test is one eigen solve of ``realify(R)``, line 0 of the ray
+    kernel: ``p(r, r) = det(realify(R) - r I)``, so its smallest exactly real
+    eigenvalue ``r >= 0`` is reported, an exact eigenvalue of ``realify(R) + E``
+    with ``||E|| = O(u ||R||)``.  ``det_complexification``, ``p(0, 0)``, is the
+    product of the same eigenvalues; an even number of them is exactly real, so
+    a negative determinant always comes with a zero.
     ``coeff`` supplies an already extracted H (for example ``mode="exact"``).
     """
     cm = coeff if coeff is not None else coeff_matrix(R)
-    sign0, logabs0 = np.linalg.slogdet(realify(R))
     g_min, eps_g, pd_cert = _pd_test(cm)
-
-    zero = None
-    if sign0 == 0.0:
-        zero = 0.0
-    elif sign0 < 0.0:
-        ev = _line_eigvals(R, [0.0])[0]
-        roots = ev.real[(ev.imag == 0.0) & (ev.real >= 0.0)]
-        if roots.size == 0:
-            roots = ev.real[(np.abs(ev.imag) <= 1e-8 * (cm.norm + np.abs(ev))) & (ev.real >= 0.0)]
-        if roots.size:
-            zero = float(roots.min())
-
+    ev = np.linalg.eigvals(realify(R))
+    roots = ev.real[(ev.imag == 0.0) & (ev.real >= 0.0)]
     return EmptinessCertificates(
         pd_certificate=pd_cert,
-        real_axis_zero=zero,
-        det_complexification=float(sign0 * np.exp(logabs0)),
+        real_axis_zero=float(roots.min()) if roots.size else None,
+        det_complexification=float(_values(ev[None], np.zeros(1))[0]),
         h_eigenvalues=tuple(np.linalg.eigvalsh(cm.H).tolist()),
         g_min_eigenvalue=g_min,
         eps_g=eps_g,

@@ -4,7 +4,7 @@ Dividing ``p(lam, conj(lam))`` by ``sum_j |lam|**(2j)`` yields a bounded
 real function whose values are convex combinations of the eigenvalues of
 the coefficient matrix H, hence contained in the field of values
 ``[min eig H, max eig H]``.  It vanishes exactly on the spectrum, equals
-``det`` of the complexification at the origin, and tends to 1 at infinity.
+``det_complexification`` of the certificates at the origin, bit for bit, and tends to 1 at infinity.
 
 Values, ray extrema and ranges come from the operator, not from H, whose
 entries are accurate only relative to the largest one: on the line at angle
@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .charpoly import CoeffMatrix, SosDecomposition, _distinct_lines, _line_eigvals, _line_grid
-from .charpoly import _stacked_eigvals, charpoly_eval, coeff_matrix, sos_decompose
-from .errors import NumericalFailure, ValidationError
+from .charpoly import _stacked_eigvals, _values, coeff_matrix, sos_decompose
+from .errors import ValidationError
 from .operators import RealLinearOperator, operator_norm
 
 __all__ = [
@@ -65,21 +64,6 @@ def convex_weights(H, lam: complex, sos: SosDecomposition | None = None) -> np.n
     v = np.asarray(lam, dtype=complex) ** np.arange(sos.U.shape[1])
     sq = np.abs(sos.U @ v) ** 2
     return sq / np.sum(sq)
-
-
-def _values(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # F = prod_k (mu[i, k] - t[i]) / sum_j t[i]**(2j) in the log domain, signed by
-    # the real mu; log D = log sum_j u**j + 2n log max(|t|, 1), u = min(|t|, 1/|t|)**2
-    n = mu.shape[1] // 2
-    diff = mu - t[:, None]
-    with np.errstate(divide="ignore"):
-        logf = np.sum(np.log(np.abs(diff)), axis=1)
-    a = np.abs(t)
-    logf -= np.log(npoly.polyval(np.minimum(a, 1.0 / np.maximum(a, 1.0)) ** 2, np.ones(n + 1)))
-    logf -= 2 * n * np.log(np.maximum(a, 1.0))
-    if not np.all(logf < np.log(np.finfo(float).max)):
-        raise NumericalFailure(f"a numerical function value overflows double range (n={n})")
-    return np.prod(np.where(mu.imag == 0.0, np.sign(diff.real), 1.0), axis=1) * np.exp(logf)
 
 
 def _ray_extrema(R: RealLinearOperator, lines) -> list[list[tuple[float, float]]]:
@@ -194,6 +178,7 @@ def range_and_coverage(R: RealLinearOperator, n_rays: int = 128, *,
     discretization is the angle grid of ``spectrum_sweep``: the lines ``pi j / m``,
     ``m = ceil(n_rays / 2)``, each for its rays ``pi j / m`` and ``pi j / m + pi``.
     ``fov`` is read from ``coeff``, an already extracted H, or else from ``coeff_matrix(R)``.
+    ``f0`` is the r = 0 entry that starts ray 0, which lies on line 0: no further solve.
     """
     lines = _line_grid(n_rays)
     thetas = np.concatenate([lines, lines + math.pi]).tolist()
@@ -207,7 +192,7 @@ def range_and_coverage(R: RealLinearOperator, n_rays: int = 128, *,
     eigs = np.linalg.eigvalsh((coeff if coeff is not None else coeff_matrix(R)).H)
     fov = (float(eigs[0]), float(eigs[-1]))
     return NumFunReport(
-        f0=charpoly_eval(R, 0.0),
+        f0=per_ray[0][0][1],
         f_inf=1.0,
         range_est=(lo, hi),
         fov=fov,

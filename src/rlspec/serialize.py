@@ -195,11 +195,11 @@ def coeff_from_dict(d: dict) -> CoeffMatrix:
     if not isinstance(d, dict):
         raise ValidationError("coefficient JSON must be an object")
     try:
-        n, norm = int(d["n"]), float(d["norm"])
+        n, norm, asymmetry = int(d["n"]), float(d["norm"]), float(d.get("asymmetry", 0.0))
     except (KeyError, TypeError, ValueError):
-        raise ValidationError("coefficient JSON: field 'n' must be an integer and 'norm' a number")
+        raise ValidationError("coefficient JSON: 'n' must be an integer, 'norm' and 'asymmetry' numbers")
     H = _mat_from(d, "H_re", "H_im", (n + 1, n + 1), "coefficient JSON")
-    return CoeffMatrix(n=n, H=H, norm=norm, asymmetry=float(d.get("asymmetry", 0.0)))
+    return CoeffMatrix(n=n, H=H, norm=norm, asymmetry=asymmetry)
 
 
 def sos_to_dict(sos: SosDecomposition) -> dict:

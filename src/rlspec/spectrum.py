@@ -80,6 +80,8 @@ class SpectrumCloud:
 def _merged_hits(eigs: np.ndarray, tol: float, norm: float):
     # (line, r, res) of the hits of every row, merged as ray_spectrum says and
     # sorted by (line, r); the test is a product, so the zero operator keeps its zeros
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"tol must lie in (0, 1), got {tol!r}")
     scale = norm + np.abs(eigs)
     keep = np.abs(eigs.imag) <= tol * scale
     defect = np.abs(eigs.imag) / np.where(scale > 0.0, scale, 1.0)
@@ -96,8 +98,8 @@ def ray_spectrum(R: RealLinearOperator, theta: float, tol: float = 1e-8) -> list
     """Spectral radii (signed) on the line through the origin at angle ``theta``.
 
     Solves the eigenproblem of the real 2n x 2n matrix of the rotated
-    operator and keeps eigenvalues ``mu`` with ``|Im mu| <= tol (||R|| + |mu|)``
-    (module docstring).  A returned pair ``(r, res)`` is the point
+    operator and keeps eigenvalues ``mu`` with ``|Im mu| <= tol (||R|| + |mu|)``,
+    ``0 < tol < 1`` (module docstring).  A returned pair ``(r, res)`` is the point
     ``r * exp(i theta)`` (negative r lands on the opposite ray at
     ``theta + pi``) with ``res = |Im mu| / (||R|| + |mu|)``.  By r, a hit within
     ``1e-9 (||R|| + |r|)`` of the one before it joins its cluster (single linkage),

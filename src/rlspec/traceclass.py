@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charpoly import _real_slogdets
-from .errors import ValidationError
+from .charpoly import _LOG_MAX, _real_slogdets
+from .errors import NumericalFailure, ValidationError
 from .operators import RealLinearOperator
 
 __all__ = [
@@ -227,13 +227,16 @@ def charfun_eval(R: RealLinearOperator, lam: complex) -> float:
     Equals ``det[I - (1/r)(e^{-i theta} C + A)]`` of the complexification at
     ``lam = r e^{i theta}``; computed through the log-determinant of the
     exactly real ``realify(R - lam I)``, so very large truncations neither
-    overflow nor underflow.  Not defined at 0.
+    overflow nor underflow; beyond double range, ``NumericalFailure``.  Not defined at 0.
     """
     lam = complex(lam)
     if lam == 0:
         raise ValidationError("the characteristic function is defined on the punctured plane only")
     sign, logabs = _real_slogdets(R, [lam])
-    return float(sign[0] * np.exp(logabs[0] - 2 * R.n * math.log(abs(lam))))
+    logf = logabs[0] - 2 * R.n * math.log(abs(lam))
+    if logf >= _LOG_MAX:
+        raise NumericalFailure(f"the characteristic function overflows at lam={lam:.4g}")
+    return float(sign[0] * np.exp(logf))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,8 @@ change when R is scaled (``spec(sR) = s spec(R)``), against the entrywise
 error bound ``eps_g = asymmetry + (n+1) u`` (relative to ``max|G|``).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -232,13 +234,59 @@ def test_real_axis_certificate_never_raises_on_odd_skew(n):
 
 
 def test_real_axis_certificate_reads_the_sign_of_an_underflowing_determinant():
-    # det(realify(R)) is e**-1034 > 0 and underflows to 0.0; 0 is no spectral
-    # point (the smallest |eig realify(R)| is 5e-5), so no real-axis zero
+    # det(realify(R)) is e**-1034 > 0 and underflows to 0.0 without a warning.
+    # 0 is no spectral point (the smallest |eig realify(R)| is 5e-5), but
+    # realify(R) has the exactly real eigenvalue r = 1.17e-4, with
+    # sigma_min(realify(R) - r I) / (||R|| + r) = 2.6e-18: that root is the zero
     R = random_operator(np.random.default_rng(3), 64)
     R = RealLinearOperator(1e-3 * R.C / operator_norm(R), 1e-3 * R.B / operator_norm(R))
     sign, logabs = np.linalg.slogdet(realify(R))
     assert sign == 1.0 and logabs < -1000
-    cert = emptiness_certificates(R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = emptiness_certificates(R)
     assert cert.det_complexification == 0.0
-    assert cert.real_axis_zero is None
-    assert cert.verdict != "empty"
+    assert cert.real_axis_zero == pytest.approx(1.168e-4, rel=1e-3)
+    assert_real_axis_zero_is_spectral(R, cert)
+    assert cert.verdict == "nonempty"
+
+
+def backward_error(R, r):
+    """``sigma_min(realify(R) - r I) / (||R|| + r)`` of a real-axis zero r."""
+    A = realify(R) - r * np.eye(2 * R.n)
+    return np.linalg.svd(A, compute_uv=False)[-1] / (operator_norm(R) + r)
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_real_axis_zeros_are_sound_at_every_scale(s):
+    # No zero comes with an empty verdict, and each zero is an exact
+    # eigenvalue of a nearby realify(R): backward error O(u), at any norm
+    ops = [*skew_family(), *(RealLinearOperator(t * C0, B)
+                             for C0, B in path_operators() for t in np.linspace(0.0, 3.0, 7))]
+    zeros = 0
+    for R in ops:
+        Rs = scaled(R, s)
+        cert = emptiness_certificates(Rs)
+        if cert.real_axis_zero is None:
+            continue
+        zeros += 1
+        assert cert.pd_certificate is None, (R.n, s)
+        assert backward_error(Rs, cert.real_axis_zero) <= 1e-14, (R.n, s)
+    assert zeros >= 20
+
+
+def test_negative_determinant_comes_with_a_zero():
+    # an even number of eigenvalues of realify(R) is exactly real, so when their
+    # product p(0, 0) is negative, one of them is >= 0
+    rng = np.random.default_rng(31)
+    ops = [scaled(random_operator(rng, n), norm) for n in range(1, 9) for norm in NORMS
+           for _ in range(4)]
+    ops += [odd_skew(n, seed, norm) for n in (3, 5, 7) for seed in range(10) for norm in NORMS]
+    negative = 0
+    for R in ops:
+        cert = emptiness_certificates(R)
+        if cert.det_complexification < 0.0:
+            negative += 1
+            assert cert.real_axis_zero is not None
+            assert backward_error(R, cert.real_axis_zero) <= 1e-14
+    assert negative >= 20

@@ -8,9 +8,11 @@ import pytest
 
 from randops import crandn, random_operator
 from rlspec import (
+    CoeffMatrix,
     NotPositiveDefinite,
     NumericalFailure,
     RealLinearOperator,
+    ValidationError,
     adjoint,
     charpoly_eval,
     cholesky_sos,
@@ -591,28 +593,65 @@ def test_real_axis_zero_is_the_smallest_nonnegative_root():
     assert cert.real_axis_zero == pytest.approx(1.0, rel=1e-14)
 
 
-def test_certificates_report_missing_real_eigenvalue(monkeypatch):
-    # det0 < 0 forces a nonnegative real root; if the eigen solve returns none
-    # that passes the sweep's hit test (the eigenvalues +-i of
-    # [[0, -1], [1, 0]] in place of line 0 of the ray kernel), the real-axis
-    # test is inconclusive rather than a failure
-    monkeypatch.setattr(charpoly_module, "_line_eigvals", lambda R, lines: np.array([[1j, -1j]]))
-    cert = emptiness_certificates(conjugation(1))
-    assert cert.det_complexification == pytest.approx(-1.0)
+def test_certificates_take_no_zero_from_a_near_real_pair(monkeypatch):
+    # only exactly real eigenvalues of realify(R) are zeros: a pair split off
+    # the real axis, even by 1e-12, gives none, and negative ones are skipped
+    # (these eigenvalues stand in for those of realify(conjugation(2)))
+    R = conjugation(2)
+    cm = coeff_matrix(R)
+    eigs = np.array([-0.25, -0.5, 1.5 + 1e-12j, 1.5 - 1e-12j])
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigs)
+    cert = emptiness_certificates(R, coeff=cm)
     assert cert.real_axis_zero is None
+    assert cert.det_complexification == pytest.approx(0.25 * 0.5 * 1.5**2, rel=1e-14)
     assert cert.verdict == "inconclusive"
 
 
-def test_certificates_fall_back_to_the_hit_test(monkeypatch):
-    # a real root split by roundoff into a near-real pair is read off the
-    # pair's real part when no eigenvalue is exactly real; a negative real
-    # part and a pair off the hit test are skipped
-    eigs = np.array([[-0.25 + 1e-12j, -0.25 - 1e-12j, 3.0 + 1e-3j, 3.0 - 1e-3j,
-                      1.5 + 1e-9j, 1.5 - 1e-9j]])
-    monkeypatch.setattr(charpoly_module, "_line_eigvals", lambda R, lines: eigs)
-    cert = emptiness_certificates(conjugation(1))
-    assert cert.real_axis_zero == 1.5
+def test_certificates_read_an_exactly_zero_eigenvalue(monkeypatch):
+    # an exactly zero eigenvalue is the smallest zero and makes p(0, 0) exactly 0
+    R = conjugation(2)
+    cm = coeff_matrix(R)
+    eigs = np.array([2.0, 0.0, 0.5 + 1e-3j, 0.5 - 1e-3j])
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigs)
+    cert = emptiness_certificates(R, coeff=cm)
+    assert cert.real_axis_zero == 0.0
+    assert cert.det_complexification == 0.0
     assert cert.verdict == "nonempty"
+
+
+def test_real_axis_certificate_solves_line_0_of_the_ray_kernel():
+    # the certificate solves realify(R) directly; the ray kernel's line 0 is
+    # the same matrix to the bit, so both give the same eigenvalues
+    rng = np.random.default_rng(32)
+    for n in range(1, 9):
+        for _ in range(3):
+            R = random_operator(rng, n)
+            for C, B in ((R.C, R.B), (R.C.real, R.B.real), (0 * R.C, R.B), (R.C, 0 * R.B)):
+                Rk = RealLinearOperator(C, B)
+                line0 = charpoly_module._line_eigvals(Rk, [0.0])[0]
+                assert np.array_equal(np.linalg.eigvals(realify(Rk)), line0), n
+
+
+def test_coeff_matrix_refuses_bad_fields():
+    H = np.eye(2)
+    for bad in (np.nan, np.inf, -2.0):
+        with pytest.raises(ValidationError, match="norm"):
+            CoeffMatrix(n=1, H=H, norm=bad, asymmetry=0.0)
+        with pytest.raises(ValidationError, match="asymmetry"):
+            CoeffMatrix(n=1, H=H, norm=1.0, asymmetry=bad)
+    with pytest.raises(ValidationError, match="non-finite"):
+        CoeffMatrix(n=1, H=[[1.0, np.nan], [np.nan, 1.0]], norm=1.0, asymmetry=0.0)
+    # zero is allowed: the zero operator has norm 0, an exact H asymmetry 0
+    assert CoeffMatrix(n=1, H=H, norm=0.0, asymmetry=0.0).norm == 0.0
+
+
+def test_charpoly_eval_overflow_is_a_typed_failure():
+    R = random_operator(np.random.default_rng(0), 64)
+    R = RealLinearOperator(1e3 * R.C / operator_norm(R), 1e3 * R.B / operator_norm(R))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="overflows"):
+            charpoly_eval(R, 1e3)
 
 
 # -------------------------------------------------------------------- adjoint

@@ -14,6 +14,7 @@ from rlspec import (
     coeff_poly_eval,
     conjugation,
     convex_weights,
+    emptiness_certificates,
     identity,
     numfun_eval,
     operator_norm,
@@ -157,6 +158,20 @@ def test_rotation_consistency():
             assert abs(numfun_eval(R, r * np.exp(1j * th)) - numfun_eval(rotate(R, th), r)) < 1e-10
 
 
+def test_p00_is_one_value():
+    # p(0, 0) has one value: the certificate's det_complexification, F(0) and
+    # the report's f0 all read the product form of the eigenvalues of realify(R)
+    rng = np.random.default_rng(35)
+    for n in range(1, 9):
+        for make in (random_operator, random_antilinear):
+            for norm in (1e-3, 1.0, 1e3):
+                R = make(rng, n, norm)
+                cm = coeff_matrix(R)
+                det = emptiness_certificates(R, coeff=cm).det_complexification
+                f0 = range_and_coverage(R, 8, coeff=cm).f0
+                assert det == numfun_eval(R, 0.0) == f0, (n, norm)
+
+
 # ------------------------------------------------------------- convex weights
 
 def test_weights_concentrate_at_origin_for_diagonal():
@@ -185,6 +200,14 @@ def test_weights_uniform_on_unit_circle_for_eps():
     assert w[k_neg] == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert float(np.sum(w[np.abs(sos.d - 1.0) < 1e-9])) == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert float(np.dot(sos.d, w)) == pytest.approx((2 - 2 * eps) / 3.0, abs=1e-10)
+
+
+def test_weights_without_sos_decompose_h_themselves():
+    rng = np.random.default_rng(34)
+    for n in (1, 3, 5):
+        H = coeff_matrix(random_operator(rng, n))
+        lam = complex(crandn(rng))
+        assert np.array_equal(convex_weights(H, lam), convex_weights(H, lam, sos_decompose(H)))
 
 
 def test_weights_form_convex_combination():

@@ -96,6 +96,18 @@ def test_coeff_json_refuses_non_finite_entries(bad):
         ser.coeff_from_dict(d)
 
 
+@pytest.mark.parametrize("field, value", [("norm", float("nan")), ("norm", -2.0), ("asymmetry", -1.0),
+                                          ("asymmetry", "x")])
+def test_coeff_json_refuses_bad_norm_and_asymmetry(field, value):
+    # these used to load (a text asymmetry raised a raw ValueError), and
+    # certificates then raised a raw LinAlgError or, with a negative
+    # asymmetry, trusted any G
+    d = json.loads(ser.dump_json(ser.coeff_to_dict(coeff_matrix(eps_operator()))))
+    d[field] = value
+    with pytest.raises(ValidationError, match=field):
+        ser.coeff_from_dict(d)
+
+
 def test_symbol_json_round_trip_both_kinds():
     s1 = SymbolSeries.circle_hankel([1.0, 0.5 + 0.1j], DecaySpec("geometric", 0.5))
     back = ser.symbol_from_dict(json.loads(ser.dump_json(ser.symbol_to_dict(s1))))
@@ -404,8 +416,8 @@ def record_linalg(monkeypatch):
 
 def test_cli_charpoly_and_info_lapack_work_is_pinned(tmp_path, capsys, monkeypatch):
     # The LAPACK calls of `charpoly --out --sos` and `info --json` at n = 4, in
-    # order; glue around them may change, these may not.  det(realify(R)) < 0
-    # here, so `info` also solves line 0 of the ray kernel.
+    # order; glue around them may change, these may not.  `info` solves
+    # realify(R) once, for the real-axis zero and the determinant alike.
     R = random_operator(np.random.default_rng(2), 4)
     op = write_operator(tmp_path / "r.json", R)
     extract = [("svd", 1, 8, 8), ("solve", 5, 4, 4), ("eigvals", 5, 4, 4), ("det", 5, 4, 4),
@@ -416,7 +428,7 @@ def test_cli_charpoly_and_info_lapack_work_is_pinned(tmp_path, capsys, monkeypat
     assert calls == extract + [("eigh", 1, 5, 5)]
     calls.clear()
     assert main(["info", op, "--json"]) == 0
-    assert calls == extract + [("slogdet", 1, 8, 8), ("eigvalsh", 1, 5, 5), ("eigvals", 1, 8, 8),
+    assert calls == extract + [("eigvalsh", 1, 5, 5), ("eigvals", 1, 8, 8),
                                ("eigvalsh", 1, 5, 5), ("svd", 1, 4, 4), ("svd", 1, 4, 4)]
     assert json.loads(capsys.readouterr().out)["real_axis_zero"] is not None
 
@@ -427,6 +439,14 @@ def test_cli_info_identity(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["det_complexification"] == pytest.approx(1.0)
     assert payload["h_eigenvalues"] == pytest.approx([0.0, 2.0], abs=1e-9)
+
+
+def test_cli_info_text_prints_the_real_axis_point(tmp_path, capsys):
+    op = write_operator(tmp_path / "tau.json", conjugation(1))
+    assert main(["info", op]) == 0
+    out = capsys.readouterr().out
+    assert "real-axis spectral point found" in out
+    assert "real-axis spectral point: r = 1\n" in out
 
 
 def test_cli_info_skew_positive_definite(tmp_path, capsys):
@@ -614,6 +634,13 @@ def test_cli_charfun_rank_one_constant_columns(tmp_path):
         assert max(vals) - min(vals) < 1e-13
 
 
+def test_cli_charfun_sizes_double_up_to_nmax(tmp_path, capsys):
+    sym = write_symbol(tmp_path / "sym.json", SymbolSeries.disk_monomial(1))
+    assert main(["charfun", "--symbol", sym, "--nmax", "6"]) == 0
+    assert capsys.readouterr().out.split("\n")[0] == "lambda_re,lambda_im,n1,n2,n4,n6"
+    assert exits_2_with_validation_error(capsys, ["charfun", "--symbol", sym, "--nmax", "0"])
+
+
 def test_cli_phi_alias(tmp_path):
     coeffs = np.zeros(20)
     coeffs[0] = 0.5
@@ -626,6 +653,14 @@ def test_cli_phi_alias(tmp_path):
 def test_cli_missing_file_exits_2(capsys):
     assert main(["info", "/nonexistent/op.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_out_into_a_missing_directory_exits_2(tmp_path, capsys):
+    op = write_operator(tmp_path / "tau.json", conjugation(1))
+    code = main(["charpoly", op, "--out", str(tmp_path / "missing" / "H.json"), "--error-json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2 and payload["exit_code"] == 2
+    assert payload["type"] == "FileNotFoundError"
 
 
 def test_cli_bad_json_exits_2(tmp_path, capsys):
@@ -689,6 +724,17 @@ def test_cli_non_finite_grid_exits_2(tmp_path, capsys, spec):
     # an infinite radius used to write NaN rows
     sym = write_symbol(tmp_path / "s.json", SymbolSeries.disk_monomial(1))
     assert exits_2_with_validation_error(capsys, ["charfun", "--symbol", sym, "--nmax", "2", "--grid", spec])
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "0.5"])
+def test_cli_spectrum_tol_reaches_the_sweep(tmp_path, capsys, tol):
+    op = write_operator(tmp_path / "r.json", random_operator(np.random.default_rng(3), 3))
+    R = ser.load_operator(op)
+    assert main(["spectrum", op, "--tol", tol]) == 0
+    out = capsys.readouterr().out
+    assert out == ser.spectrum_csv(spectrum_sweep(R, 64, tol=float(tol)))
+    # a loose tol keeps near-real eigenvalues the default refuses
+    assert (out == ser.spectrum_csv(spectrum_sweep(R, 64))) == (tol == "1e-6")
 
 
 @pytest.mark.parametrize("tol", ["inf", "1", "1.5", "nan"])

@@ -218,6 +218,18 @@ def test_line_matrices_do_not_depend_on_the_stack_size(n, antilinear):
         assert spectrum_mod._line_eigvals(R, lines).tobytes() == one_by_one.tobytes(), seed
 
 
+def test_sweep_and_ray_spectrum_refuse_a_tol_outside_0_1():
+    # every residual is below 1, so tol >= 1 keeps every line eigenvalue, and a
+    # NaN keeps none; both share the hit test that refuses them
+    R = random_operator(np.random.default_rng(3), 3)
+    for tol in (0.0, -1e-8, 1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="tol"):
+            spectrum_sweep(R, 64, tol=tol)
+        with pytest.raises(ValidationError, match="tol"):
+            ray_spectrum(R, 0.3, tol=tol)
+    assert len(spectrum_sweep(R, 64, tol=0.5).points) >= len(spectrum_sweep(R, 64).points) > 0
+
+
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("antilinear", [False, True])
 def test_line_kernel_solves_each_distinct_line_once(monkeypatch, n, antilinear):

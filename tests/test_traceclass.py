@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from randops import crandn
+from randops import crandn, random_operator
 from rlspec import (
     CharFunTable,
     DecaySpec,
+    NumericalFailure,
     RealLinearOperator,
     SymbolSeries,
     ValidationError,
@@ -22,7 +23,9 @@ from rlspec import (
     conjugation,
     det_continuity_check,
     disk_truncation,
+    emptiness_certificates,
     hankel_truncation,
+    operator_norm,
     ray_spectrum,
     spectrum_sweep,
     symbol_scale,
@@ -248,6 +251,34 @@ def test_charfun_conjugation_zero_circle_matches_rays():
 def test_charfun_rejects_origin():
     with pytest.raises(ValidationError):
         charfun_eval(conjugation(2), 0.0)
+
+
+def test_charfun_eval_overflow_is_a_typed_failure():
+    R = random_operator(np.random.default_rng(0), 64)
+    s = 1e3 / operator_norm(R)
+    R = RealLinearOperator(s * R.C, s * R.B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="overflows"):
+            charfun_eval(R, 1e-3)
+
+
+def test_truncations_certify_their_smallest_circle():
+    # C = 0 and symmetric B: the spectrum is the circles |lam| = sigma_k(B), and
+    # the eigenvalues of realify(R) are +-sigma_k(B), so the real-axis zero is
+    # sigma_min(B) (0 for a singular B, as for most disk truncations)
+    rng = np.random.default_rng(33)
+    phases = [np.exp(2j * np.pi * rng.uniform(size=40)) for _ in range(4)]
+    symbols = [SymbolSeries.circle_hankel(0.6 ** np.arange(40) * ph, DecaySpec("geometric", 0.6))
+               for ph in phases]
+    symbols += [SymbolSeries.disk_monomial(m) for m in (0, 1, 3, 5)]
+    for sym in symbols:
+        for n in range(1, 13):
+            R = _truncate(sym, n)
+            cert = emptiness_certificates(R)
+            sigma = np.linalg.svd(R.B, compute_uv=False)
+            assert cert.verdict == "nonempty", (sym.kind, n)
+            assert abs(cert.real_axis_zero - sigma[-1]) <= 1e-12 * sigma[0], (sym.kind, n)
 
 
 def test_charfun_matches_normalized_charpoly():
