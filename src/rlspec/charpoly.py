@@ -51,6 +51,8 @@ def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]
     ``_DET_STACK_ENTRIES`` entries, one batched ``np.linalg.slogdet`` each.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
+    if not np.isfinite(lams).all():
+        raise ValidationError("evaluation points must be finite, not NaN or infinity")
     P, Q, eye = R.C + R.B, R.C - R.B, np.eye(R.n)
     chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
     sign, logabs = np.empty(lams.size), np.empty(lams.size)
@@ -88,8 +90,8 @@ def _stacked_eigvals(build, lines: np.ndarray, size: int) -> np.ndarray:
 
 def _line_grid(n_rays: int) -> np.ndarray:
     """The ``m = ceil(n_rays / 2)`` line angles ``pi j / m`` of ``n_rays`` rays; odd counts round up."""
-    if n_rays < 1:
-        raise ValidationError(f"n_rays must be >= 1, got {n_rays}")
+    if not isinstance(n_rays, (int, np.integer)) or n_rays < 1:
+        raise ValidationError(f"n_rays must be an integer >= 1, got {n_rays!r}")
     m = (n_rays + 1) // 2
     return np.pi * np.arange(m) / m
 
@@ -97,6 +99,8 @@ def _line_grid(n_rays: int) -> np.ndarray:
 def _distinct_lines(R: RealLinearOperator, lines) -> tuple[np.ndarray, np.ndarray]:
     """The distinct angles of ``lines`` and each line's index in them; all one line when ``C = 0``."""
     keys, inverse = np.unique(np.asarray(lines, dtype=float), return_inverse=True)
+    if not np.isfinite(keys).all():
+        raise ValidationError("line angles must be finite, not NaN or infinity")
     return (keys, inverse) if R.C.any() else (keys[:1], np.zeros_like(inverse))
 
 
@@ -120,7 +124,7 @@ def _values(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
     """``F = prod_k (mu[i, k] - t[i]) / sum_j t[i]**(2j)`` on line i; ``F = p(0, 0)`` at t = 0.
 
     Log domain: ``log D = log sum_j u**j + 2n log max(|t|, 1)``, ``u = min(|t|, 1/|t|)**2``;
-    signed by the exactly real mu.  A value beyond double range raises ``NumericalFailure``.
+    signed by the exactly real mu (a zero is +0.0).  Beyond double range, ``NumericalFailure``.
     """
     n = mu.shape[1] // 2
     diff = mu - t[:, None]
@@ -131,7 +135,7 @@ def _values(mu: np.ndarray, t: np.ndarray) -> np.ndarray:
     logf -= 2 * n * np.log(np.maximum(a, 1.0))
     if not np.all(logf < _LOG_MAX):
         raise NumericalFailure(f"a numerical function value overflows double range (n={n})")
-    return np.prod(np.where(mu.imag == 0.0, np.sign(diff.real), 1.0), axis=1) * np.exp(logf)
+    return np.prod(np.where(mu.imag == 0.0, np.sign(diff.real), 1.0), axis=1) * np.exp(logf) + 0.0
 
 
 def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:

@@ -159,13 +159,7 @@ def _cmd_charfun(args) -> int:
     sym = ser.load_symbol(args.symbol)
     if args.nmax < 1:
         raise ValidationError(f"--nmax must be >= 1, got {args.nmax}")
-    sizes = []
-    n = 1
-    while n <= args.nmax:
-        sizes.append(n)
-        n *= 2
-    if sizes[-1] != args.nmax:
-        sizes.append(args.nmax)
+    sizes = sorted({1 << k for k in range(args.nmax.bit_length())} | {args.nmax})
     grid = _parse_grid(args.grid)
     table = charfun_convergence(sym, grid, sizes, lam_min=args.lam_min)
     _out(args.out, ser.charfun_csv(table))
@@ -179,30 +173,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rlspec",
         description="Spectral analyses of finite-rank real linear operators z -> Cz + B conj(z).",
     )
+    common = _Parser(add_help=False)
+    common.add_argument("--error-json", action="store_true",
+                        help="on failure, print a machine-readable error object to stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, parents=[common])
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--error-json",
-            action="store_true",
-            help="on failure, print a machine-readable error object to stdout",
-        )
-
-    p = sub.add_parser("info", help="norms, determinant, coefficient spectrum, certificates")
+    p = add_parser("info", help="norms, determinant, coefficient spectrum, certificates")
     p.add_argument("opfile")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    common(p)
     p.set_defaults(fn=_cmd_info)
 
-    p = sub.add_parser("charpoly", help="extract the coefficient matrix (and optional SOS)")
+    p = add_parser("charpoly", help="extract the coefficient matrix (and optional SOS)")
     p.add_argument("opfile")
     p.add_argument("--exact", action="store_true", help="use the exact minor-expansion oracle")
     p.add_argument("--out", default="-", help="coefficient JSON path ('-' for stdout)")
     p.add_argument("--sos", default=None, help="also write the eigen-kind SOS JSON here")
-    common(p)
     p.set_defaults(fn=_cmd_charpoly)
 
-    p = sub.add_parser("spectrum", help="ray-sweep the spectrum into CSV (and optional SVG)")
+    p = add_parser("spectrum", help="ray-sweep the spectrum into CSV (and optional SVG)")
     p.add_argument("opfile")
     p.add_argument("--rays", type=_ray_count, default=64, help="ray directions on the full circle")
     p.add_argument(
@@ -211,10 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
     p.add_argument("--svg", default=None, help="optional scatter SVG path ('-' for stdout)")
-    common(p)
     p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("numfun", help="numerical function range and field-of-values coverage")
+    p = add_parser("numfun", help="numerical function range and field-of-values coverage")
     p.add_argument("opfile")
     p.add_argument("--rays", type=_ray_count, default=128,
                    help="ray directions on the full circle; odd counts round up")
@@ -223,27 +211,21 @@ def build_parser() -> argparse.ArgumentParser:
         default="-",
         help="report path: *.csv emits per-ray minima, anything else the JSON report",
     )
-    common(p)
     p.set_defaults(fn=_cmd_numfun)
 
-    p = sub.add_parser("friedrichs", help="materialize a symbol truncation as an operator file")
+    p = add_parser("friedrichs", help="materialize a symbol truncation as an operator file")
     p.add_argument("--symbol", required=True, help="symbol JSON path")
     p.add_argument("--n", type=int, required=True, help="truncation size")
     p.add_argument("--out", default="-", help="operator JSON path ('-' for stdout)")
-    common(p)
     p.set_defaults(fn=_cmd_friedrichs)
 
-    p = sub.add_parser(
-        "charfun",
-        aliases=["phi"],
-        help="characteristic function table over doubling truncation sizes",
-    )
+    p = add_parser("charfun", aliases=["phi"],
+                   help="characteristic function table over doubling truncation sizes")
     p.add_argument("--symbol", required=True)
     p.add_argument("--nmax", type=int, required=True, help="largest truncation size")
     p.add_argument("--grid", default="0.5:3.0:6:8", help="lambda grid as rmin:rmax:nr:nangles")
     p.add_argument("--lam-min", type=float, default=None, help="override the near-origin cutoff")
     p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
-    common(p)
     p.set_defaults(fn=_cmd_charfun)
 
     return parser

@@ -40,6 +40,8 @@ def numfun_eval(R: RealLinearOperator, lam) -> float | np.ndarray:
     once, and the values come back in its shape; a scalar gives a ``float``.
     """
     lam = np.asarray(lam, dtype=complex)
+    if not np.isfinite(lam).all():
+        raise ValidationError("evaluation points must be finite, not NaN or infinity")
     vals = _values(_line_eigvals(R, np.angle(lam).ravel()), np.abs(lam).ravel())
     return float(vals[0]) if lam.ndim == 0 else vals.reshape(lam.shape)
 

@@ -63,6 +63,8 @@ class RealLinearOperator:
             raise DimensionMismatch(
                 f"C and B must have identical shape, got {C.shape} and {B.shape}"
             )
+        if not (np.isfinite(C).all() and np.isfinite(B).all()):
+            raise ValidationError("C and B must be finite, not NaN or infinity")
         C = C.copy()
         B = B.copy()
         C.setflags(write=False)

@@ -2,15 +2,18 @@
 
 All floats are written with 17 significant digits in lowercase scientific
 notation, and every container is emitted in a fixed order, so identical
-inputs produce byte-identical files at a fixed BLAS thread count.  A JSON
-list whose items are all Python floats is written with one ``%.16e``
-template for the whole list, as a CSV row is.  Files are written by
-``write_text``, which overwrites in place and cuts the file to length; the
-package never fsyncs an output.
+inputs produce byte-identical files at a fixed BLAS thread count.  One
+recursion, ``_json``, writes every JSON value; a list of Python floats takes
+one ``%.16e`` template, as a CSV row does.  One reader, ``_field``, reads
+every field of an input document, and a field that is missing or malformed
+(2.5 for an integer, text for a number) is a ``ValidationError`` naming it.
+Files are written by ``write_text``, which overwrites in place and cuts the
+file to length; the package never fsyncs an output.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import stat
@@ -53,41 +56,23 @@ def fmt_float(x: float) -> str:
 
 def dump_json(obj) -> str:
     """Deterministic JSON with the package's float convention."""
-    pieces: list[str] = []
-    _emit(obj, pieces)
-    return "".join(pieces) + "\n"
+    return _json(obj) + "\n"
 
 
-def _emit(obj, out: list[str]) -> None:
+def _json(obj) -> str:
     if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(k))
-            out.append(": ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
+        return "{" + ", ".join([json.dumps(k) + ": " + _json(v) for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) <= {float}:
-            out.append("[" + ", ".join(["%.16e"] * len(obj)) % tuple(obj) + "]")
-            return
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
+            return "[" + ", ".join(["%.16e"] * len(obj)) % tuple(obj) + "]"
+        return "[" + ", ".join([_json(v) for v in obj]) + "]"
+    if isinstance(obj, (bool, str)) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return fmt_float(obj)
+    raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
 
 
 def read_json(path: str) -> dict:
@@ -136,20 +121,37 @@ def _mat_rows(M: np.ndarray, part: str) -> list[list[float]]:
     return (M.real if part == "re" else M.imag).tolist()
 
 
-def _mat_from(d: dict, key_re: str, key_im: str, shape: tuple, what: str) -> np.ndarray:
+def _field(d: dict, key: str, convert, what: str):
+    """``convert(d[key])``; a missing field or a value ``convert`` refuses is a ValidationError."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} must be an object")
+    if key not in d:
+        raise ValidationError(f"{what}: missing field {key!r}")
     try:
-        re = np.asarray(d[key_re], dtype=float)
-        im = np.asarray(d[key_im], dtype=float)
-    except KeyError as exc:
-        raise ValidationError(f"{what}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what}: fields {key_re}/{key_im} are not numeric arrays") from exc
+        return convert(d[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what}: field {key!r}: {exc}") from exc
+
+
+def _integer(x, low: int = 0) -> int:
+    """``x`` when it is an integral number ``>= low``: 2.0 passes, 2.5 and "2" do not."""
+    if int(x) != x or x < low:
+        raise ValueError(f"must be an integer >= {low}, got {x!r}")
+    return int(x)
+
+
+_dimension = functools.partial(_integer, low=1)
+_floats = functools.partial(np.asarray, dtype=float)
+
+
+def _mat_from(d: dict, name: str, shape: tuple, what: str) -> np.ndarray:
+    re, im = _field(d, name + "_re", _floats, what), _field(d, name + "_im", _floats, what)
     if re.shape != shape or im.shape != shape:
         raise ValidationError(
-            f"{what}: {key_re}/{key_im} must have shape {shape}, got {re.shape} and {im.shape}"
+            f"{what}: {name}_re/{name}_im must have shape {shape}, got {re.shape} and {im.shape}"
         )
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValidationError(f"{what}: {key_re}/{key_im} must be finite, not NaN or infinity")
+        raise ValidationError(f"{what}: {name}_re/{name}_im must be finite, not NaN or infinity")
     return re + 1j * im
 
 
@@ -164,17 +166,9 @@ def operator_to_dict(R: RealLinearOperator) -> dict:
 
 
 def operator_from_dict(d: dict) -> RealLinearOperator:
-    if not isinstance(d, dict):
-        raise ValidationError("operator JSON must be an object")
-    try:
-        n = int(d["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError("operator JSON: field 'n' must be a positive integer")
-    if n < 1:
-        raise ValidationError(f"operator JSON: dimension must be >= 1, got {n}")
-    C = _mat_from(d, "C_re", "C_im", (n, n), "operator JSON")
-    B = _mat_from(d, "B_re", "B_im", (n, n), "operator JSON")
-    return RealLinearOperator(C, B)
+    what = "operator JSON"
+    n = _field(d, "n", _dimension, what)
+    return RealLinearOperator(_mat_from(d, "C", (n, n), what), _mat_from(d, "B", (n, n), what))
 
 
 def load_operator(path: str) -> RealLinearOperator:
@@ -192,14 +186,11 @@ def coeff_to_dict(cm: CoeffMatrix) -> dict:
 
 
 def coeff_from_dict(d: dict) -> CoeffMatrix:
-    if not isinstance(d, dict):
-        raise ValidationError("coefficient JSON must be an object")
-    try:
-        n, norm, asymmetry = int(d["n"]), float(d["norm"]), float(d.get("asymmetry", 0.0))
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError("coefficient JSON: 'n' must be an integer, 'norm' and 'asymmetry' numbers")
-    H = _mat_from(d, "H_re", "H_im", (n + 1, n + 1), "coefficient JSON")
-    return CoeffMatrix(n=n, H=H, norm=norm, asymmetry=asymmetry)
+    what = "coefficient JSON"
+    n = _field(d, "n", _dimension, what)
+    H = _mat_from(d, "H", (n + 1, n + 1), what)
+    return CoeffMatrix(n=n, H=H, norm=_field(d, "norm", float, what),
+                       asymmetry=_field({"asymmetry": 0.0, **d}, "asymmetry", float, what))
 
 
 def sos_to_dict(sos: SosDecomposition) -> dict:
@@ -223,26 +214,17 @@ def symbol_to_dict(sym: SymbolSeries) -> dict:
 
 
 def symbol_from_dict(d: dict) -> SymbolSeries:
-    if not isinstance(d, dict):
-        raise ValidationError("symbol JSON must be an object")
-    kind = d.get("kind")
-    decay_d = d.get("decay", {"tag": "finite", "param": None})
-    if not isinstance(decay_d, dict) or "tag" not in decay_d:
-        raise ValidationError("symbol JSON: field 'decay' must be an object with a 'tag'")
-    param = decay_d.get("param")
-    decay = DecaySpec(tag=decay_d["tag"], param=None if param is None else float(param))
+    what = "symbol JSON"
+    kind = _field(d, "kind", str, what)
+    decay_d = _field({"decay": {"tag": "finite"}, **d}, "decay", dict, what)
+    param = _field({"param": None, **decay_d}, "param", lambda p: p if p is None else float(p), what)
+    decay = DecaySpec(tag=_field(decay_d, "tag", str, what), param=param)
     if kind == "circle-hankel":
-        re = np.asarray(d.get("coeffs_re", []), dtype=float)
-        im = np.asarray(d.get("coeffs_im", []), dtype=float)
-        if re.shape != im.shape or re.ndim != 1:
-            raise ValidationError("symbol JSON: coeffs_re/coeffs_im must be equal-length lists")
-        return SymbolSeries(kind=kind, coeffs=re + 1j * im, decay=decay)
+        size = _field(d, "coeffs_re", len, what)
+        return SymbolSeries(kind=kind, coeffs=_mat_from(d, "coeffs", (size,), what), decay=decay)
     if kind == "disk-monomial":
-        m = d.get("m")
-        if m is None:
-            raise ValidationError("symbol JSON: disk-monomial requires field 'm'")
-        return SymbolSeries(kind=kind, m=int(m), decay=decay)
-    raise ValidationError(f"symbol JSON: unknown kind {kind!r}")
+        return SymbolSeries(kind=kind, m=_field(d, "m", _integer, what), decay=decay)
+    raise ValidationError(f"{what}: unknown kind {kind!r}")
 
 
 def load_symbol(path: str) -> SymbolSeries:

@@ -77,11 +77,16 @@ class SpectrumCloud:
         return np.array([p.lam for p in self.points], dtype=complex)
 
 
+def _check_tol(tol: float) -> None:
+    """Every ``tol`` of this module is relative and must lie in (0, 1); NaN does not."""
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"tol must lie in (0, 1), got {tol!r}")
+
+
 def _merged_hits(eigs: np.ndarray, tol: float, norm: float):
     # (line, r, res) of the hits of every row, merged as ray_spectrum says and
     # sorted by (line, r); the test is a product, so the zero operator keeps its zeros
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tol must lie in (0, 1), got {tol!r}")
+    _check_tol(tol)
     scale = norm + np.abs(eigs)
     keep = np.abs(eigs.imag) <= tol * scale
     defect = np.abs(eigs.imag) / np.where(scale > 0.0, scale, 1.0)
@@ -152,6 +157,9 @@ def eigenvector(R: RealLinearOperator, lam: complex, tol: float = 1e-8):
     ``R - lam I``; it and ``||R x - lam x||`` must be within ``tol`` and
     ``10 tol`` of ``||R|| + |lam|``, so scaling ``R`` and ``lam`` changes nothing.
     """
+    _check_tol(tol)
+    if not np.isfinite(lam):
+        raise ValidationError(f"lam must be finite, got {lam!r}")
     n = R.n
     scale = operator_norm(R) + abs(lam)
     M = realify(RealLinearOperator(R.C - lam * np.eye(n), R.B))
@@ -233,6 +241,7 @@ def common_invariant_1d(R: RealLinearOperator, tol: float = 1e-8) -> InvariantLi
     ``||R x - (x* R x) x|| <= 10 tol ||R||`` holds for ``x`` and ``i x``, which
     rejects those of other ``mu``; no test changes when ``R`` is scaled.
     """
+    _check_tol(tol)
     n, C, B = R.n, R.C, R.B
     thr = tol * operator_norm(R)
     lines: list[np.ndarray] = []
@@ -320,6 +329,7 @@ def krylov_cspan(
     in the current span within ``tol``, or when ``max_dim`` columns have
     been collected.
     """
+    _check_tol(tol)
     n = R.n
     v = np.asarray(y, dtype=complex)
     if v.shape != (n,):

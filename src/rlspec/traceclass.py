@@ -134,10 +134,16 @@ def tail_weight(sym: SymbolSeries, start: int) -> float:
 
     ``sum (k+1) |a_k|`` bounds the trace norm of the full Hankel operator
     (the k-th antidiagonal is a rank <= k+1 piece of unit singular values),
-    so small tails certify that truncations are trace-norm Cauchy.
+    so small tails certify that truncations are trace-norm Cauchy.  A disk
+    symbol z**m is its one antidiagonal k = m, whose singular values are the
+    moduli of its entries: for ``start <= m`` the tail is its trace norm
+    ``sum_l sqrt((l+1)(m-l+1)) / (m+1)``, else 0.
     """
     if sym.kind != "circle-hankel":
-        return 0.0
+        if start > sym.m:
+            return 0.0
+        l = np.arange(sym.m + 1.0)
+        return float(np.sum(np.sqrt((l + 1.0) * (sym.m - l + 1.0)))) / (sym.m + 1.0)
     a = np.abs(sym.coeffs[start:])
     k = np.arange(start, start + a.size)
     return float(np.sum((k + 1) * a))

@@ -12,8 +12,11 @@ from rlspec import (
     charpoly_eval,
     coeff_matrix,
     coeff_poly_eval,
+    SymbolSeries,
+    ValidationError,
     conjugation,
     convex_weights,
+    disk_truncation,
     emptiness_certificates,
     identity,
     numfun_eval,
@@ -170,6 +173,37 @@ def test_p00_is_one_value():
                 det = emptiness_certificates(R, coeff=cm).det_complexification
                 f0 = range_and_coverage(R, 8, coeff=cm).f0
                 assert det == numfun_eval(R, 0.0) == f0, (n, norm)
+
+
+def test_p00_of_disk_truncations_is_a_positive_zero():
+    # realify(R) of a disk truncation can have an exactly zero eigenvalue next
+    # to an odd number of negative real ones: the sign product gave -0.0, which
+    # info --json printed as -0.0000000000000000e+00
+    zeros = 0
+    for m in (0, 1, 2, 3, 5):
+        for n in range(1, 13):
+            R = disk_truncation(SymbolSeries.disk_monomial(m), n)
+            cm = coeff_matrix(R)
+            det = emptiness_certificates(R, coeff=cm).det_complexification
+            for value in (det, numfun_eval(R, 0.0), range_and_coverage(R, 8, coeff=cm).f0):
+                assert value != 0.0 or math.copysign(1.0, value) == 1.0, (m, n)
+            zeros += det == 0.0
+    assert zeros >= 21
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_and_angles_are_refused(bad):
+    # numfun_eval(R, inf) used to overflow, and NaN points and angles failed
+    # their eigen solve (NumericalFailure, exit 3); charpoly_eval(R, nan) was nan
+    R = random_operator(np.random.default_rng(0), 3)
+    for lam in (bad, complex(0.5, bad)):
+        with pytest.raises(ValidationError, match="points must be finite"):
+            charpoly_eval(R, lam)
+    for lam in (bad, complex(0.5, bad), np.array([0.5, bad])):
+        with pytest.raises(ValidationError, match="points must be finite"):
+            numfun_eval(R, lam)
+    with pytest.raises(ValidationError, match="angles must be finite"):
+        ray_extrema(R, bad)
 
 
 # ------------------------------------------------------------- convex weights

@@ -339,3 +339,14 @@ def test_add_and_scale():
     z = crandn(rng, 2)
     assert np.allclose(apply(add(R1, R2), z), apply(R1, z) + apply(R2, z))
     assert np.allclose(apply(scale(2j, R1), z), 2j * apply(R1, z))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("part", ["C", "B"])
+def test_operator_refuses_non_finite_parts(part, bad):
+    # a NaN part used to construct, and certificates and sweeps then failed
+    # with a raw LinAlgError ("SVD did not converge")
+    parts = {"C": np.eye(2, dtype=complex), "B": np.zeros((2, 2), dtype=complex)}
+    parts[part][1, 0] = bad
+    with pytest.raises(ValidationError, match="must be finite"):
+        RealLinearOperator(parts["C"], parts["B"])

@@ -120,6 +120,74 @@ def test_symbol_json_round_trip_both_kinds():
     assert back.kind == "disk-monomial" and back.m == 3
 
 
+MALFORMED_SYMBOLS = [
+    ('{"kind": "disk-monomial", "m": "abc"}', "'m'"),
+    ('{"kind": "disk-monomial", "m": 1e400}', "'m'"),
+    ('{"kind": "disk-monomial", "m": 2.5}', "'m'"),
+    ('{"kind": "circle-hankel", "coeffs_re": ["x"], "coeffs_im": [0.0]}', "'coeffs_re'"),
+    ('{"kind": "circle-hankel", "coeffs_re": [0.5], "coeffs_im": [0.0], '
+     '"decay": {"tag": "geometric", "param": "half"}}', "'param'"),
+    ('{"kind": "circle-hankel", "coeffs_re": [0.5], "coeffs_im": [0.0], '
+     '"decay": {"tag": "geometric", "param": [0.5]}}', "'param'"),
+]
+
+
+@pytest.mark.parametrize("re, im", [([0.5, 0.25], [0.0]), (0.5, 0.0), ([[0.5]], [[0.0]]),
+                                   ([0.5], [float("inf")]), ([float("-inf")], [0.0])])
+def test_symbol_coefficients_must_be_equal_length_finite_lists(re, im):
+    # an infinite imaginary part used to reach re + 1j * im, an invalid multiply
+    with pytest.raises(ValidationError, match="coeffs_re"):
+        ser.symbol_from_dict({"kind": "circle-hankel", "coeffs_re": re, "coeffs_im": im})
+
+
+@pytest.mark.parametrize("text, field", MALFORMED_SYMBOLS)
+def test_malformed_symbol_file_is_a_validation_error_naming_its_field(tmp_path, capsys, text, field):
+    # these raised a raw ValueError, TypeError or OverflowError (a traceback,
+    # exit 1), and m = 2.5 was read as 2
+    path = tmp_path / "sym.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=field):
+        ser.load_symbol(str(path))
+    assert main(["charfun", "--symbol", str(path), "--nmax", "2", "--error-json"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["type"] == "ValidationError" and payload["exit_code"] == 2
+    assert field in payload["error"]
+
+
+@pytest.mark.parametrize("n", ["x", 2.5, float("inf"), float("nan"), [2], None, 0, -1])
+@pytest.mark.parametrize("kind", ["operator", "coefficient"])
+def test_malformed_dimension_is_a_validation_error_naming_n(kind, n):
+    # n = 2.5 was read as 2; 1e400 (inf) raised a raw OverflowError
+    if kind == "operator":
+        d, load = ser.operator_to_dict(identity(2)), ser.operator_from_dict
+    else:
+        d, load = ser.coeff_to_dict(coeff_matrix(identity(2))), ser.coeff_from_dict
+    with pytest.raises(ValidationError, match=f"{kind} JSON: field 'n'"):
+        load({**d, "n": n})
+
+
+def test_operator_file_with_n_1e400_exits_2(tmp_path, capsys):
+    op = tmp_path / "op.json"
+    op.write_text('{"n": 1e400, "C_re": [[0.5]], "C_im": [[0.0]], "B_re": [[0.25]], "B_im": [[0.0]]}')
+    assert exits_2_with_validation_error(capsys, ["info", str(op)])
+
+
+def test_missing_field_is_named():
+    d = ser.operator_to_dict(identity(2))
+    del d["C_im"]
+    with pytest.raises(ValidationError, match="operator JSON: missing field 'C_im'"):
+        ser.operator_from_dict(d)
+    for doc, load in (([1, 2], ser.operator_from_dict), ("x", ser.coeff_from_dict), (3, ser.symbol_from_dict)):
+        with pytest.raises(ValidationError, match="JSON must be an object"):
+            load(doc)
+
+
+def test_integral_floats_still_read_as_integers():
+    d = ser.operator_to_dict(identity(2))
+    assert ser.operator_from_dict({**d, "n": 2.0}).n == 2
+    assert ser.symbol_from_dict({"kind": "disk-monomial", "m": 3.0}).m == 3
+
+
 def test_json_parse_error_carries_line_context(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"n": 1,\n  "C_re": [[oops]]}')
@@ -796,6 +864,16 @@ def test_cli_numerical_failure_exits_3_with_error_json(tmp_path, capsys):
     assert payload["type"] == "NumericalFailure"
     assert "overflows double range" in payload["error"]
     assert "error:" in captured.err
+
+
+def test_error_json_is_an_option_of_every_subcommand(capsys):
+    usage = {}
+    for command in ("info", "charpoly", "spectrum", "numfun", "friedrichs", "charfun", "phi"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage[command] = capsys.readouterr().out
+        assert "--error-json" in usage[command]
+    assert usage["info"].startswith("usage: rlspec info [-h] [--error-json] [--json] opfile\n")
 
 
 def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Ray sweeps, eigenvectors, eigenvalue-free certificates, invariant structure."""
 
+import contextlib
 import math
 import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from rlspec import (
     krylov_cspan,
     no_eigenvalue_certificate,
     operator_norm,
+    range_and_coverage,
     ray_spectrum,
     realify,
     rotate,
@@ -228,6 +231,72 @@ def test_sweep_and_ray_spectrum_refuse_a_tol_outside_0_1():
         with pytest.raises(ValidationError, match="tol"):
             ray_spectrum(R, 0.3, tol=tol)
     assert len(spectrum_sweep(R, 64, tol=0.5).points) >= len(spectrum_sweep(R, 64).points) > 0
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    # a call that never returns fails the test instead of hanging the suite
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("tol", [-1e-8, 0.0, math.nan, 1.0, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda R, tol: eigenvector(R, 0.5, tol=tol),
+    lambda R, tol: common_invariant_1d(R, tol=tol),
+    lambda R, tol: krylov_cspan(R, np.ones(R.n), tol=tol),
+], ids=["eigenvector", "common_invariant_1d", "krylov_cspan"])
+def test_every_tol_lies_in_0_1(call, tol):
+    # a negative or NaN tol kept common_invariant_1d's cluster loop from ever
+    # dropping its first eigenvalue; eigenvector returned None and krylov_cspan
+    # a full basis without a word
+    R = random_operator(np.random.default_rng(0), 3)
+    with deadline(1.0), pytest.raises(ValidationError, match="tol must lie in"):
+        call(R, tol)
+
+
+def test_a_loose_tol_no_longer_finds_invariant_lines_that_are_not_there():
+    R = random_operator(np.random.default_rng(0), 3)
+    assert common_invariant_1d(R).lines == ()
+    with pytest.raises(ValidationError):
+        common_invariant_1d(R, tol=2.0)
+
+
+@pytest.mark.parametrize("n_rays", [3.5, 4.0, "4", None])
+def test_ray_counts_must_be_integers(n_rays):
+    # 3.5 used to run 4 rays
+    R = random_operator(np.random.default_rng(0), 2)
+    with pytest.raises(ValidationError, match="n_rays must be an integer"):
+        spectrum_sweep(R, n_rays)
+    with pytest.raises(ValidationError, match="n_rays must be an integer"):
+        range_and_coverage(R, n_rays)
+    assert spectrum_sweep(R, np.int64(4)).n_rays == 4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_and_points_are_refused(bad):
+    # a NaN line used to fail its eigen solve (NumericalFailure, exit 3), and a
+    # NaN point reached LAPACK as a raw LinAlgError
+    R = random_operator(np.random.default_rng(0), 3)
+    with pytest.raises(ValidationError, match="angles must be finite"):
+        ray_spectrum(R, bad)
+    for lam in (bad, complex(0.5, bad)):
+        with pytest.raises(ValidationError, match="lam must be finite"):
+            eigenvector(R, lam)
+
+
+def test_sweep_refuses_a_nan_angle():
+    R = random_operator(np.random.default_rng(0), 3)
+    with pytest.raises(ValidationError, match="angles must be finite"):
+        spectrum_sweep(R, thetas=[0.1, math.nan])
 
 
 @pytest.mark.parametrize("n", [1, 4])

@@ -107,6 +107,29 @@ def test_tail_weight_bounds_trace_norm_differences():
         assert trace_norm(big - pad) <= tail_weight(sym, n) + 1e-12
 
 
+@pytest.mark.parametrize("m", range(9))
+def test_tail_weight_of_a_disk_symbol_is_its_antidiagonal_trace_norm(m):
+    # it was 0.0 at every start; the one antidiagonal of z**m sits at k = m
+    sym = SymbolSeries.disk_monomial(m)
+    full = trace_norm(disk_truncation(sym, m + 1).B)
+    assert tail_weight(sym, 0) == pytest.approx(full, rel=1e-13)
+    assert tail_weight(sym, m) == tail_weight(sym, 0)
+    assert tail_weight(sym, m + 1) == 0.0
+    # as for circle symbols, the tail from n bounds what lies outside the n x n truncation
+    big = disk_truncation(sym, m + 2).B
+    for n in range(1, m + 3):
+        small = np.zeros_like(big)
+        small[:n, :n] = disk_truncation(sym, n).B
+        assert trace_norm(big - small) <= tail_weight(sym, n) + 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_charfun_eval_refuses_non_finite_points(bad):
+    # charfun_eval(R, nan) used to return nan
+    with pytest.raises(ValidationError, match="points must be finite"):
+        charfun_eval(conjugation(2), bad)
+
+
 # ------------------------------------------------------------------- hankel
 
 def test_hankel_matrix_entries():
