@@ -33,7 +33,7 @@ print("antilinear spectral radii:", radii)
 csv_path = os.path.join(OUT, "antilinear_spectrum.csv")
 ser.write_text(csv_path, ser.spectrum_csv(cloud))
 svg_path = os.path.join(OUT, "antilinear_spectrum.svg")
-ser.write_text(svg_path, ser.spectrum_svg(cloud, cloud.norm))
+ser.write_text(svg_path, ser.spectrum_svg(cloud))
 print("wrote", csv_path, "and", svg_path)
 
 # A complex linear operator is the classical case: aim rays at the

@@ -31,7 +31,7 @@ print("F(100)        =", rl.numfun_eval(E, 100.0))
 
 # Convexity made explicit: barycentric weights against the eigenvalues.
 sos = rl.sos_decompose(H)
-w = rl.convex_weights(H, np.exp(0.3j), sos)
+w = rl.convex_weights(H, np.exp(0.3j))
 print("\neigenvalues of H:", np.round(sos.d, 9))
 print("weights at exp(0.3 i):", np.round(w, 9), " -> value", float(np.dot(sos.d, w)))
 
@@ -43,14 +43,14 @@ print("weights at exp(0.3 i):", np.round(w, 9), " -> value", float(np.dot(sos.d,
 print("\nray extrema at theta = 0:", rl.ray_extrema(E, 0.0))
 
 # Sweeping rays gives the exact range, compared against the field of values
-# of H (passed in, since it is already extracted).
-rep = rl.range_and_coverage(E, n_rays=128, coeff=H)
+# of H, which the call extracts from E itself.
+rep = rl.range_and_coverage(E, n_rays=128)
 print("\nrange of F :", rep.range_est)
 print("fov of H   :", rep.fov)
 print("uncovered  : low", rep.uncovered_low, " high", rep.uncovered_high)
 
 # Per-ray minima (flat here by radial symmetry) as a CSV artifact.
-rows = rl.range_and_coverage(E, n_rays=64, coeff=H).ray_minima
+rows = rl.range_and_coverage(E, n_rays=64).ray_minima
 path = os.path.join(OUT, "eps_ray_minima.csv")
 ser.write_text(path, ser.ray_minima_csv(rows))
 print("\nwrote", path)

@@ -309,13 +309,8 @@ def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float, norm: floa
         )
 
 
-def coeff_matrix(
-    R: RealLinearOperator,
-    mode: str = "interpolation",
-    *,
-    validate: bool = True,
-) -> CoeffMatrix:
-    """Extract the Hermitian coefficient matrix of the characteristic polynomial.
+def coeff_matrix(R: RealLinearOperator, mode: str = "interpolation") -> CoeffMatrix:
+    """Extract and validate the Hermitian coefficient matrix of the characteristic polynomial.
 
     Parameters
     ----------
@@ -331,13 +326,14 @@ def coeff_matrix(
         determinant symbolically with ``lam`` and ``conj(lam)`` treated as
         independent indeterminates; exponential in n, intended as an
         independent oracle for small n.
-    validate : bool
-        Compare ``v* H v`` with the exactly real ``det(realify(R - lam I))``
-        at 2n+3 off-grid points, one per radius between ``0.6 s`` and
-        ``1.9 s`` (``s = 1 + ||R||``), and fail loudly where they differ by
-        more than ``1e-6 (s + |lam|)**(2n)``, compared in the log domain so
-        the bound stays finite at any norm.  The real 2n x 2n matrices are
-        stacked in bounded chunks, one batched ``slogdet`` per chunk.
+
+    Either way, ``v* H v`` is then compared with the exactly real
+    ``det(realify(R - lam I))`` at 2n+3 off-grid points, one per radius
+    between ``0.6 s`` and ``1.9 s`` (``s = 1 + ||R||``), and a difference of
+    more than ``1e-6 (s + |lam|)**(2n)`` raises ``NumericalFailure``; the
+    comparison runs in the log domain, so the bound stays finite at any norm.
+    The real 2n x 2n matrices are stacked in bounded chunks, one batched
+    ``slogdet`` per chunk.
 
     Returns
     -------
@@ -377,8 +373,7 @@ def coeff_matrix(
     W = np.exp(lw)
     Hraw = G * W[:, None] * W
     H = (Hraw + Hraw.conj().T) / 2.0
-    if validate:
-        _validate_coeff(R, H, 1e-6, norm)
+    _validate_coeff(R, H, 1e-6, norm)
     return CoeffMatrix(n=n, H=H, norm=norm, asymmetry=gasym / gscale)
 
 
@@ -476,7 +471,8 @@ class EmptinessCertificates:
     ``realify(R)``, is a spectral point proving it nonempty, and ``det_complexification``
     is ``p(0, 0)`` from the same eigenvalues.  The criteria are one-sided.  ``g_min_eigenvalue``
     and ``eps_g``, relative to ``max|G|``, are the smallest eigenvalue of G behind
-    the PD test and its error bound; ``h_eigenvalues`` is the spectrum of H.
+    the PD test and its error bound; ``h_eigenvalues`` is the spectrum of H, ascending,
+    so ``h_eigenvalues[0]`` is its least eigenvalue.
     """
 
     pd_certificate: SosDecomposition | None
@@ -485,10 +481,6 @@ class EmptinessCertificates:
     h_eigenvalues: tuple[float, ...]
     g_min_eigenvalue: float
     eps_g: float
-
-    @property
-    def h_min_eigenvalue(self) -> float:
-        return self.h_eigenvalues[0]
 
     @property
     def verdict(self) -> str:

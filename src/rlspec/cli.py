@@ -116,14 +116,12 @@ def _cmd_spectrum(args) -> int:
     cloud = spectrum_sweep(R, args.rays, tol=args.tol)
     _out(args.out, ser.spectrum_csv(cloud))
     if args.svg is not None:
-        _out(args.svg, ser.spectrum_svg(cloud, cloud.norm))
+        _out(args.svg, ser.spectrum_svg(cloud))
     return 0
 
 
 def _cmd_numfun(args) -> int:
-    R = ser.load_operator(args.opfile)
-    cm = coeff_matrix(R)
-    rep = range_and_coverage(R, n_rays=args.rays, coeff=cm)
+    rep = range_and_coverage(ser.load_operator(args.opfile), n_rays=args.rays)
     if args.out.endswith(".csv"):
         _out(args.out, ser.ray_minima_csv(rep.ray_minima))
     else:

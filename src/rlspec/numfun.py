@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import CoeffMatrix, SosDecomposition, _distinct_lines, _line_eigvals, _line_grid
-from .charpoly import _stacked_eigvals, _values, coeff_matrix, sos_decompose
+from .charpoly import _distinct_lines, _line_eigvals, _line_grid, _stacked_eigvals, _values
+from .charpoly import coeff_matrix, sos_decompose
 from .errors import ValidationError
 from .operators import RealLinearOperator, operator_norm
 
@@ -46,23 +46,20 @@ def numfun_eval(R: RealLinearOperator, lam) -> float | np.ndarray:
     return float(vals[0]) if lam.ndim == 0 else vals.reshape(lam.shape)
 
 
-def convex_weights(H, lam: complex, sos: SosDecomposition | None = None) -> np.ndarray:
+def convex_weights(H, lam: complex) -> np.ndarray:
     """Barycentric weights expressing the value as a convex combination.
 
-    With the eigen-kind sum of squares ``p = sum d_i |p_i|**2`` and unitary
-    coefficient rows, the weights ``|p_i(lam)|**2 / sum_j |p_j(lam)|**2``
-    are nonnegative, sum to one, and satisfy ``sum_i d_i w_i`` equal to the
-    numerical function value.  Order matches ``sos.d`` (ascending
-    eigenvalues of H).  H is accurate only relative to its largest entry, so
-    the value drifts with n: for ``random_operator(default_rng(2), n)`` in
-    ``tests/randops.py``, at 9 points with ``|lam| = 0.7``, its relative error
-    against the determinant was 7.4e-11 at n = 8, 1.7e-7 at n = 16, 3.9 at
-    n = 24 and 4.8e5 at n = 32.
+    With the eigen-kind sum of squares ``p = sum d_i |p_i|**2`` of
+    ``sos_decompose(H)`` and its unitary coefficient rows, the weights
+    ``|p_i(lam)|**2 / sum_j |p_j(lam)|**2`` are nonnegative, sum to one, and
+    satisfy ``sum_i d_i w_i`` equal to the numerical function value.  Order
+    matches its ``d`` (ascending eigenvalues of H).  H is accurate only
+    relative to its largest entry, so the value drifts with n: for
+    ``random_operator(default_rng(2), n)`` in ``tests/randops.py``, at 9
+    points with ``|lam| = 0.7``, its relative error against the determinant
+    was 7.4e-11 at n = 8, 1.7e-7 at n = 16, 3.9 at n = 24 and 4.8e5 at n = 32.
     """
-    if sos is None:
-        sos = sos_decompose(H)
-    if sos.kind != "eigen":
-        raise ValidationError("convex weights require an eigen-kind decomposition")
+    sos = sos_decompose(H)
     v = np.asarray(lam, dtype=complex) ** np.arange(sos.U.shape[1])
     sq = np.abs(sos.U @ v) ** 2
     return sq / np.sum(sq)
@@ -172,14 +169,13 @@ class NumFunReport:
     ray_minima: tuple[tuple[float, float, float], ...]
 
 
-def range_and_coverage(R: RealLinearOperator, n_rays: int = 128, *,
-                       coeff: CoeffMatrix | None = None) -> NumFunReport:
+def range_and_coverage(R: RealLinearOperator, n_rays: int = 128) -> NumFunReport:
     """Estimate the range of the numerical function and its field-of-values coverage.
 
     The range is the union of exact per-ray ranges, so the only
     discretization is the angle grid of ``spectrum_sweep``: the lines ``pi j / m``,
     ``m = ceil(n_rays / 2)``, each for its rays ``pi j / m`` and ``pi j / m + pi``.
-    ``fov`` is read from ``coeff``, an already extracted H, or else from ``coeff_matrix(R)``.
+    ``fov`` is read from ``coeff_matrix(R)``.
     ``f0`` is the r = 0 entry that starts ray 0, which lies on line 0: no further solve.
     """
     lines = _line_grid(n_rays)
@@ -191,7 +187,7 @@ def range_and_coverage(R: RealLinearOperator, n_rays: int = 128, *,
     lo, hi = min(values), max(values)
     rmax = max(r for ext in per_ray for r, _ in ext if math.isfinite(r))
 
-    eigs = np.linalg.eigvalsh((coeff if coeff is not None else coeff_matrix(R)).H)
+    eigs = np.linalg.eigvalsh(coeff_matrix(R).H)
     fov = (float(eigs[0]), float(eigs[-1]))
     return NumFunReport(
         f0=per_ray[0][0][1],

@@ -76,9 +76,6 @@ class RealLinearOperator:
     def n(self) -> int:
         return self.C.shape[0]
 
-    def __call__(self, z) -> np.ndarray:
-        return apply(self, z)
-
     def __repr__(self) -> str:
         return f"RealLinearOperator(n={self.n})"
 

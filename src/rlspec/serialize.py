@@ -190,7 +190,7 @@ def coeff_from_dict(d: dict) -> CoeffMatrix:
     n = _field(d, "n", _dimension, what)
     H = _mat_from(d, "H", (n + 1, n + 1), what)
     return CoeffMatrix(n=n, H=H, norm=_field(d, "norm", float, what),
-                       asymmetry=_field({"asymmetry": 0.0, **d}, "asymmetry", float, what))
+                       asymmetry=_field(d, "asymmetry", float, what))
 
 
 def sos_to_dict(sos: SosDecomposition) -> dict:
@@ -265,10 +265,10 @@ def charfun_csv(table: CharFunTable) -> str:
     return _csv(header, np.column_stack((lam.real, lam.imag, table.values.T)).tolist())
 
 
-def spectrum_svg(cloud: SpectrumCloud, bounding_radius: float, size: int = 640) -> str:
-    """Scatter of spectral points with the |lambda| = ||R|| bounding circle."""
-    half = size / 2.0
-    rmax = max(bounding_radius, max((p.r for p in cloud.points), default=0.0), 1e-12)
+def spectrum_svg(cloud: SpectrumCloud) -> str:
+    """640 x 640 scatter of spectral points with the |lambda| = ``cloud.norm`` bounding circle."""
+    size, half = 640, 320.0
+    rmax = max(cloud.norm, max((p.r for p in cloud.points), default=0.0), 1e-12)
     scl = 0.45 * size / rmax
 
     def x(v: float) -> str:
@@ -283,7 +283,7 @@ def spectrum_svg(cloud: SpectrumCloud, bounding_radius: float, size: int = 640) 
         f'<rect width="{size}" height="{size}" fill="white"/>',
         f'<line x1="0" y1="{half:.2f}" x2="{size}" y2="{half:.2f}" stroke="#cccccc"/>',
         f'<line x1="{half:.2f}" y1="0" x2="{half:.2f}" y2="{size}" stroke="#cccccc"/>',
-        f'<circle cx="{half:.2f}" cy="{half:.2f}" r="{scl * bounding_radius:.2f}" '
+        f'<circle cx="{half:.2f}" cy="{half:.2f}" r="{scl * cloud.norm:.2f}" '
         f'fill="none" stroke="#888888" stroke-dasharray="4 4"/>',
     ]
     for p in cloud.points:

@@ -135,6 +135,8 @@ def spectrum_sweep(
     ``ray_spectrum`` returns for it.
     The merged cloud is sorted by (theta, r).
     """
+    if thetas is not None and not np.isfinite(thetas).all():  # before % pi, which warns on inf
+        raise ValidationError("line angles must be finite, not NaN or infinity")
     lines = _line_grid(n_rays) if thetas is None else np.unique(np.asarray(thetas, dtype=float) % np.pi)
     if not lines.size:
         raise ValidationError("thetas must contain at least one angle")

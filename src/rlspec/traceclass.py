@@ -273,8 +273,9 @@ def charfun_convergence(
 
     The grid must stay away from the origin (default cutoff: one tenth of
     the symbol scale) since the inverse radius amplifies truncation error
-    there.  Successive sup-norm differences should decay for a trace-class
-    symbol; steps where they do not are flagged in ``stalls``.
+    there; its points must be finite and nonzero even at ``lam_min = 0``.
+    Successive sup-norm differences should decay for a trace-class symbol;
+    steps where they do not are flagged in ``stalls``.
 
     Each row is the closed form ``prod_k (1 - sigma_k(B_n)**2 / |lam|**2)``.
     It holds because every truncation built here has C = 0 and
@@ -298,6 +299,8 @@ def charfun_convergence(
     grid = np.atleast_1d(np.asarray(lambdas, dtype=complex))
     if grid.ndim != 1 or grid.size == 0:
         raise ValidationError("lambda grid must be a nonempty one-dimensional array")
+    if not (np.isfinite(grid).all() and grid.all()):
+        raise ValidationError("lambda grid points must be finite and nonzero")
     if lam_min is not None and not 0.0 <= lam_min < math.inf:
         raise ValidationError(f"lam_min must be finite and >= 0, got {lam_min}")
     cutoff = lam_min if lam_min is not None else 0.1 * symbol_scale(sym)

@@ -113,7 +113,7 @@ def test_criterion_3_structural_suite():
         # p(0), the 16 SOS points and the 80 rotation points of R: one batched slogdet
         p = _charpoly_values(R, np.concatenate(([0.0], sos_lams, rot_lams)))
         worst["det"] = max(worst["det"], abs(cm.H[0, 0].real - p[0]))
-        Hx = coeff_matrix(R, mode="exact", validate=False).H
+        Hx = coeff_matrix(R, mode="exact").H
         worst["oracle"] = max(worst["oracle"], float(np.max(np.abs(cm.H - Hx))))
         sos = sos_decompose(cm)
         for lam, p_lam in zip(sos_lams, p[1:17]):
@@ -218,8 +218,7 @@ def test_criterion_7_conjugated_coefficient_identity():
 def test_criterion_8_numerical_function():
     t0 = time.perf_counter()
     R = eps_operator(0.5)
-    cm = coeff_matrix(R)
-    rep = range_and_coverage(R, coeff=cm)
+    rep = range_and_coverage(R)
     range_ok = (
         abs(rep.range_est[0] - 1.0 / 3.0) <= 1e-8
         and abs(rep.range_est[1] - 1.0) <= 1e-8

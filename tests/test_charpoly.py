@@ -421,7 +421,7 @@ def test_validate_coeff_bound_stays_finite_beyond_double_range():
     n, tol = 46, 1e-6
     R = with_norm(random_operator(np.random.default_rng(0), n), 1e3)
     assert 2 * n * np.log10(2.9 * (1.0 + operator_norm(R))) > 308
-    H = coeff_matrix(R, validate=False).H
+    H = coeff_matrix(R).H
     bad = H.copy()
     bad[n, n] += 1e20
     with warnings.catch_warnings():
@@ -545,9 +545,8 @@ def test_certificates_eps_inconclusive():
     cert = emptiness_certificates(R)
     assert cert.verdict == "inconclusive"
     assert cert.det_complexification == pytest.approx(1.0)
-    assert cert.h_min_eigenvalue == pytest.approx(-2 * eps, abs=1e-9)
+    assert cert.h_eigenvalues[0] == pytest.approx(-2 * eps, abs=1e-9)
     assert cert.h_eigenvalues == tuple(np.linalg.eigvalsh(coeff_matrix(R).H).tolist())
-    assert cert.h_min_eigenvalue == cert.h_eigenvalues[0]
     mus = np.roots([1.0, -2 * eps, 1.0])
     assert np.all(np.abs(mus.imag) > 0.1)
     grid = [r * np.exp(1j * t) for r in np.linspace(0, 3, 40) for t in np.linspace(0, np.pi, 7)]

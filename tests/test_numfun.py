@@ -171,7 +171,7 @@ def test_p00_is_one_value():
                 R = make(rng, n, norm)
                 cm = coeff_matrix(R)
                 det = emptiness_certificates(R, coeff=cm).det_complexification
-                f0 = range_and_coverage(R, 8, coeff=cm).f0
+                f0 = range_and_coverage(R, 8).f0
                 assert det == numfun_eval(R, 0.0) == f0, (n, norm)
 
 
@@ -185,7 +185,7 @@ def test_p00_of_disk_truncations_is_a_positive_zero():
             R = disk_truncation(SymbolSeries.disk_monomial(m), n)
             cm = coeff_matrix(R)
             det = emptiness_certificates(R, coeff=cm).det_complexification
-            for value in (det, numfun_eval(R, 0.0), range_and_coverage(R, 8, coeff=cm).f0):
+            for value in (det, numfun_eval(R, 0.0), range_and_coverage(R, 8).f0):
                 assert value != 0.0 or math.copysign(1.0, value) == 1.0, (m, n)
             zeros += det == 0.0
     assert zeros >= 21
@@ -215,7 +215,7 @@ def test_weights_concentrate_at_origin_for_diagonal():
     R = eps_operator(0.5)
     H = coeff_matrix(R)
     sos = sos_decompose(H)
-    w = convex_weights(H, 0.0, sos)
+    w = convex_weights(H, 0.0)
     k_neg = int(np.argmin(np.abs(sos.d - (-1.0))))
     assert w[k_neg] < 1e-12
     assert float(np.sum(w[np.abs(sos.d - 1.0) < 1e-9])) == pytest.approx(1.0)
@@ -229,19 +229,11 @@ def test_weights_uniform_on_unit_circle_for_eps():
     H = coeff_matrix(eps_operator(eps))
     sos = sos_decompose(H)
     lam = np.exp(0.9j)
-    w = convex_weights(H, lam, sos)
+    w = convex_weights(H, lam)
     k_neg = int(np.argmin(np.abs(sos.d - (-2 * eps))))
     assert w[k_neg] == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert float(np.sum(w[np.abs(sos.d - 1.0) < 1e-9])) == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert float(np.dot(sos.d, w)) == pytest.approx((2 - 2 * eps) / 3.0, abs=1e-10)
-
-
-def test_weights_without_sos_decompose_h_themselves():
-    rng = np.random.default_rng(34)
-    for n in (1, 3, 5):
-        H = coeff_matrix(random_operator(rng, n))
-        lam = complex(crandn(rng))
-        assert np.array_equal(convex_weights(H, lam), convex_weights(H, lam, sos_decompose(H)))
 
 
 def test_weights_form_convex_combination():
@@ -252,7 +244,7 @@ def test_weights_form_convex_combination():
         H = coeff_matrix(R)
         sos = sos_decompose(H)
         lam = complex(crandn(rng))
-        w = convex_weights(H, lam, sos)
+        w = convex_weights(H, lam)
         assert np.all(w >= -1e-15)
         assert abs(float(np.sum(w)) - 1.0) < 1e-12
         assert abs(float(np.dot(sos.d, w)) - numfun_eval(R, lam)) < 1e-10
@@ -491,7 +483,7 @@ def test_coverage_identity_attains_upper_eigenvalue():
     # at lam = -1 (the ray theta = pi), so nothing stays uncovered
     H = coeff_matrix(identity(1))
     assert np.max(np.abs(H.H - np.array([[1.0, -1.0], [-1.0, 1.0]]))) < 1e-10
-    rep = range_and_coverage(identity(1), n_rays=128, coeff=H)
+    rep = range_and_coverage(identity(1), n_rays=128)
     assert rep.fov == (pytest.approx(0.0, abs=1e-12), pytest.approx(2.0, abs=1e-12))
     assert rep.range_est[0] == pytest.approx(0.0, abs=1e-10)
     assert rep.range_est[1] == pytest.approx(2.0, abs=1e-10)
@@ -523,13 +515,13 @@ def test_coverage_matches_dense_grid():
     cells = ((3, 96, 12.0, 300), (16, 32, 4.0, 24), (32, 32, 4.0, 12), (64, 32, 4.0, 12))
     for n, n_rays, r_max, n_radii in cells:
         R = random_operator(np.random.default_rng(9), n)
-        H = coeff_matrix(R)
-        rep = range_and_coverage(R, n_rays=n_rays, coeff=H)
+        rep = range_and_coverage(R, n_rays=n_rays)
         thetas = np.linspace(0, 2 * np.pi, n_rays, endpoint=False)
         lam = np.linspace(0, r_max, n_radii)[:, None] * np.exp(1j * thetas)
         vals = numfun_eval(R, lam)
         if n == 3:
-            vals = np.concatenate([vals.ravel(), [h_numfun(H.H, x) for x in lam.ravel()]])
+            H = coeff_matrix(R).H
+            vals = np.concatenate([vals.ravel(), [h_numfun(H, x) for x in lam.ravel()]])
         assert rep.range_est[0] <= vals.min() + 1e-9, n
         assert rep.range_est[1] >= vals.max() - 1e-9, n
 
@@ -558,9 +550,9 @@ def test_coverage_unitary_similarity_invariance(make, n):
 @pytest.mark.parametrize("n", [4, 16])
 def test_antilinear_coverage_solves_one_line(monkeypatch, n):
     # C = 0: every line has the matrix realify(R), so the 64 lines of the grid
-    # take one line solve and one pole-sum solve, and report what 64 would
+    # take one line solve and one pole-sum solve, and report what 64 would;
+    # the last stack is the (n+1) Schur complements of the H extraction
     R = random_antilinear(np.random.default_rng(50 + n), n)
-    cm = coeff_matrix(R)
     lines = np.pi * np.arange(64) / 64
     one_by_one = [_ray_extrema(R, [th]) for th in lines]
     real_eigvals = np.linalg.eigvals
@@ -571,8 +563,8 @@ def test_antilinear_coverage_solves_one_line(monkeypatch, n):
         return real_eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
-    rep = range_and_coverage(R, 128, coeff=cm)
-    assert shapes == [(1, 2 * n, 2 * n), (1, 4 * n - 2, 4 * n - 2)]
+    rep = range_and_coverage(R, 128)
+    assert shapes == [(1, 2 * n, 2 * n), (1, 4 * n - 2, 4 * n - 2), (n + 1, n, n)]
     assert [ext[0] for ext in one_by_one] + [ext[1] for ext in one_by_one] == _ray_extrema(R, lines)
     assert rep.n_rays == 128 and len(rep.ray_minima) == 128
 

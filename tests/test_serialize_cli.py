@@ -88,6 +88,14 @@ def test_coeff_json_round_trip():
         ser.coeff_from_dict(d)
 
 
+def test_coeff_json_requires_asymmetry():
+    # a missing asymmetry used to read as 0.0, which trusts any G to roundoff
+    d = json.loads(ser.dump_json(ser.coeff_to_dict(coeff_matrix(eps_operator()))))
+    del d["asymmetry"]
+    with pytest.raises(ValidationError, match="coefficient JSON: missing field 'asymmetry'"):
+        ser.coeff_from_dict(d)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_coeff_json_refuses_non_finite_entries(bad):
     d = json.loads(ser.dump_json(ser.coeff_to_dict(coeff_matrix(eps_operator()))))
@@ -241,7 +249,7 @@ def test_csv_writers_match_per_value_fmt_float():
 
 def test_svg_scatter_contains_points_and_circle():
     cloud = spectrum_sweep(conjugation(1), 8)
-    svg = ser.spectrum_svg(cloud, 1.0)
+    svg = ser.spectrum_svg(cloud)
     assert svg.startswith("<svg")
     assert svg.count("<circle") == 1 + len(cloud.points)
 
@@ -587,7 +595,9 @@ def test_cli_spectrum_svg_takes_one_svd(tmp_path, monkeypatch):
     assert main(["spectrum", op, "--out", str(tmp_path / "s.csv"), "--svg", str(svg)]) == 0
     assert shapes == [(16, 16)]
     monkeypatch.undo()
-    assert svg.read_text() == ser.spectrum_svg(spectrum_sweep(R, 64), operator_norm(R))
+    cloud = spectrum_sweep(R, 64)
+    assert cloud.norm == operator_norm(R)
+    assert svg.read_text() == ser.spectrum_svg(cloud)
 
 
 def test_cli_spectrum_svg_dash_is_stdout(tmp_path, monkeypatch, capsys):

@@ -283,11 +283,14 @@ def test_ray_counts_must_be_integers(n_rays):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_angles_and_points_are_refused(bad):
-    # a NaN line used to fail its eigen solve (NumericalFailure, exit 3), and a
-    # NaN point reached LAPACK as a raw LinAlgError
+    # a NaN line used to fail its eigen solve (NumericalFailure, exit 3), a
+    # NaN point reached LAPACK as a raw LinAlgError, and a sweep reduced an
+    # infinite angle mod pi, with an invalid-value warning, before checking it
     R = random_operator(np.random.default_rng(0), 3)
     with pytest.raises(ValidationError, match="angles must be finite"):
         ray_spectrum(R, bad)
+    with pytest.raises(ValidationError, match="angles must be finite"):
+        spectrum_sweep(R, thetas=[0.1, bad])
     for lam in (bad, complex(0.5, bad)):
         with pytest.raises(ValidationError, match="lam must be finite"):
             eigenvector(R, lam)

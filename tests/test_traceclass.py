@@ -370,6 +370,16 @@ def test_convergence_rejects_near_origin_grid():
     assert table.values.shape == (2, 1)
 
 
+@pytest.mark.parametrize("point, lam_min", [
+    (math.nan, None), (math.inf, None), (complex(1.0, math.nan), None), (0.0, 0.0),
+])
+def test_convergence_rejects_non_finite_and_zero_points(point, lam_min):
+    # a NaN point used to give the row [1.0, nan], and 0 at lam_min = 0 the
+    # row [1.0, inf] after a divide-by-zero warning
+    with pytest.raises(ValidationError, match="finite and nonzero"):
+        charfun_convergence(SymbolSeries.disk_monomial(1), [point], [1, 2], lam_min=lam_min)
+
+
 def test_convergence_rejects_unsorted_sizes():
     with pytest.raises(ValidationError):
         charfun_convergence(geometric_symbol(), [1.0], [4, 2])
