@@ -8,9 +8,10 @@ polynomial is the real-valued bivariate polynomial ::
 whose zero set is exactly the spectrum.  Collecting coefficients gives a
 Hermitian (n+1) x (n+1) matrix H with ``p = v* H v`` against the monomial
 vector ``v = (1, lam, ..., lam**n)``.  This module extracts H (one 2-D DFT
-of Schur-complement samples on a torus grid of (n+1)**2 points, or an exact
-minor-expansion oracle), produces weighted and Cholesky sum-of-squares
-decompositions, and derives spectrum emptiness/nonemptiness certificates.
+of samples on a torus grid of (n+1)**2 points: Schur complements, or for
+C = 0 ``prod_k (lam mu - e_k)`` over the eigenvalues e_k of ``B conj(B)``;
+or an exact minor-expansion oracle), produces weighted and Cholesky
+sum-of-squares decompositions, and derives emptiness/nonemptiness certificates.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
 _DET_STACK_ENTRIES = 1 << 14
 _HERM_TOL = 1e-6  # largest Hermitian defect max|G - G*| / max|G| that extraction accepts
 _LOG_MAX = np.log(np.finfo(float).max)
+_LOG_TINY = np.log(np.finfo(float).tiny)
 
 
 def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]:
@@ -220,16 +222,22 @@ def _coeff_torus(C: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     with ``s_k(mu)`` the eigenvalues of ``S(mu) = C - B D**-1 conj(B)``.
     The n+1 values of ``mu`` take one batched n x n ``solve``, ``eigvals``
-    and ``det``; all n+1 values of ``lam`` share those eigenvalues.
+    and ``det``; all n+1 values of ``lam`` share those eigenvalues.  When
+    ``C = 0``, ``D = -mu I`` gives ``p(lam, mu) = prod_k (lam mu - e_k)``, with
+    e_k the eigenvalues of ``B conj(B)``: one n x n ``eigvals`` for the whole
+    grid, as :func:`_distinct_lines` solves an antilinear operator on one line.
     """
     n = C.shape[0]
     r = 1.0 + 1.0 / n
     z = r * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    D = C.conj() - z[:, None, None] * np.eye(n)
-    # Right-hand sides as a full stack: numpy < 2 reads an (n, n) one as n vectors.
-    X = np.linalg.solve(D, np.broadcast_to(B.conj(), D.shape))
-    s = np.linalg.eigvals(C - B @ X)
-    P = np.linalg.det(D)[:, None] * (s[:, None, :] - z[:, None]).prod(axis=-1)
+    if C.any():
+        D = C.conj() - z[:, None, None] * np.eye(n)
+        # Right-hand sides as a full stack: numpy < 2 reads an (n, n) one as n vectors.
+        X = np.linalg.solve(D, np.broadcast_to(B.conj(), D.shape))
+        s = np.linalg.eigvals(C - B @ X)
+        P = np.linalg.det(D)[:, None] * (s[:, None, :] - z[:, None]).prod(axis=-1)
+    else:
+        P = (z[:, None, None] * z[:, None] - np.linalg.eigvals(B @ B.conj())).prod(axis=-1)
     return np.fft.fft2(P) / (n + 1) ** 2
 
 
@@ -319,10 +327,11 @@ def coeff_matrix(R: RealLinearOperator, mode: str = "interpolation") -> CoeffMat
         ``"interpolation"`` samples ``p(lam, mu)`` of ``R / ||R||`` on the
         torus ``|lam| = |mu| = 1 + 1/n`` at the (n+1)-th roots of unity,
         with one batched n x n ``solve``, ``eigvals`` and ``det`` of a Schur
-        complement (O(n**4) time, O(n**3) memory), reads the torus matrix
-        ``G`` off one 2-D DFT and forms ``H = W G W`` (see
-        :func:`_torus_log_weights`).  An entry beyond double range raises
-        ``NumericalFailure``.  ``"exact"`` expands the
+        complement (O(n**4) time, O(n**3) memory); when ``C = 0``, with one
+        n x n ``eigvals`` of ``B conj(B)``, as ``p = prod_k (lam mu - e_k)``.
+        It reads the torus matrix ``G`` off one 2-D DFT and forms
+        ``H = W G W`` (see :func:`_torus_log_weights`).  An entry beyond
+        double range raises ``NumericalFailure``.  ``"exact"`` expands the
         determinant symbolically with ``lam`` and ``conj(lam)`` treated as
         independent indeterminates; exponential in n, intended as an
         independent oracle for small n.
@@ -421,11 +430,15 @@ def _pd_test(H) -> tuple[float, float, SosDecomposition | None]:
     own G) is off by at most ``eps_g max|G|``, ``eps_g = asymmetry + (n+1) u``.
     By Weyl, ``g_min = lambda_min(G) / max|G| > (n+1) eps_g`` proves H positive
     definite; only then are the Cholesky rows returned, of exact degrees 0..n.
+    Weights outside the normal double range raise ``NumericalFailure``.
     """
     A = _coeff_array(H)
     n = A.shape[0] - 1
     torus = isinstance(H, CoeffMatrix)
-    W = np.exp(_torus_log_weights(n, H.norm)) if torus else np.ones(n + 1)
+    lw = _torus_log_weights(n, H.norm) if torus else np.zeros(n + 1)
+    if not (lw.min() > _LOG_TINY and lw.max() < _LOG_MAX):
+        raise NumericalFailure(f"torus weights of H leave double range (n={n}, ||R||={H.norm:.3g})")
+    W = np.exp(lw)
     asymmetry = H.asymmetry if torus else 0.0
     G = A / W[:, None] / W
     g_min = float(np.linalg.eigvalsh(G)[0] / np.max(np.abs(G)))

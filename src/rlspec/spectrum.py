@@ -329,9 +329,11 @@ def krylov_cspan(
     Iterates true operator powers (renormalized by positive reals, which
     commutes with real-homogeneous maps) and stops once the next power lies
     in the current span within ``tol``, or when ``max_dim`` columns have
-    been collected.
+    been collected (``max_dim >= 1``).
     """
     _check_tol(tol)
+    if max_dim is not None and max_dim < 1:
+        raise ValidationError(f"max_dim must be >= 1, got {max_dim!r}")
     n = R.n
     v = np.asarray(y, dtype=complex)
     if v.shape != (n,):

@@ -551,7 +551,7 @@ def test_coverage_unitary_similarity_invariance(make, n):
 def test_antilinear_coverage_solves_one_line(monkeypatch, n):
     # C = 0: every line has the matrix realify(R), so the 64 lines of the grid
     # take one line solve and one pole-sum solve, and report what 64 would;
-    # the last stack is the (n+1) Schur complements of the H extraction
+    # the H extraction adds one n x n solve, of B conj(B), for its whole torus
     R = random_antilinear(np.random.default_rng(50 + n), n)
     lines = np.pi * np.arange(64) / 64
     one_by_one = [_ray_extrema(R, [th]) for th in lines]
@@ -564,7 +564,7 @@ def test_antilinear_coverage_solves_one_line(monkeypatch, n):
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     rep = range_and_coverage(R, 128)
-    assert shapes == [(1, 2 * n, 2 * n), (1, 4 * n - 2, 4 * n - 2), (n + 1, n, n)]
+    assert shapes == [(1, 2 * n, 2 * n), (1, 4 * n - 2, 4 * n - 2), (n, n)]
     assert [ext[0] for ext in one_by_one] + [ext[1] for ext in one_by_one] == _ray_extrema(R, lines)
     assert rep.n_rays == 128 and len(rep.ray_minima) == 128
 

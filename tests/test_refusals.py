@@ -81,6 +81,12 @@ REFUSALS = {
     "Krylov start of the wrong length": (
         lambda: krylov_cspan(conjugation(2), [1.0, 0.0, 0.0]),
         ValidationError, "starting vector of length 2 expected, got shape (3,)"),
+    "Krylov span of dimension 0": (
+        lambda: krylov_cspan(conjugation(3), [1, 1j, 0], max_dim=0),
+        ValidationError, "max_dim must be >= 1, got 0"),
+    "Krylov span of negative dimension": (
+        lambda: krylov_cspan(conjugation(3), [1, 1j, 0], max_dim=-2),
+        ValidationError, "max_dim must be >= 1, got -2"),
     # traceclass
     "unknown decay tag": (
         lambda: DecaySpec("linear"),

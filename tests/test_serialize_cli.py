@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from randops import op_maxdiff, random_operator
+from randops import op_maxdiff, random_antilinear, random_operator
 from rlspec import (
     CharFunTable,
     DecaySpec,
@@ -493,20 +493,24 @@ def record_linalg(monkeypatch):
 def test_cli_charpoly_and_info_lapack_work_is_pinned(tmp_path, capsys, monkeypatch):
     # The LAPACK calls of `charpoly --out --sos` and `info --json` at n = 4, in
     # order; glue around them may change, these may not.  `info` solves
-    # realify(R) once, for the real-axis zero and the determinant alike.
-    R = random_operator(np.random.default_rng(2), 4)
-    op = write_operator(tmp_path / "r.json", R)
-    extract = [("svd", 1, 8, 8), ("solve", 5, 4, 4), ("eigvals", 5, 4, 4), ("det", 5, 4, 4),
+    # realify(R) once, for the real-axis zero and the determinant alike.  An
+    # antilinear operator (C = 0) extracts H from one eigen solve of B conj(B).
+    general = [("svd", 1, 8, 8), ("solve", 5, 4, 4), ("eigvals", 5, 4, 4), ("det", 5, 4, 4),
                ("slogdet", 11, 8, 8)]
+    antilinear = [("svd", 1, 8, 8), ("eigvals", 1, 4, 4), ("slogdet", 11, 8, 8)]
     calls = record_linalg(monkeypatch)
-    assert main(["charpoly", op, "--out", str(tmp_path / "H.json"),
-                 "--sos", str(tmp_path / "sos.json")]) == 0
-    assert calls == extract + [("eigh", 1, 5, 5)]
-    calls.clear()
-    assert main(["info", op, "--json"]) == 0
-    assert calls == extract + [("eigvalsh", 1, 5, 5), ("eigvals", 1, 8, 8),
-                               ("eigvalsh", 1, 5, 5), ("svd", 1, 4, 4), ("svd", 1, 4, 4)]
-    assert json.loads(capsys.readouterr().out)["real_axis_zero"] is not None
+    for make, extract, zero in ((random_operator, general, True),
+                                (random_antilinear, antilinear, False)):
+        op = write_operator(tmp_path / "r.json", make(np.random.default_rng(2), 4))
+        calls.clear()
+        assert main(["charpoly", op, "--out", str(tmp_path / "H.json"),
+                     "--sos", str(tmp_path / "sos.json")]) == 0
+        assert calls == extract + [("eigh", 1, 5, 5)]
+        calls.clear()
+        assert main(["info", op, "--json"]) == 0
+        assert calls == extract + [("eigvalsh", 1, 5, 5), ("eigvals", 1, 8, 8),
+                                   ("eigvalsh", 1, 5, 5), ("svd", 1, 4, 4), ("svd", 1, 4, 4)]
+        assert (json.loads(capsys.readouterr().out)["real_axis_zero"] is not None) == zero
 
 
 def test_cli_info_identity(tmp_path, capsys):

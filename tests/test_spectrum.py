@@ -263,6 +263,16 @@ def test_every_tol_lies_in_0_1(call, tol):
         call(R, tol)
 
 
+def test_krylov_span_of_one_column_keeps_the_start_vector():
+    # max_dim = 1 keeps the normalised start alone; max_dim < 1 is refused
+    # (tests/test_refusals.py)
+    y = np.array([1.0, 1j, 0.0])
+    span = krylov_cspan(conjugation(3), y, max_dim=1)
+    assert span.basis.shape == (3, 1)
+    assert np.allclose(span.basis[:, 0], y / np.sqrt(2.0), rtol=0.0, atol=1e-15)
+    assert krylov_cspan(conjugation(3), y).basis.shape == (3, 2)
+
+
 def test_a_loose_tol_no_longer_finds_invariant_lines_that_are_not_there():
     R = random_operator(np.random.default_rng(0), 3)
     assert common_invariant_1d(R).lines == ()
