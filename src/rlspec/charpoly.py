@@ -226,6 +226,8 @@ def _coeff_torus(C: np.ndarray, B: np.ndarray) -> np.ndarray:
     ``C = 0``, ``D = -mu I`` gives ``p(lam, mu) = prod_k (lam mu - e_k)``, with
     e_k the eigenvalues of ``B conj(B)``: one n x n ``eigvals`` for the whole
     grid, as :func:`_distinct_lines` solves an antilinear operator on one line.
+    The 2-D DFT is taken as its two 1-D passes, rows first, as ``np.fft.fft2``
+    takes it itself: the same bits, without its per-call argument handling.
     """
     n = C.shape[0]
     r = 1.0 + 1.0 / n
@@ -238,7 +240,7 @@ def _coeff_torus(C: np.ndarray, B: np.ndarray) -> np.ndarray:
         P = np.linalg.det(D)[:, None] * (s[:, None, :] - z[:, None]).prod(axis=-1)
     else:
         P = (z[:, None, None] * z[:, None] - np.linalg.eigvals(B @ B.conj())).prod(axis=-1)
-    return np.fft.fft2(P) / (n + 1) ** 2
+    return np.fft.fft(np.fft.fft(P, axis=1), axis=0) / (n + 1) ** 2
 
 
 def _coeff_exact(R: RealLinearOperator) -> np.ndarray:
@@ -288,7 +290,8 @@ def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float, norm: floa
     """Check ``v* H v`` against ``det(realify(R - lam I))`` at 2n+3 off-grid points.
 
     Point k = 0..2n+2 has radius k of ``linspace(0.6 s, 1.9 s, 2n+3)``,
-    ``s = 1 + norm`` (``norm`` is ``||R||``), and angle
+    ``s = 1 + norm`` (``norm`` is ``||R||``), built as ``np.linspace`` builds
+    it (``k * step + 0.6 s``, the last radius ``1.9 s``) to the bit, and angle
     ``2 pi (k + 0.37) / (2n+3)``.  The first point where the two differ by
     more than ``tol * (s + |lam|)**(2n)`` is reported.  Both are divided by
     that scale in the log domain (the monomials taken as
@@ -298,7 +301,8 @@ def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float, norm: floa
     n = R.n
     s = 1.0 + norm
     m = 2 * n + 3
-    radii = np.linspace(0.6 * s, 1.9 * s, m)
+    radii = np.arange(m) * ((1.9 * s - 0.6 * s) / (m - 1)) + 0.6 * s
+    radii[-1] = 1.9 * s
     thetas = 2.0 * np.pi * (np.arange(m) + 0.37) / m
     lams = radii * np.exp(1j * thetas)
     logt = np.log(s + radii)
@@ -518,17 +522,24 @@ def emptiness_certificates(
     eigenvalue ``r >= 0`` is reported, an exact eigenvalue of ``realify(R) + E``
     with ``||E|| = O(u ||R||)``.  ``det_complexification``, ``p(0, 0)``, is the
     product of the same eigenvalues; an even number of them is exactly real, so
-    a negative determinant always comes with a zero.
+    a negative determinant always comes with a zero.  It is :func:`_values` at
+    t = 0 as one scalar, to the bit: the signs of the exactly real eigenvalues
+    times ``exp(sum log|mu|)``, plus 0.0, and ``NumericalFailure`` beyond double range.
     ``coeff`` supplies an already extracted H (for example ``mode="exact"``).
     """
     cm = coeff if coeff is not None else coeff_matrix(R)
     g_min, eps_g, pd_cert = _pd_test(cm)
     ev = np.linalg.eigvals(realify(R))
-    roots = ev.real[(ev.imag == 0.0) & (ev.real >= 0.0)]
+    real = ev.real[ev.imag == 0.0]
+    roots = real[real >= 0.0]
+    with np.errstate(divide="ignore"):
+        logdet = np.sum(np.log(np.abs(ev)))
+    if not logdet < _LOG_MAX:
+        raise NumericalFailure(f"a numerical function value overflows double range (n={R.n})")
     return EmptinessCertificates(
         pd_certificate=pd_cert,
         real_axis_zero=float(roots.min()) if roots.size else None,
-        det_complexification=float(_values(ev[None], np.zeros(1))[0]),
+        det_complexification=float(np.prod(np.sign(real)) * np.exp(logdet) + 0.0),
         h_eigenvalues=tuple(np.linalg.eigvalsh(cm.H).tolist()),
         g_min_eigenvalue=g_min,
         eps_g=eps_g,

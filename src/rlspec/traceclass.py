@@ -152,26 +152,33 @@ def tail_weight(sym: SymbolSeries, start: int) -> float:
 def _check_decay(sym: SymbolSeries) -> None:
     if sym.kind != "circle-hankel" or sym.decay.tag == "finite":
         return
-    # Ratios |a_k| / (|a_0| * envelope_k) are compared in the log domain: the
+    # Ratios |a_k| / envelope_k, normalized by the first nonzero coefficient's
+    # (a_0's whenever it is nonzero), are compared in the log domain: the
     # geometric envelope q**k underflows to 0 for long sequences, and a 0/0
     # ratio would hide a violation.  A zero coefficient never violates.
     a = np.abs(sym.coeffs)
     nonzero = a > 0
+    if not nonzero.any():
+        return
     k = np.arange(a.size)[nonzero]
-    log_base = math.log(max(float(a[0]), 1e-300))
     param = float(sym.decay.param)
     if sym.decay.tag == "geometric":
         log_envelope = k * math.log(param)
     else:
         log_envelope = -param * np.log1p(k)
+    log_base = math.log(float(a[k[0]])) - log_envelope[0]
     log_ratios = np.log(a[nonzero]) - log_base - log_envelope
-    worst = float(np.max(log_ratios, initial=-np.inf)) / math.log(10.0)
+    worst = float(np.max(log_ratios)) / math.log(10.0)
     if worst > 6.0:
-        # printed as mantissa and exponent: the ratio itself may overflow a float
+        # printed as mantissa and exponent: the ratio itself may overflow a float;
+        # the mantissa is rounded first, so 9.999 prints as 1.00e+1, not 10.00e+0
         exponent = math.floor(worst)
+        mantissa = round(10.0 ** (worst - exponent), 2)
+        if mantissa >= 10.0:
+            mantissa, exponent = 1.0, exponent + 1
         warnings.warn(
             f"coefficients violate the declared {sym.decay.tag}({param}) decay "
-            f"(worst ratio {10.0 ** (worst - exponent):.2f}e{exponent:+03d}); "
+            f"(worst ratio {mantissa:.2f}e{exponent:+03d}); "
             "trace-class tail bound unreliable"
         )
 

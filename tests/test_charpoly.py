@@ -303,16 +303,19 @@ def test_coeff_matrix_takes_no_2n_determinant(monkeypatch):
 
 
 def test_coeff_matrix_reports_hermitian_violation(monkeypatch):
-    # The torus samples are perturbed on their way into the 2-D DFT.
+    # The torus samples are perturbed on their way into the first 1-D pass of
+    # the DFT (along axis 1); the second pass sees them transformed.
     R = random_operator(np.random.default_rng(8), 4)
-    fft2 = np.fft.fft2
+    fft = np.fft.fft
     shapes = []
 
-    def perturbed(P):
-        shapes.append(P.shape)
-        return fft2(P + 1e-3 * np.max(np.abs(P)) * np.cos(np.arange(P.size)).reshape(P.shape))
+    def perturbed(P, axis=-1):
+        if axis == 1:
+            shapes.append(P.shape)
+            P = P + 1e-3 * np.max(np.abs(P)) * np.cos(np.arange(P.size)).reshape(P.shape)
+        return fft(P, axis=axis)
 
-    monkeypatch.setattr(np.fft, "fft2", perturbed)
+    monkeypatch.setattr(np.fft, "fft", perturbed)
     with pytest.raises(NumericalFailure, match="Hermitian symmetry"):
         coeff_matrix(R)
     assert shapes == [(5, 5)]

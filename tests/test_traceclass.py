@@ -183,6 +183,33 @@ def test_hankel_decay_violation_survives_envelope_underflow():
         hankel_truncation(sym, 4)
 
 
+def test_hankel_decay_check_quiet_on_conforming_leading_zero():
+    # a_0 = 0 and a_k = 0.5**k: the ratios are normalized by the first nonzero
+    # coefficient, not by max(|a_0|, 1e-300), which read as a 1e+300 violation
+    k = np.arange(64.0)
+    for coeffs, decay in ((0.5 ** k, DecaySpec("geometric", 0.5)), ((1.0 + k) ** -3.0, DecaySpec("polynomial", 3.0))):
+        coeffs[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hankel_truncation(SymbolSeries.circle_hankel(coeffs, decay), 4)
+
+
+def test_hankel_decay_violation_after_leading_zero_warns():
+    coeffs = 0.5 ** np.arange(64.0)
+    coeffs[0] = 0.0
+    coeffs[9] = 1e4  # 1e4 / 0.5**9 against a_1 / 0.5 = 1
+    sym = SymbolSeries.circle_hankel(coeffs, DecaySpec("geometric", 0.5))
+    with pytest.warns(UserWarning, match=r"worst ratio 5\.12e\+06"):
+        hankel_truncation(sym, 4)
+
+
+def test_hankel_decay_ratio_mantissa_rounds_into_the_exponent():
+    # a ratio of 9.999e9 prints as 1.00e+10, not as 10.00e+09
+    sym = SymbolSeries.circle_hankel([1.0, 0.5 * 9.999e9, 0.0], DecaySpec("geometric", 0.5))
+    with pytest.warns(UserWarning, match=r"worst ratio 1\.00e\+10\)"):
+        hankel_truncation(sym, 2)
+
+
 def test_hankel_decay_check_quiet_on_conforming_underflowed_tail():
     sym = SymbolSeries.circle_hankel(0.8 ** np.arange(4000.0), DecaySpec("geometric", 0.8))
     with warnings.catch_warnings():
