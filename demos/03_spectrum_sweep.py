@@ -3,8 +3,8 @@
 A line through the origin meets the spectrum in finitely many points, and
 one eigenvalue solve of the rotated complexification finds all of them.
 Sweeping the angle samples the whole spectral curve; the script also shows
-the certificate that rules out eigenvalues entirely and the objects
-controlling invariant lines.
+the certificate that rules out eigenvalues entirely, invariant lines, and
+the invariant plane of an antilinear operator that has none.
 """
 
 import os
@@ -75,7 +75,14 @@ inv3 = rl.common_invariant_1d(rl.RealLinearOperator(np.diag([1.0, 1.0, 1.0, 2.0]
 print("invariant lines of diag(1, 1, 1, 2) with B e1 = e1, B e2 = e4:",
       [f"e{int(np.argmax(np.abs(x))) + 1}" for x in inv3.lines])
 
-# The complex span of antilinear powers is always invariant: residuals
-# vanish, giving a constructive invariant subspace.
-span = rl.krylov_cspan(A, rng.standard_normal(4))
-print("krylov span dimension:", span.basis.shape[1], " residuals:", np.round(span.residuals, 14))
+# The paper's theorem for antilinear operators: when no line is invariant,
+# span{y, B conj(y)} is, for an eigenvector y of B conj(B).  J (+) 2J, with
+# J = [[0, 1], [-1, 0]], has B conj(B) = -diag(1, 1, 4, 4) and no line; the
+# plane returned is the one of the eigenvalue of largest modulus.
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+B = np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), 2.0 * J]])
+inv = rl.common_invariant_1d(rl.RealLinearOperator(np.zeros((4, 4)), B))
+Q = inv.span
+off = np.linalg.norm(B @ Q.conj() - Q @ (Q.conj().T @ B @ Q.conj()))
+print("J (+) 2J:", len(inv.lines), "invariant lines, invariant plane span",
+      [f"e{k + 1}" for k in np.flatnonzero(np.linalg.norm(Q, axis=1) > 0.5)], " residual:", off)

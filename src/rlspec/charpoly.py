@@ -46,6 +46,16 @@ _LOG_MAX = np.log(np.finfo(float).max)
 _LOG_TINY = np.log(np.finfo(float).tiny)
 
 
+def _point(lam) -> complex:
+    """``lam`` as one finite complex number; an array, NaN or infinity is refused."""
+    z = np.asarray(lam, dtype=complex)
+    if z.ndim:
+        raise ValidationError(f"one evaluation point expected, got shape {z.shape}")
+    if not np.isfinite(z):
+        raise ValidationError("evaluation points must be finite, not NaN or infinity")
+    return complex(z)
+
+
 def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]:
     """Sign and log-modulus of ``p(lam, conj(lam)) = det(realify(R - lam I))`` at ``lams``.
 
@@ -53,8 +63,6 @@ def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]
     ``_DET_STACK_ENTRIES`` entries, one batched ``np.linalg.slogdet`` each.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
-    if not np.isfinite(lams).all():
-        raise ValidationError("evaluation points must be finite, not NaN or infinity")
     P, Q, eye = R.C + R.B, R.C - R.B, np.eye(R.n)
     chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
     sign, logabs = np.empty(lams.size), np.empty(lams.size)
@@ -90,10 +98,17 @@ def _stacked_eigvals(build, lines: np.ndarray, size: int) -> np.ndarray:
     return eigs
 
 
+def _check_count(value, what: str, least: int) -> None:
+    """A count, size or start is a Python or numpy integer >= ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value}")
+
+
 def _line_grid(n_rays: int) -> np.ndarray:
     """The ``m = ceil(n_rays / 2)`` line angles ``pi j / m`` of ``n_rays`` rays; odd counts round up."""
-    if not isinstance(n_rays, (int, np.integer)) or n_rays < 1:
-        raise ValidationError(f"n_rays must be an integer >= 1, got {n_rays!r}")
+    _check_count(n_rays, "n_rays", 1)
     m = (n_rays + 1) // 2
     return np.pi * np.arange(m) / m
 
@@ -147,7 +162,7 @@ def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:
     matrix similar to the shifted complexification, so the value is exactly
     real (0.0 if singular); a value beyond double range raises ``NumericalFailure``.
     """
-    sign, logabs = _real_slogdets(R, [lam])
+    sign, logabs = _real_slogdets(R, [_point(lam)])
     if logabs[0] >= _LOG_MAX:
         raise NumericalFailure(f"p(lam) overflows double range at lam={complex(lam):.4g} (n={R.n})")
     return float(sign[0] * np.exp(logabs[0]))
@@ -197,7 +212,7 @@ def _coeff_array(H) -> np.ndarray:
 def coeff_poly_eval(H, lam: complex) -> float:
     """Evaluate ``v* H v`` with ``v = (1, lam, ..., lam**n)``."""
     A = _coeff_array(H)
-    v = np.asarray(lam, dtype=complex) ** np.arange(A.shape[0])
+    v = _point(lam) ** np.arange(A.shape[0])
     return float(np.real(v.conj() @ A @ v))
 
 
@@ -474,7 +489,7 @@ def cholesky_sos(H) -> SosDecomposition:
 
 def sos_eval(sos: SosDecomposition, lam: complex) -> float:
     """Reconstruct ``p(lam, conj(lam))`` from a decomposition."""
-    v = np.asarray(lam, dtype=complex) ** np.arange(sos.U.shape[1])
+    v = _point(lam) ** np.arange(sos.U.shape[1])
     vals = sos.U @ v
     return float(np.sum(sos.d * np.abs(vals) ** 2))
 
@@ -535,7 +550,7 @@ def emptiness_certificates(
     with np.errstate(divide="ignore"):
         logdet = np.sum(np.log(np.abs(ev)))
     if not logdet < _LOG_MAX:
-        raise NumericalFailure(f"a numerical function value overflows double range (n={R.n})")
+        raise NumericalFailure(f"p(0, 0) overflows double range (n={R.n})")
     return EmptinessCertificates(
         pd_certificate=pd_cert,
         real_axis_zero=float(roots.min()) if roots.size else None,

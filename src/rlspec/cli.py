@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import serialize as ser
-from .charpoly import coeff_matrix, emptiness_certificates, sos_decompose
+from .charpoly import _check_count, coeff_matrix, emptiness_certificates, sos_decompose
 from .errors import NumericalFailure, ValidationError
 from .numfun import range_and_coverage
 from .operators import _schatten_norms
@@ -155,8 +155,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _cmd_charfun(args) -> int:
     sym = ser.load_symbol(args.symbol)
-    if args.nmax < 1:
-        raise ValidationError(f"--nmax must be >= 1, got {args.nmax}")
+    _check_count(args.nmax, "--nmax", 1)
     sizes = sorted({1 << k for k in range(args.nmax.bit_length())} | {args.nmax})
     grid = _parse_grid(args.grid)
     table = charfun_convergence(sym, grid, sizes, lam_min=args.lam_min)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import _distinct_lines, _line_eigvals, _line_grid, _stacked_eigvals, _values
+from .charpoly import _distinct_lines, _line_eigvals, _line_grid, _point, _stacked_eigvals, _values
 from .charpoly import coeff_matrix, sos_decompose
 from .errors import ValidationError
 from .operators import RealLinearOperator, operator_norm
@@ -60,7 +60,7 @@ def convex_weights(H, lam: complex) -> np.ndarray:
     was 7.4e-11 at n = 8, 1.7e-7 at n = 16, 3.9 at n = 24 and 4.8e5 at n = 32.
     """
     sos = sos_decompose(H)
-    v = np.asarray(lam, dtype=complex) ** np.arange(sos.U.shape[1])
+    v = _point(lam) ** np.arange(sos.U.shape[1])
     sq = np.abs(sos.U @ v) ** 2
     return sq / np.sum(sq)
 

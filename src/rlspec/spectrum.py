@@ -1,4 +1,4 @@
-"""Spectra of real linear operators as point clouds, plus eigen-structure tools.
+"""Spectra of real linear operators as point clouds, plus invariant lines and planes.
 
 The spectrum of ``z -> C z + B conj(z)`` is a plane algebraic curve (the
 zero set of the characteristic polynomial), and a line through the origin
@@ -44,8 +44,6 @@ __all__ = [
     "no_eigenvalue_certificate",
     "InvariantLines",
     "common_invariant_1d",
-    "KrylovSpan",
-    "krylov_cspan",
 ]
 
 
@@ -220,11 +218,14 @@ class InvariantLines:
     invariant; an orthonormal basis of it is returned), and each ``family``:
     two returned lines of one eigenspace with equal ``|beta|``, between which
     a continuous family of invariant lines runs (representatives returned).
+    ``span``, set only when there is no line and n > 2, is an orthonormal
+    n x 2 basis of the invariant plane of the paper's theorem (``common_invariant_1d``).
     """
 
     lines: tuple[np.ndarray, ...]
     partial: bool
     flags: tuple[str, ...]
+    span: np.ndarray | None
 
 
 def common_invariant_1d(R: RealLinearOperator, tol: float = 1e-8) -> InvariantLines:
@@ -242,6 +243,8 @@ def common_invariant_1d(R: RealLinearOperator, tol: float = 1e-8) -> InvariantLi
     when both vanish.  A candidate is kept only when
     ``||R x - (x* R x) x|| <= 10 tol ||R||`` holds for ``x`` and ``i x``, which
     rejects those of other ``mu``; no test changes when ``R`` is scaled.
+    ``A conj(y)`` belongs to ``conj(mu)``, so ``span{y, A conj(y)}`` is invariant (the paper's
+    theorem): ``span``, for a ``mu`` of largest modulus, where its plane passes the same test.
     """
     _check_tol(tol)
     n, C, B = R.n, R.C, R.B
@@ -249,6 +252,7 @@ def common_invariant_1d(R: RealLinearOperator, tol: float = 1e-8) -> InvariantLi
     lines: list[np.ndarray] = []
     flags: list[str] = []
     partial = False
+    span = None
 
     def kernel(M: np.ndarray) -> np.ndarray:
         _, s, Vh = np.linalg.svd(M)
@@ -294,6 +298,11 @@ def common_invariant_1d(R: RealLinearOperator, tol: float = 1e-8) -> InvariantLi
             cands = np.hstack([AY + root * Y, 1j * (root * Y - AY), Y])
             note = (f"family: invariant lines of equal |beta| in the eigenspace of {nu:.6g} bound "
                     "a continuous family of invariant lines (representatives returned)")
+            if span is None and W.shape[1] > 1:
+                k = np.argmax(np.abs(mus))
+                Q = W @ np.linalg.qr(np.column_stack([Y[:, k], AY[:, k]]))[0]
+                V = np.hstack([C @ Q + B @ Q.conj(), C @ Q - B @ Q.conj()])  # R Q and R(i Q) / i
+                span = Q if np.linalg.norm(V - Q @ (Q.conj().T @ V), 2) <= 10.0 * thr else None
         first = len(lines)
         for c in cands.T:
             push(W @ c)
@@ -301,67 +310,5 @@ def common_invariant_1d(R: RealLinearOperator, tol: float = 1e-8) -> InvariantLi
         if np.any(np.diff(betas) <= 10.0 * thr):
             flags.append(note)
 
-    return InvariantLines(lines=tuple(lines), partial=partial, flags=tuple(flags))
-
-
-@dataclass(frozen=True)
-class KrylovSpan:
-    """Orthonormal basis of the complex span of operator powers of a vector.
-
-    ``residuals[k]`` is the norm of the component of ``R basis_k`` outside
-    the span.  For an antilinear operator the span of powers is genuinely
-    invariant and all residuals vanish (up to roundoff); for a general real
-    linear operator they need not.
-    """
-
-    basis: np.ndarray
-    residuals: np.ndarray
-
-
-def krylov_cspan(
-    R: RealLinearOperator,
-    y,
-    max_dim: int | None = None,
-    tol: float = 1e-10,
-) -> KrylovSpan:
-    """Complex linear span of ``{y, R y, R^2 y, ...}`` by Gram-Schmidt.
-
-    Iterates true operator powers (renormalized by positive reals, which
-    commutes with real-homogeneous maps) and stops once the next power lies
-    in the current span within ``tol``, or when ``max_dim`` columns have
-    been collected (``max_dim >= 1``).
-    """
-    _check_tol(tol)
-    if max_dim is not None and max_dim < 1:
-        raise ValidationError(f"max_dim must be >= 1, got {max_dim!r}")
-    n = R.n
-    v = np.asarray(y, dtype=complex)
-    if v.shape != (n,):
-        raise ValidationError(f"starting vector of length {n} expected, got shape {v.shape}")
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        raise ValidationError("starting vector must be nonzero")
-
-    kmax = min(max_dim if max_dim is not None else n, n)
-    Q = [v / nv]
-    w = v / nv
-    while len(Q) < kmax:
-        w = apply(R, w)
-        nw = np.linalg.norm(w)
-        if nw <= 1e-300:
-            break
-        w = w / nw
-        Qm = np.column_stack(Q)
-        res = w - Qm @ (Qm.conj().T @ w)
-        res = res - Qm @ (Qm.conj().T @ res)  # second pass for orthogonality
-        rn = np.linalg.norm(res)
-        if rn <= tol:
-            break
-        Q.append(res / rn)
-
-    Qm = np.column_stack(Q)
-    residuals = np.empty(len(Q))
-    for k in range(len(Q)):
-        u = apply(R, Qm[:, k])
-        residuals[k] = np.linalg.norm(u - Qm @ (Qm.conj().T @ u))
-    return KrylovSpan(basis=Qm, residuals=residuals)
+    return InvariantLines(lines=tuple(lines), partial=partial, flags=tuple(flags),
+                          span=span if not lines and n > 2 else None)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charpoly import _LOG_MAX, _real_slogdets
+from .charpoly import _LOG_MAX, _check_count, _point, _real_slogdets
 from .errors import NumericalFailure, ValidationError
 from .operators import RealLinearOperator
 
@@ -139,6 +139,7 @@ def tail_weight(sym: SymbolSeries, start: int) -> float:
     moduli of its entries: for ``start <= m`` the tail is its trace norm
     ``sum_l sqrt((l+1)(m-l+1)) / (m+1)``, else 0.
     """
+    _check_count(start, "tail start", 0)
     if sym.kind != "circle-hankel":
         if start > sym.m:
             return 0.0
@@ -192,8 +193,7 @@ def hankel_truncation(sym: SymbolSeries, n: int) -> RealLinearOperator:
     """
     if sym.kind != "circle-hankel":
         raise ValidationError(f"hankel_truncation requires a circle-hankel symbol, got {sym.kind!r}")
-    if n < 1:
-        raise ValidationError(f"truncation size must be >= 1, got {n}")
+    _check_count(n, "truncation size", 1)
     B = _hankel_coeffs(sym, n)[np.add.outer(np.arange(n), np.arange(n))]
     return RealLinearOperator(np.zeros((n, n), dtype=complex), B)
 
@@ -221,8 +221,7 @@ def disk_truncation(sym: SymbolSeries, n: int) -> RealLinearOperator:
     """
     if sym.kind != "disk-monomial":
         raise ValidationError(f"disk_truncation requires a disk-monomial symbol, got {sym.kind!r}")
-    if n < 1:
-        raise ValidationError(f"truncation size must be >= 1, got {n}")
+    _check_count(n, "truncation size", 1)
     return RealLinearOperator(np.zeros((n, n), dtype=complex), _disk_block(sym.m, n))
 
 
@@ -242,7 +241,7 @@ def charfun_eval(R: RealLinearOperator, lam: complex) -> float:
     exactly real ``realify(R - lam I)``, so very large truncations neither
     overflow nor underflow; beyond double range, ``NumericalFailure``.  Not defined at 0.
     """
-    lam = complex(lam)
+    lam = _point(lam)
     if lam == 0:
         raise ValidationError("the characteristic function is defined on the punctured plane only")
     sign, logabs = _real_slogdets(R, [lam])
@@ -317,7 +316,7 @@ def charfun_convergence(
             f"{int(np.sum(small))} grid points lie inside |lambda| < {cutoff:.3g}; "
             "the characteristic function is unreliable near the origin"
         )
-    sizes = tuple(int(n) for n in n_list)
+    sizes = tuple(int(n) if isinstance(n, (int, np.integer)) else 0 for n in n_list)
     if not sizes or any(n < 1 for n in sizes) or list(sizes) != sorted(sizes):
         raise ValidationError("truncation sizes must be a nondecreasing list of integers >= 1")
 

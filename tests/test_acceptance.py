@@ -25,7 +25,6 @@ from rlspec import (
     det_continuity_check,
     emptiness_certificates,
     hankel_truncation,
-    krylov_cspan,
     no_eigenvalue_certificate,
     operator_norm,
     poly_apply,
@@ -314,14 +313,23 @@ def test_criterion_10_trace_class_characteristic_function():
 
 
 def test_krylov_invariance_residual_suite():
+    # the paper's theorem: an antilinear operator with no invariant line has the
+    # invariant plane span{y, B conj(y)}; off n = 2, where a plane is all of
+    # C^2, every draw gets a line or a plane
     t0 = time.perf_counter()
     rng = np.random.default_rng(1100)
-    worst = 0.0
+    worst, planes, bare = 0.0, 0, 0
     for _ in range(200):
         n = int(rng.integers(1, 9))
         A = random_antilinear(rng, n)
-        y = crandn(rng, n)
-        span = krylov_cspan(A, y)
-        worst = max(worst, float(np.max(span.residuals)))
-    _report("krylov", worst <= 1e-10, f"200 antilinear spans, max residual {worst:.2e} <= 1e-10",
+        res = common_invariant_1d(A)
+        bare += n != 2 and not res.lines and res.span is None
+        if res.span is not None:
+            Q = res.span
+            AQ = A.B @ Q.conj()
+            worst = max(worst, float(np.linalg.norm(AQ - Q @ (Q.conj().T @ AQ), 2)))
+            planes += 1
+    _report("krylov", worst <= 1e-10 and bare == 0 and planes > 0,
+            f"200 antilinear operators, {planes} invariant planes, max residual {worst:.2e} <= 1e-10, "
+            f"{bare} with neither a line nor a plane",
             time.perf_counter() - t0, 30.0)

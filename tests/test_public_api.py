@@ -16,7 +16,7 @@ PUBLIC = {
     "coeff_poly_eval", "sos_decompose", "cholesky_sos", "sos_eval", "emptiness_certificates",
     "SpectralPoint", "SpectrumCloud", "ray_spectrum", "spectrum_sweep", "eigenvector",
     "NoEigenvalueCertificate", "no_eigenvalue_certificate", "InvariantLines",
-    "common_invariant_1d", "KrylovSpan", "krylov_cspan",
+    "common_invariant_1d",
     "NumFunReport", "numfun_eval", "convex_weights", "ray_extrema", "range_and_coverage",
     "DecaySpec", "SymbolSeries", "symbol_scale", "tail_weight", "hankel_truncation",
     "disk_truncation", "charfun_eval", "CharFunTable", "charfun_convergence", "trace_norm",
@@ -29,7 +29,7 @@ MODULES = ("operators", "charpoly", "spectrum", "numfun", "traceclass", "errors"
 
 
 def test_public_names_are_unchanged_and_resolve():
-    assert len(PUBLIC) == 59
+    assert len(PUBLIC) == 57
     assert len(rlspec.__all__) == len(set(rlspec.__all__)) and set(rlspec.__all__) == PUBLIC
     for name in rlspec.__all__:
         assert getattr(rlspec, name) is not None, name

@@ -13,16 +13,20 @@ from rlspec import (
     ValidationError,
     add,
     charfun_convergence,
+    charfun_eval,
+    charpoly_eval,
     coeff_matrix,
-    conjugation,
+    coeff_poly_eval,
+    convex_weights,
     disk_truncation,
     hankel_truncation,
     identity,
-    krylov_cspan,
     parts_from_action,
     poly_apply,
     sos_decompose,
+    sos_eval,
     spectrum_sweep,
+    tail_weight,
 )
 from rlspec import serialize as ser
 
@@ -70,6 +74,22 @@ REFUSALS = {
     "sos weights and rows of unequal size": (
         lambda: SosDecomposition(d=np.ones(3), U=np.eye(2), kind="eigen"),
         ValidationError, "weights and polynomial rows have inconsistent shapes"),
+    "charpoly at two points": (
+        lambda: charpoly_eval(identity(1), [1.0, 2.0]),
+        ValidationError, "one evaluation point expected, got shape (2,)"),
+    "charpoly at no point": (
+        lambda: charpoly_eval(identity(1), []),
+        ValidationError, "one evaluation point expected, got shape (0,)"),
+    "coefficient polynomial at NaN": (
+        lambda: coeff_poly_eval(np.eye(2), np.nan),
+        ValidationError, "evaluation points must be finite, not NaN or infinity"),
+    "sum of squares at NaN": (
+        lambda: sos_eval(sos_decompose(np.eye(2)), complex(0.5, np.nan)),
+        ValidationError, "evaluation points must be finite, not NaN or infinity"),
+    # numfun
+    "convex weights at NaN": (
+        lambda: convex_weights(np.eye(2), np.nan),
+        ValidationError, "evaluation points must be finite, not NaN or infinity"),
     # serialize
     "symbol document of an unknown kind": (
         lambda: ser.symbol_from_dict({"kind": "annulus"}),
@@ -78,15 +98,6 @@ REFUSALS = {
     "sweep without angles": (
         lambda: spectrum_sweep(identity(1), thetas=[]),
         ValidationError, "thetas must contain at least one angle"),
-    "Krylov start of the wrong length": (
-        lambda: krylov_cspan(conjugation(2), [1.0, 0.0, 0.0]),
-        ValidationError, "starting vector of length 2 expected, got shape (3,)"),
-    "Krylov span of dimension 0": (
-        lambda: krylov_cspan(conjugation(3), [1, 1j, 0], max_dim=0),
-        ValidationError, "max_dim must be >= 1, got 0"),
-    "Krylov span of negative dimension": (
-        lambda: krylov_cspan(conjugation(3), [1, 1j, 0], max_dim=-2),
-        ValidationError, "max_dim must be >= 1, got -2"),
     # traceclass
     "unknown decay tag": (
         lambda: DecaySpec("linear"),
@@ -94,6 +105,9 @@ REFUSALS = {
     "unknown symbol kind": (
         lambda: SymbolSeries(kind="annulus"),
         ValidationError, "unknown symbol kind 'annulus'"),
+    "charfun at two points": (
+        lambda: charfun_eval(identity(1), [1.0, 2.0]),
+        ValidationError, "one evaluation point expected, got shape (2,)"),
     "Hankel truncation of a disk symbol": (
         lambda: hankel_truncation(DISK, 2),
         ValidationError, "hankel_truncation requires a circle-hankel symbol, got 'disk-monomial'"),
@@ -106,6 +120,21 @@ REFUSALS = {
     "disk truncation of size 0": (
         lambda: disk_truncation(DISK, 0),
         ValidationError, "truncation size must be >= 1, got 0"),
+    "fractional tail start": (
+        lambda: tail_weight(DISK, 1.5),
+        ValidationError, "tail start must be an integer, got 1.5"),
+    "negative tail start": (
+        lambda: tail_weight(SymbolSeries.circle_hankel([0.5, 0.2, 0.1, 0.05]), -2),
+        ValidationError, "tail start must be >= 0, got -2"),
+    "fractional Hankel truncation size": (
+        lambda: hankel_truncation(HANKEL, 2.5),
+        ValidationError, "truncation size must be an integer, got 2.5"),
+    "fractional disk truncation size": (
+        lambda: disk_truncation(DISK, 2.5),
+        ValidationError, "truncation size must be an integer, got 2.5"),
+    "fractional charfun sizes": (
+        lambda: charfun_convergence(SymbolSeries.circle_hankel([0.5, 0.2, 0.1, 0.05]), [1.0], [2.7, 3]),
+        ValidationError, "truncation sizes must be a nondecreasing list of integers >= 1"),
     "empty charfun grid": (
         lambda: charfun_convergence(DISK, [], [1, 2]),
         ValidationError, "lambda grid must be a nonempty one-dimensional array"),

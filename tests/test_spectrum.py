@@ -23,7 +23,6 @@ from rlspec import (
     eigenvector,
     emptiness_certificates,
     identity,
-    krylov_cspan,
     no_eigenvalue_certificate,
     operator_norm,
     range_and_coverage,
@@ -252,25 +251,13 @@ def deadline(seconds):
 @pytest.mark.parametrize("call", [
     lambda R, tol: eigenvector(R, 0.5, tol=tol),
     lambda R, tol: common_invariant_1d(R, tol=tol),
-    lambda R, tol: krylov_cspan(R, np.ones(R.n), tol=tol),
-], ids=["eigenvector", "common_invariant_1d", "krylov_cspan"])
+], ids=["eigenvector", "common_invariant_1d"])
 def test_every_tol_lies_in_0_1(call, tol):
     # a negative or NaN tol kept common_invariant_1d's cluster loop from ever
-    # dropping its first eigenvalue; eigenvector returned None and krylov_cspan
-    # a full basis without a word
+    # dropping its first eigenvalue; eigenvector returned None without a word
     R = random_operator(np.random.default_rng(0), 3)
     with deadline(1.0), pytest.raises(ValidationError, match="tol must lie in"):
         call(R, tol)
-
-
-def test_krylov_span_of_one_column_keeps_the_start_vector():
-    # max_dim = 1 keeps the normalised start alone; max_dim < 1 is refused
-    # (tests/test_refusals.py)
-    y = np.array([1.0, 1j, 0.0])
-    span = krylov_cspan(conjugation(3), y, max_dim=1)
-    assert span.basis.shape == (3, 1)
-    assert np.allclose(span.basis[:, 0], y / np.sqrt(2.0), rtol=0.0, atol=1e-15)
-    assert krylov_cspan(conjugation(3), y).basis.shape == (3, 2)
 
 
 def test_a_loose_tol_no_longer_finds_invariant_lines_that_are_not_there():
@@ -618,72 +605,98 @@ def test_invariant_lines_mixed_construction():
     assert any(abs(x[0]) > 1 - 1e-8 for x in res.lines)
 
 
-# --------------------------------------------------------------------- krylov
+# --------------------------------------------------------- invariant planes
+
+def _plane_residual(R, Q):
+    # largest column of R Q - Q Q* R Q over Q and i Q, the test a span must pass
+    V = np.hstack([R.C @ Q + R.B @ Q.conj(), R.C @ Q - R.B @ Q.conj()])
+    return float(np.linalg.norm(V - Q @ (Q.conj().T @ V), axis=0).max())
+
 
 def test_krylov_conjugation_stops_at_one():
-    span = krylov_cspan(conjugation(3), np.array([1.0, 0, 0]))
-    assert span.basis.shape == (3, 1)
-    assert span.residuals[0] < 1e-12
+    # every power of conjugation keeps a real vector on its line: all lines
+    # are invariant, so no plane is returned
+    res = common_invariant_1d(conjugation(3))
+    assert len(res.lines) == 3 and res.span is None
 
 
 def test_krylov_antilinear_spans_are_invariant():
-    # the complex span of antilinear powers absorbs the operator; verify by
-    # projecting the image of random span elements with an independent projector
+    # a returned plane absorbs the operator; verify by projecting the image of
+    # random plane elements with an independent projector
     rng = np.random.default_rng(10)
+    planes = 0
     for _ in range(20):
         n = int(rng.integers(2, 7))
         A = random_antilinear(rng, n)
-        y = crandn(rng, n)
-        span = krylov_cspan(A, y)
-        assert np.max(span.residuals) < 1e-10
-        Q = span.basis
+        res = common_invariant_1d(A)
+        assert bool(res.lines) != (res.span is not None) or n == 2
+        if res.span is None:
+            continue
+        planes += 1
+        Q = res.span
+        assert Q.shape == (n, 2)
+        assert np.allclose(Q.conj().T @ Q, np.eye(2), rtol=0.0, atol=1e-14)
         P = Q @ Q.conj().T
         for _ in range(5):
-            v = Q @ crandn(rng, Q.shape[1])
+            v = Q @ crandn(rng, 2)
             img = apply(A, v)
             assert np.linalg.norm(img - P @ img) < 1e-9 * (1 + np.linalg.norm(img))
+    assert planes >= 1
 
 
 def test_krylov_general_operator_saturates():
-    span = krylov_cspan(no_invariant_example(), np.array([1.0, 0.0]))
-    assert span.basis.shape == (2, 2)
-
-
-def test_krylov_max_dim_cap():
-    rng = np.random.default_rng(11)
-    R = random_operator(rng, 5)
-    span = krylov_cspan(R, crandn(rng, 5), max_dim=2)
-    assert span.basis.shape[1] <= 2
-
-
-def test_krylov_rejects_zero_vector():
-    with pytest.raises(ValidationError):
-        krylov_cspan(conjugation(2), np.zeros(2))
+    # at n = 2 a plane would be all of C^2, which says nothing
+    res = common_invariant_1d(no_invariant_example())
+    assert res.lines == () and res.span is None
+    # C = diag(1, 1, 2): B conj(.) sends e3 to e1, so the eigenspace of 2 holds
+    # no line, and acts on the eigenspace {e1, e2} of 1 as J = [[0, 1], [-1, 0]],
+    # which has none either: that whole eigenspace is the plane
+    B = np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    R = RealLinearOperator(np.diag([1.0, 1.0, 2.0]), B)
+    res = common_invariant_1d(R)
+    assert res.lines == ()
+    assert np.allclose(res.span @ res.span.conj().T, np.diag([1.0, 1.0, 0.0]), rtol=0.0, atol=1e-15)
+    assert _plane_residual(R, res.span) <= 1e-15
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_krylov_finite_rank_case(n):
-    # for A = B conj and B conj(B) y = mu y, A^2 y = mu y: span{y, B conj(y)}
-    # is A-invariant, and krylov_cspan from y returns exactly that span
-    A = random_antilinear(np.random.default_rng(40 + n), n)
-    norm = np.linalg.norm(A.B, 2)
-    _, Y = np.linalg.eig(A.B @ A.B.conj())
-    for y in Y.T:
-        span = krylov_cspan(A, y)
-        Q = span.basis
-        assert Q.shape[1] <= 2
-        assert np.max(span.residuals) <= 1e-10 * norm
-        pair = np.column_stack([y, A.B @ y.conj()])
-        off_y, off_by = np.linalg.norm(pair - Q @ (Q.conj().T @ pair), axis=0)
-        assert off_y <= 1e-10 and off_by <= 1e-10 * norm
-        coef = np.linalg.lstsq(pair, Q, rcond=None)[0]
-        assert np.linalg.norm(pair @ coef - Q) <= 1e-10
+    # B = U (s_1 J (+) s_2 J (+) ... [(+) s_0]) U^T: B conj(B) = -U diag(s_k^2) U*
+    # on each pair, with no eigenvalue >= 0 and so no line at even n; an odd n
+    # adds the line of U e_n.  For A = B conj and B conj(B) y = mu y,
+    # A^2 y = mu y, so span{y, B conj(y)} is invariant: the span returned is
+    # that of the mu of largest modulus, which is the pair of the largest s_k
+    rng = np.random.default_rng(40 + n)
+    U = np.linalg.qr(crandn(rng, n, n))[0]
+    s = rng.uniform(0.5, 2.0, n // 2)
+    M = np.zeros((n, n))
+    for k, sk in enumerate(s):
+        M[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[0.0, sk], [-sk, 0.0]]
+    if n % 2:
+        M[-1, -1] = 1.0
+    B = U @ M @ U.T
+    A = RealLinearOperator(np.zeros((n, n)), B)
+    res = common_invariant_1d(A)
+    if n % 2 or n == 2:
+        assert res.span is None and len(res.lines) == n % 2
+        return
+    assert res.lines == ()
+    Q = res.span
+    assert _plane_residual(A, Q) <= 10.0 * 1e-8 * operator_norm(A)
+    mus, Y = np.linalg.eig(B @ B.conj())
+    y = Y[:, np.argmax(np.abs(mus))]
+    pair = np.column_stack([y, B @ y.conj()])
+    off_y, off_by = np.linalg.norm(pair - Q @ (Q.conj().T @ pair), axis=0)
+    assert off_y <= 1e-10 and off_by <= 1e-10 * np.linalg.norm(B, 2)
+    top = 2 * int(np.argmax(s))
+    plane = U[:, top:top + 2]
+    assert np.allclose(Q @ Q.conj().T, plane @ plane.conj().T, rtol=0.0, atol=1e-12)
 
 
 def test_krylov_nilpotent_power_chain():
-    # B shifts and conjugates: powers die after two steps
+    # B conj(.) shifts e2 to e1 and e1 to 0: the chain ends on the line of e1
+    # (beta = 0), so there is a line and no plane
     B = np.array([[0.0, 1.0], [0.0, 0.0]])
-    A = RealLinearOperator(np.zeros((2, 2)), B)
-    span = krylov_cspan(A, np.array([0.0, 1.0]))
-    assert span.basis.shape == (2, 2)
-    assert np.max(span.residuals) < 1e-12
+    res = common_invariant_1d(RealLinearOperator(np.zeros((2, 2)), B))
+    assert len(res.lines) == 1 and abs(res.lines[0][0]) == pytest.approx(1.0, abs=1e-15)
+    assert res.span is None

@@ -8,7 +8,8 @@ under each of them, and every kept point must have normwise backward error
 ``sigma_min(realify(R - lam I)) / (||R|| + |lam|)`` at most ``tol``.
 Invariant complex lines follow the operator the same way: those of ``s R``
 are those of ``R``, those of ``(U C U*, U B U^T)`` are ``U x``, and each
-moves off itself by at most ``10 tol ||R||``.
+moves off itself by at most ``10 tol ||R||``; the invariant plane of an
+antilinear operator with no line moves with it too.
 """
 
 import math
@@ -223,3 +224,28 @@ def test_conjugation_invariant_lines():
     res = common_invariant_1d(conjugation(3))
     assert len(res.lines) == 3 and not res.partial
     assert any(f.startswith("family") for f in res.flags)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_invariant_plane_follows_a_unitary_similarity_and_a_shift(n):
+    # the plane is one span, whatever member of a conjugate pair the eigen solve
+    # lists first: that of (0, U B U^T) is U times that of (0, B), that of
+    # (nu I, B) is that of (0, B), and that of s R is that of R
+    rng = np.random.default_rng(700 + n)
+    planes = 0
+    for _ in range(40):
+        A = random_antilinear(rng, n)
+        res = common_invariant_1d(A)
+        if res.lines:
+            continue
+        planes += 1
+        P = res.span @ res.span.conj().T
+        U = np.linalg.qr(crandn(rng, n, n))[0]
+        for R, ref in [
+            (RealLinearOperator(np.zeros((n, n)), U @ A.B @ U.T), U @ P @ U.conj().T),
+            (RealLinearOperator((0.3 - 0.8j) * np.eye(n), A.B), P),
+            (scale(1e6, A), P),
+        ]:
+            Q = common_invariant_1d(R).span
+            assert np.abs(Q @ Q.conj().T - ref).max() <= 1e-12
+    assert planes >= 5
