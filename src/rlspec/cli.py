@@ -6,6 +6,15 @@ and options produce byte-identical files at a fixed BLAS thread count.  Exit
 codes: 0 success, 2 input validation failure, 3 numerical failure.  The
 argument parser is built once per process, on the first ``main`` call, and
 reused by later calls; parsing keeps no state between calls.
+
+An argv whose first word names a subcommand (or the ``phi`` alias) is parsed
+once, by that subcommand's own parser, which sets ``command`` as the
+top-level parser would.  Every other argv (empty, ``-h``, an option such as
+``--error-json`` before the command, or an unknown command) goes to the
+top-level parser, which reports it as it always has.  The two routes give the
+same namespace, help text, error object and exit code; only an unrecognized
+argument after a valid subcommand prints that subcommand's usage line on
+stderr rather than the top-level one.
 """
 
 from __future__ import annotations
@@ -174,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--error-json", action="store_true",
                         help="on failure, print a machine-readable error object to stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     add_parser = functools.partial(sub.add_parser, parents=[common])
 
     p = add_parser("info", help="norms, determinant, coefficient spectrum, certificates")
@@ -232,7 +242,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = None
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         return args.fn(args)
     except ValidationError as exc:
         return _fail(args, argv, exc, 2)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, NumericalFailure, ValidationError
 
 __all__ = [
     "RealLinearOperator",
@@ -219,8 +219,15 @@ def realify(R: RealLinearOperator) -> np.ndarray:
 
 
 def operator_norm(R: RealLinearOperator) -> float:
-    """``sup ||R z||`` over unit vectors: top singular value of realify(R)."""
-    return float(np.linalg.svd(realify(R), compute_uv=False)[0])
+    """``sup ||R z||`` over unit vectors: top singular value of realify(R).
+
+    A norm beyond double range raises ``NumericalFailure`` here, before any
+    analysis does arithmetic on it.
+    """
+    norm = float(np.linalg.svd(realify(R), compute_uv=False)[0])
+    if not norm < np.inf:  # inf, or NaN from an overflow inside the SVD
+        raise NumericalFailure(f"operator norm overflows double range (n={R.n})")
+    return norm
 
 
 def min_modulus(R: RealLinearOperator) -> float:

@@ -77,8 +77,10 @@ def _json(obj) -> str:
 
 def read_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:

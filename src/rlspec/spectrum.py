@@ -158,6 +158,8 @@ def eigenvector(R: RealLinearOperator, lam: complex, tol: float = 1e-8):
     ``10 tol`` of ``||R|| + |lam|``, so scaling ``R`` and ``lam`` changes nothing.
     """
     _check_tol(tol)
+    if np.ndim(lam):
+        raise ValidationError(f"one point lam expected, got shape {np.shape(lam)}")
     if not np.isfinite(lam):
         raise ValidationError(f"lam must be finite, got {lam!r}")
     n = R.n

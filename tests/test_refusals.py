@@ -1,5 +1,7 @@
 """Input refusals across the modules: each bad input raises its typed error and says why."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from rlspec import (
     CoeffMatrix,
     DecaySpec,
     DimensionMismatch,
+    NumericalFailure,
     RealLinearOperator,
     SosDecomposition,
     SymbolSeries,
@@ -19,10 +22,12 @@ from rlspec import (
     coeff_poly_eval,
     convex_weights,
     disk_truncation,
+    emptiness_certificates,
     hankel_truncation,
     identity,
     parts_from_action,
     poly_apply,
+    range_and_coverage,
     sos_decompose,
     sos_eval,
     spectrum_sweep,
@@ -151,3 +156,19 @@ def test_bad_input_raises_its_typed_error(case):
         call()
     assert type(info.value) is error
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("analysis", [
+    coeff_matrix,
+    emptiness_certificates,
+    lambda R: spectrum_sweep(R, 8),
+    lambda R: range_and_coverage(R, 8),
+])
+def test_operator_norm_beyond_double_range_is_refused_where_it_enters(analysis):
+    # ||R|| = 1.7e308 sqrt(2) is inf; every analysis used to do arithmetic on
+    # it (invalid-value warnings, and a sweep returned points at r = inf)
+    R = RealLinearOperator(np.zeros((2, 2)), 1.7e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailure, match=r"^operator norm overflows double range \(n=2\)$"):
+            analysis(R)

@@ -1,5 +1,6 @@
 """Wire formats and the command line front end."""
 
+import argparse
 import errno
 import importlib.util
 import json
@@ -916,6 +917,138 @@ def test_cli_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
     assert shared == [run(fresh_main(), argv) for argv in calls]
     assert [code for code, _, _ in shared] == [0, 2, 0, 0]
     assert json.loads(shared[1][1])["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "op.json", "--json"],
+    ["info", "--json", "--error-json", "op.json"],
+    ["info", "op.json", "--js"],
+    ["charpoly", "--exact", "op.json", "--out=H.json", "--sos", "S.json"],
+    ["charpoly", "op.json", "--so=S.json", "--error-json"],
+    ["spectrum", "--rays=16", "op.json", "--tol", "1e-6", "--svg=-"],
+    ["spectrum", "op.json", "--ra", "8", "--out", "spec.csv"],
+    ["numfun", "op.json", "--rays", "5", "--out=rays.csv"],
+    ["numfun", "--rays=7", "op.json"],
+    ["friedrichs", "--symbol", "sym.json", "--n=4"],
+    ["friedrichs", "--n", "3", "--symbol=sym.json", "--out", "-", "--error-json"],
+    ["charfun", "--symbol", "sym.json", "--nmax", "8", "--lam-min=0.1"],
+    ["charfun", "--nm", "4", "--symbol", "sym.json", "--grid=0.5:1:2:2"],
+    ["phi", "--symbol=sym.json", "--nmax", "2", "--out", "phi.csv"],
+])
+def test_main_parses_a_subcommand_once_into_the_full_parse_namespace(monkeypatch, argv):
+    # a known subcommand goes straight to its own parser: one parse, not the
+    # top-level parse and then the subcommand's again, with the same namespace
+    parsed, passes = [], []
+    parse_args, parse_known_args = argparse.ArgumentParser.parse_args, argparse.ArgumentParser.parse_known_args
+
+    def spy_parse_args(self, *a, **k):
+        ns = parse_args(self, *a, **k)
+        parsed.append(dict(vars(ns)))
+        ns.fn = lambda args: 0  # parse only; the files need not exist
+        return ns
+
+    def spy_parse_known_args(self, *a, **k):
+        passes.append(self.prog)
+        return parse_known_args(self, *a, **k)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy_parse_args)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy_parse_known_args)
+    assert main(argv) == 0
+    assert len(parsed) == 1 and len(passes) == 1
+    monkeypatch.undo()
+    full = vars(build_parser().parse_args(argv))
+    assert parsed[0] == full
+    assert full["command"] == argv[0]
+
+
+def run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+CHOICES = "'info', 'charpoly', 'spectrum', 'numfun', 'friedrichs', 'charfun', 'phi'"
+
+
+@pytest.mark.parametrize("argv, code, payload", [
+    ([], 2, None),
+    (["--help"], 0, None),
+    (["bogus"], 2, None),
+    (["bogus", "--error-json"], 2,
+     {"error": f"argument command: invalid choice: 'bogus' (choose from {CHOICES})",
+      "type": "ValidationError", "exit_code": 2}),
+    # --error-json is an option of the subcommands, not of the top level
+    (["--error-json", "info", "OP"], 2,
+     {"error": "unrecognized arguments: --error-json", "type": "ValidationError", "exit_code": 2}),
+    (["info", "OP", "--bogus"], 2, None),
+    (["info", "OP", "--bogus", "--error-json"], 2,
+     {"error": "unrecognized arguments: --bogus", "type": "ValidationError", "exit_code": 2}),
+    (["spectrum", "OP", "--rays", "0"], 2, None),
+    (["spectrum", "OP", "--rays", "0", "--error-json"], 2,
+     {"error": "argument --rays: must be >= 1, got '0'", "type": "ValidationError", "exit_code": 2}),
+])
+def test_cli_argument_errors_keep_their_exit_code_and_error_object(tmp_path, capsys, argv, code, payload):
+    op = write_operator(tmp_path / "op.json", conjugation(1))
+    argv = [op if a == "OP" else a for a in argv]
+    got_code, out, err = run_main(argv, capsys)
+    assert got_code == code
+    if argv == ["--help"]:
+        assert out.startswith("usage: rlspec [-h] {info,charpoly,spectrum,numfun,friedrichs,charfun,phi} ...\n")
+    elif payload is None:
+        assert out == ""
+    else:
+        assert json.loads(out) == payload
+    if code == 2:
+        assert err.startswith("usage: rlspec") and "\nerror: " in err
+    if payload is not None:
+        assert err.endswith(f"\nerror: {payload['error']}\n")
+
+
+def test_unrecognized_argument_after_a_subcommand_prints_its_usage(tmp_path, capsys):
+    # the one visible effect of parsing a known subcommand with its own parser
+    op = write_operator(tmp_path / "op.json", conjugation(1))
+    code, out, err = run_main(["info", op, "--bogus"], capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "usage: rlspec info [-h] [--error-json] [--json] opfile\n"
+        "error: unrecognized arguments: --bogus\n"
+    )
+
+
+@pytest.mark.parametrize("command", [None, "info", "charpoly", "spectrum", "numfun", "friedrichs", "charfun", "phi"])
+def test_help_is_what_the_full_parse_prints(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    got = run_main(argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert got == (exc.value.code, *capsys.readouterr()) and got[0] == 0 and got[1].startswith("usage: rlspec")
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "{op}"], ["charpoly", "{op}"], ["spectrum", "{op}"], ["numfun", "{op}"],
+    ["friedrichs", "--symbol", "{op}", "--n", "2"], ["charfun", "--symbol", "{op}", "--nmax", "2"],
+])
+def test_cli_non_utf8_input_file_exits_2(tmp_path, capsys, argv):
+    # a \xff byte used to escape read_json as a raw UnicodeDecodeError (exit 1, a traceback)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": 1, "C_re": [[0.5\xff]]}')
+    code, out, err = run_main([a.format(op=bad) for a in argv] + ["--error-json"], capsys)
+    assert code == 2
+    assert json.loads(out) == {"error": f"{bad}: byte 22: not UTF-8 (invalid start byte)",
+                               "type": "ValidationError", "exit_code": 2}
+
+
+def test_cli_operator_norm_beyond_double_range_exits_3(tmp_path, capsys):
+    R = RealLinearOperator(np.zeros((2, 2)), 1.7e308 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    op = write_operator(tmp_path / "huge.json", R)
+    code, out, _ = run_main(["info", op, "--json", "--error-json"], capsys)
+    assert code == 3
+    assert json.loads(out) == {"error": "operator norm overflows double range (n=2)",
+                               "type": "NumericalFailure", "exit_code": 3}
 
 
 @pytest.mark.parametrize("spec", ["0.5:3.0:6:8", "0.1:0.1:1:1", "1e-3:7.25:13:17"])

@@ -291,6 +291,9 @@ def test_non_finite_angles_and_points_are_refused(bad):
     for lam in (bad, complex(0.5, bad)):
         with pytest.raises(ValidationError, match="lam must be finite"):
             eigenvector(R, lam)
+    # an array lam used to raise a raw ValueError from its finiteness test
+    with pytest.raises(ValidationError, match=r"one point lam expected, got shape \(2,\)"):
+        eigenvector(R, [0.5, bad])
 
 
 def test_sweep_refuses_a_nan_angle():
