@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import NotPositiveDefinite, NumericalFailure, ValidationError
+from .errors import DimensionMismatch, NotPositiveDefinite, NumericalFailure, ValidationError
 from .operators import RealLinearOperator, _real_block, complexify, operator_norm, realify
 
 __all__ = [
@@ -184,6 +184,8 @@ class CoeffMatrix:
     asymmetry: float
 
     def __post_init__(self):
+        if not self.n >= 1:
+            raise ValidationError(f"coefficient matrix needs n >= 1, got n={self.n!r}")
         H = np.asarray(self.H, dtype=complex)
         if H.shape != (self.n + 1, self.n + 1):
             raise ValidationError(
@@ -200,12 +202,14 @@ class CoeffMatrix:
 
 
 def _coeff_array(H) -> np.ndarray:
-    """The H of a CoeffMatrix, exactly Hermitian already, or the Hermitian part of a plain matrix."""
+    """The H of a CoeffMatrix, exactly Hermitian already, or the Hermitian part of a plain one."""
     if isinstance(H, CoeffMatrix):
         return H.H
     A = np.asarray(H, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValidationError(f"square coefficient matrix expected, got shape {A.shape}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise ValidationError(f"nonempty square coefficient matrix expected, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValidationError("coefficient matrix has non-finite entries")
     return (A + A.conj().T) / 2.0
 
 
@@ -540,9 +544,12 @@ def emptiness_certificates(
     a negative determinant always comes with a zero.  It is :func:`_values` at
     t = 0 as one scalar, to the bit: the signs of the exactly real eigenvalues
     times ``exp(sum log|mu|)``, plus 0.0, and ``NumericalFailure`` beyond double range.
-    ``coeff`` supplies an already extracted H (for example ``mode="exact"``).
+    ``coeff`` supplies an already extracted H (for example ``mode="exact"``) of the
+    operator's own n; another n raises ``DimensionMismatch``.
     """
     cm = coeff if coeff is not None else coeff_matrix(R)
+    if cm.n != R.n:
+        raise DimensionMismatch(f"coefficient matrix of n={cm.n} given for an operator of n={R.n}")
     g_min, eps_g, pd_cert = _pd_test(cm)
     ev = np.linalg.eigvals(realify(R))
     real = ev.real[ev.imag == 0.0]

@@ -3,7 +3,9 @@
 Subcommands load operator/symbol JSON files, run the library analyses, and
 emit JSON/CSV/SVG artifacts.  Outputs are deterministic: identical inputs
 and options produce byte-identical files at a fixed BLAS thread count.  Exit
-codes: 0 success, 2 input validation failure, 3 numerical failure.  The
+codes: 0 success, 2 input validation failure, 3 numerical failure.  ``info``
+prints the fields of its ``--json`` object, in order, one ``key: value`` line
+each, the value as its ``str``.  The
 argument parser is built once per process, on the first ``main`` call, and
 reused by later calls; parsing keeps no state between calls.
 
@@ -58,6 +60,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+# The text of each EmptinessCertificates.verdict in the info report.
+_CLASSIFICATION = {
+    "empty": "positive definite (spectrum empty)",
+    "nonempty": "indefinite (real-axis spectral point found: spectrum nonempty)",
+    "inconclusive": "indefinite (certificates inconclusive)",
+}
+
+
 def _out(path: str, content: str) -> None:
     if path == "-":
         sys.stdout.write(content)
@@ -69,14 +79,6 @@ def _cmd_info(args) -> int:
     R = ser.load_operator(args.opfile)
     cm = coeff_matrix(R)
     cert = emptiness_certificates(R, coeff=cm)
-
-    if cert.pd_certificate is not None:
-        classification = "positive definite (spectrum empty)"
-    elif cert.real_axis_zero is not None:
-        classification = "indefinite (real-axis spectral point found: spectrum nonempty)"
-    else:
-        classification = "indefinite (certificates inconclusive)"
-
     schatten_1, schatten_2 = _schatten_norms(R, 1.0, 2.0)
     payload = {
         "n": R.n,
@@ -88,25 +90,13 @@ def _cmd_info(args) -> int:
         "h_asymmetry": cm.asymmetry,
         "g_min_eigenvalue": cert.g_min_eigenvalue,
         "eps_g": cert.eps_g,
-        "classification": classification,
+        "classification": _CLASSIFICATION[cert.verdict],
         "real_axis_zero": cert.real_axis_zero,
     }
     if args.json:
         sys.stdout.write(ser.dump_json(payload))
-        return 0
-    lines = [
-        f"operator dimension: {R.n}",
-        f"operator norm: {payload['operator_norm']:.12g}",
-        f"schatten p=1: {payload['schatten_1']:.12g}",
-        f"schatten p=2: {payload['schatten_2']:.12g}",
-        f"det of complexification: {payload['det_complexification']:.12g}",
-        "H eigenvalues: " + ", ".join(f"{x:.12g}" for x in cert.h_eigenvalues),
-        f"G min eigenvalue / max|G|: {cert.g_min_eigenvalue:.6g} (error bound {cert.eps_g:.3g})",
-        f"classification: {classification}",
-    ]
-    if cert.real_axis_zero is not None:
-        lines.append(f"real-axis spectral point: r = {cert.real_axis_zero:.12g}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    else:
+        sys.stdout.write("".join(f"{key}: {value}\n" for key, value in payload.items()))
     return 0
 
 
@@ -249,12 +239,10 @@ def main(argv=None) -> int:
         else:
             args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         return args.fn(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         return _fail(args, argv, exc, 2)
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         return _fail(args, argv, exc, 3)
-    except OSError as exc:
-        return _fail(args, argv, exc, 2)
 
 
 def _fail(args, argv: list, exc: Exception, code: int) -> int:

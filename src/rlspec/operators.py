@@ -81,13 +81,16 @@ class RealLinearOperator:
 
 
 def identity(n: int) -> RealLinearOperator:
-    """The identity map on C^n."""
+    """The identity map on C^n; ``n`` is a Python or numpy integer >= 1, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DimensionMismatch(f"dimension must be an integer >= 1, got {n!r}")
     return RealLinearOperator(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
 
 
 def conjugation(n: int) -> RealLinearOperator:
-    """Componentwise complex conjugation on C^n."""
-    return RealLinearOperator(np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex))
+    """Componentwise complex conjugation on C^n: the parts of the identity, swapped."""
+    one = identity(n)
+    return RealLinearOperator(one.B, one.C)
 
 
 def scalar_operator(alpha: complex, beta: complex) -> RealLinearOperator:
@@ -268,16 +271,10 @@ def poly_apply(coeffs, R: RealLinearOperator) -> RealLinearOperator:
     a = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     if a.ndim != 1:
         raise ValidationError("coefficients must form a one-dimensional sequence")
-    n = R.n
-    if a.size == 0:
-        return RealLinearOperator(np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex))
-
-    def const(c: complex) -> RealLinearOperator:
-        return RealLinearOperator(c * np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
-
-    acc = const(a[-1])
-    for c in a[-2::-1]:
-        acc = add(compose(acc, R), const(c))
+    one = identity(R.n)
+    acc = scale(0.0, one)
+    for c in a[::-1]:
+        acc = add(compose(acc, R), scale(c, one))
     return acc
 
 

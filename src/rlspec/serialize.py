@@ -119,10 +119,6 @@ def write_text(path: str, content: str) -> None:
         os.close(fd)
 
 
-def _mat_rows(M: np.ndarray, part: str) -> list[list[float]]:
-    return (M.real if part == "re" else M.imag).tolist()
-
-
 def _field(d: dict, key: str, convert, what: str):
     """``convert(d[key])``; a missing field or a value ``convert`` refuses is a ValidationError."""
     if not isinstance(d, dict):
@@ -160,10 +156,10 @@ def _mat_from(d: dict, name: str, shape: tuple, what: str) -> np.ndarray:
 def operator_to_dict(R: RealLinearOperator) -> dict:
     return {
         "n": R.n,
-        "C_re": _mat_rows(R.C, "re"),
-        "C_im": _mat_rows(R.C, "im"),
-        "B_re": _mat_rows(R.B, "re"),
-        "B_im": _mat_rows(R.B, "im"),
+        "C_re": R.C.real.tolist(),
+        "C_im": R.C.imag.tolist(),
+        "B_re": R.B.real.tolist(),
+        "B_im": R.B.imag.tolist(),
     }
 
 
@@ -180,8 +176,8 @@ def load_operator(path: str) -> RealLinearOperator:
 def coeff_to_dict(cm: CoeffMatrix) -> dict:
     return {
         "n": cm.n,
-        "H_re": _mat_rows(cm.H, "re"),
-        "H_im": _mat_rows(cm.H, "im"),
+        "H_re": cm.H.real.tolist(),
+        "H_im": cm.H.imag.tolist(),
         "asymmetry": cm.asymmetry,
         "norm": cm.norm,
     }
@@ -198,8 +194,8 @@ def coeff_from_dict(d: dict) -> CoeffMatrix:
 def sos_to_dict(sos: SosDecomposition) -> dict:
     return {
         "d": sos.d.tolist(),
-        "U_re": _mat_rows(sos.U, "re"),
-        "U_im": _mat_rows(sos.U, "im"),
+        "U_re": sos.U.real.tolist(),
+        "U_im": sos.U.imag.tolist(),
         "kind": sos.kind,
     }
 

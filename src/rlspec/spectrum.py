@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charpoly import _line_eigvals, _line_grid
+from .charpoly import _line_eigvals, _line_grid, _point
 from .errors import ValidationError
 from .operators import RealLinearOperator, apply, min_modulus, operator_norm, realify
 
@@ -158,10 +158,7 @@ def eigenvector(R: RealLinearOperator, lam: complex, tol: float = 1e-8):
     ``10 tol`` of ``||R|| + |lam|``, so scaling ``R`` and ``lam`` changes nothing.
     """
     _check_tol(tol)
-    if np.ndim(lam):
-        raise ValidationError(f"one point lam expected, got shape {np.shape(lam)}")
-    if not np.isfinite(lam):
-        raise ValidationError(f"lam must be finite, got {lam!r}")
+    lam = _point(lam)
     n = R.n
     scale = operator_norm(R) + abs(lam)
     M = realify(RealLinearOperator(R.C - lam * np.eye(n), R.B))

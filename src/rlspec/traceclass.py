@@ -71,14 +71,18 @@ class DecaySpec:
     def __post_init__(self):
         if self.tag not in _DECAY_TAGS:
             raise ValidationError(f"unknown decay tag {self.tag!r}, expected one of {_DECAY_TAGS}")
-        if self.tag == "geometric":
-            if self.param is None or not 0.0 < self.param < 1.0:
-                raise ValidationError("geometric decay requires a ratio in (0, 1)")
-        if self.tag == "polynomial":
-            if self.param is None or not 2.0 < self.param < math.inf:
-                raise ValidationError(
-                    "polynomial decay requires a finite exponent > 2 for a trace-class tail"
-                )
+        if self.tag == "geometric" and not _between(0.0, self.param, 1.0):
+            raise ValidationError("geometric decay requires a ratio in (0, 1)")
+        if self.tag == "polynomial" and not _between(2.0, self.param, math.inf):
+            raise ValidationError("polynomial decay requires a finite exponent > 2 for a trace-class tail")
+
+
+def _between(low: float, x, high: float) -> bool:
+    """``low < x < high``; None, NaN and values that do not compare with floats are not."""
+    try:
+        return low < x < high
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +111,7 @@ class SymbolSeries:
             a.setflags(write=False)
             object.__setattr__(self, "coeffs", a)
         else:
-            if self.m is None or int(self.m) != self.m or self.m < 0:
+            if not (_between(-1, self.m, math.inf) and int(self.m) == self.m):
                 raise ValidationError("disk-monomial symbol requires a nonnegative integer degree m")
             object.__setattr__(self, "m", int(self.m))
 
@@ -367,6 +371,10 @@ def charfun_convergence(
 def trace_norm(M) -> float:
     """Sum of singular values (Schatten-1 norm) of a matrix."""
     A = np.asarray(M)
+    if A.ndim != 2:
+        raise ValidationError(f"trace norm needs a matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValidationError("matrix entries must be finite, not NaN or infinity")
     return float(np.sum(np.linalg.svd(A, compute_uv=False)))
 
 
@@ -381,7 +389,8 @@ def det_continuity_check(C1, C2) -> bool:
     A2 = np.asarray(C2, dtype=complex)
     if A1.shape != A2.shape or A1.ndim != 2 or A1.shape[0] != A1.shape[1]:
         raise ValidationError("both matrices must be square and of equal size")
+    # The trace norms of A1 and A2 come first: they refuse a non-finite matrix.
+    rhs = math.exp(1.0 + trace_norm(A1) + trace_norm(A2)) * trace_norm(A1 - A2)
     I = np.eye(A1.shape[0])
     lhs = abs(np.linalg.det(I + A1) - np.linalg.det(I + A2))
-    rhs = trace_norm(A1 - A2) * math.exp(1.0 + trace_norm(A1) + trace_norm(A2))
     return bool(lhs <= rhs + 1e-12 * (1.0 + abs(lhs)))

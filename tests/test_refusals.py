@@ -18,9 +18,12 @@ from rlspec import (
     charfun_convergence,
     charfun_eval,
     charpoly_eval,
+    cholesky_sos,
     coeff_matrix,
     coeff_poly_eval,
+    conjugation,
     convex_weights,
+    det_continuity_check,
     disk_truncation,
     emptiness_certificates,
     hankel_truncation,
@@ -32,6 +35,7 @@ from rlspec import (
     sos_eval,
     spectrum_sweep,
     tail_weight,
+    trace_norm,
 )
 from rlspec import serialize as ser
 
@@ -55,6 +59,16 @@ REFUSALS = {
     "2-D polynomial coefficients": (
         lambda: poly_apply([[1.0, 2.0]], identity(1)),
         ValidationError, "coefficients must form a one-dimensional sequence"),
+    # np.eye raised TypeError on these sizes and ValueError on a negative one
+    "fractional identity size": (
+        lambda: identity(2.5),
+        DimensionMismatch, "dimension must be an integer >= 1, got 2.5"),
+    "boolean conjugation size": (
+        lambda: conjugation(True),
+        DimensionMismatch, "dimension must be an integer >= 1, got True"),
+    "negative identity size": (
+        lambda: identity(-1),
+        DimensionMismatch, "dimension must be an integer >= 1, got -1"),
     "map of the wrong length": (
         lambda: parts_from_action(lambda z: np.zeros(3), 2),
         DimensionMismatch, "map returned a vector of unexpected shape"),
@@ -73,6 +87,37 @@ REFUSALS = {
     "sos of a non-square matrix": (
         lambda: sos_decompose(np.zeros((2, 3))),
         ValidationError, "square coefficient matrix expected, got shape (2, 3)"),
+    # the next six reached LAPACK or arithmetic: NaN answers without a word,
+    # RuntimeWarnings, a raw ValueError, or NotPositiveDefinite quoting nan
+    "sos of a NaN matrix": (
+        lambda: sos_decompose(np.full((2, 2), np.nan)),
+        ValidationError, "coefficient matrix has non-finite entries"),
+    "convex weights of a NaN matrix": (
+        lambda: convex_weights(np.full((2, 2), np.nan), 0.5),
+        ValidationError, "coefficient matrix has non-finite entries"),
+    "Cholesky sos of a NaN matrix": (
+        lambda: cholesky_sos([[np.nan]]),
+        ValidationError, "coefficient matrix has non-finite entries"),
+    "Cholesky sos of an infinite matrix": (
+        lambda: cholesky_sos([[np.inf]]),
+        ValidationError, "coefficient matrix has non-finite entries"),
+    "coefficient polynomial of an infinite matrix": (
+        lambda: coeff_poly_eval(np.array([[np.inf, 0.0], [0.0, 1.0]]), 0.5),
+        ValidationError, "coefficient matrix has non-finite entries"),
+    "Cholesky sos of an empty matrix": (
+        lambda: cholesky_sos(np.zeros((0, 0))),
+        ValidationError, "nonempty square coefficient matrix expected, got shape (0, 0)"),
+    # built, then a raw ZeroDivisionError in the torus weights
+    "CoeffMatrix of n = 0": (
+        lambda: CoeffMatrix(n=0, H=[[2.0]], norm=1.0, asymmetry=0.0),
+        ValidationError, "coefficient matrix needs n >= 1, got n=0"),
+    "CoeffMatrix of n = -1": (
+        lambda: CoeffMatrix(n=-1, H=np.zeros((0, 0)), norm=1.0, asymmetry=0.0),
+        ValidationError, "coefficient matrix needs n >= 1, got n=-1"),
+    # a 3 x 3 H with a 2 x 2 operator read "nonempty"
+    "certificates from the H of another n": (
+        lambda: emptiness_certificates(identity(2), coeff=coeff_matrix(identity(3))),
+        DimensionMismatch, "coefficient matrix of n=3 given for an operator of n=2"),
     "sos of an unknown kind": (
         lambda: SosDecomposition(d=np.ones(2), U=np.eye(2), kind="qr"),
         ValidationError, "unknown decomposition kind 'qr'"),
@@ -107,6 +152,26 @@ REFUSALS = {
     "unknown decay tag": (
         lambda: DecaySpec("linear"),
         ValidationError, "unknown decay tag 'linear'"),
+    # raw ValueError, OverflowError and TypeError, or LinAlgError from LAPACK
+    "disk degree NaN": (
+        lambda: SymbolSeries.disk_monomial(np.nan),
+        ValidationError, "disk-monomial symbol requires a nonnegative integer degree m"),
+    "infinite disk degree": (
+        lambda: SymbolSeries.disk_monomial(np.inf),
+        ValidationError, "disk-monomial symbol requires a nonnegative integer degree m"),
+    "text decay ratio": (
+        lambda: DecaySpec("geometric", "0.5"),
+        ValidationError, "geometric decay requires a ratio in (0, 1)"),
+    "trace norm of a NaN matrix": (
+        lambda: trace_norm([[np.nan]]),
+        ValidationError, "matrix entries must be finite, not NaN or infinity"),
+    "trace norm of a vector": (
+        lambda: trace_norm([1.0, 2.0]),
+        ValidationError, "trace norm needs a matrix, got shape (2,)"),
+    # a RuntimeWarning, then False
+    "determinant continuity of a NaN matrix": (
+        lambda: det_continuity_check([[np.nan]], [[0.0]]),
+        ValidationError, "matrix entries must be finite, not NaN or infinity"),
     "unknown symbol kind": (
         lambda: SymbolSeries(kind="annulus"),
         ValidationError, "unknown symbol kind 'annulus'"),

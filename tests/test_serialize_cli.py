@@ -432,7 +432,18 @@ def test_cli_info_text(tmp_path, capsys):
     assert main(["info", op]) == 0
     out = capsys.readouterr().out
     assert "indefinite" in out
-    assert "operator norm: 1" in out
+    assert "operator_norm: 1" in out
+
+
+def test_cli_info_text_lines_are_the_json_keys_in_order(tmp_path, capsys):
+    for name, R in (("eps", eps_operator()), ("tau", conjugation(1))):
+        op = write_operator(tmp_path / f"{name}.json", R)
+        assert main(["info", op, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["info", op]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == list(payload)
+        assert f"classification: {payload['classification']}" in lines
 
 
 def test_cli_info_json(tmp_path, capsys):
@@ -527,7 +538,7 @@ def test_cli_info_text_prints_the_real_axis_point(tmp_path, capsys):
     assert main(["info", op]) == 0
     out = capsys.readouterr().out
     assert "real-axis spectral point found" in out
-    assert "real-axis spectral point: r = 1\n" in out
+    assert "real_axis_zero: 1.0\n" in out
 
 
 def test_cli_info_skew_positive_definite(tmp_path, capsys):

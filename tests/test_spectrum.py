@@ -289,10 +289,10 @@ def test_non_finite_angles_and_points_are_refused(bad):
     with pytest.raises(ValidationError, match="angles must be finite"):
         spectrum_sweep(R, thetas=[0.1, bad])
     for lam in (bad, complex(0.5, bad)):
-        with pytest.raises(ValidationError, match="lam must be finite"):
+        with pytest.raises(ValidationError, match="evaluation points must be finite"):
             eigenvector(R, lam)
     # an array lam used to raise a raw ValueError from its finiteness test
-    with pytest.raises(ValidationError, match=r"one point lam expected, got shape \(2,\)"):
+    with pytest.raises(ValidationError, match=r"one evaluation point expected, got shape \(2,\)"):
         eigenvector(R, [0.5, bad])
 
 
