@@ -36,13 +36,13 @@ svg_path = os.path.join(OUT, "antilinear_spectrum.svg")
 ser.write_text(svg_path, ser.spectrum_svg(cloud))
 print("wrote", csv_path, "and", svg_path)
 
-# A complex linear operator is the classical case: aim rays at the
-# eigenvalue arguments and the sweep recovers exactly eig(C).
+# A complex linear operator is the classical case: aim one line at each
+# eigenvalue argument and its eigen solve recovers exactly eig(C).
 C = np.diag([1.0 + 0j, 2j, -0.5 - 0.5j])
 R = rl.RealLinearOperator(C, np.zeros((3, 3)))
 eigs = np.linalg.eigvals(C)
-cloud = rl.spectrum_sweep(R, thetas=np.angle(eigs))
-print("\nrecovered:", np.round(np.sort_complex(cloud.lambdas()), 9))
+lams = [r * np.exp(1j * th) for th in np.angle(eigs) for r, _ in rl.ray_spectrum(R, th)]
+print("\nrecovered:", np.round(np.sort_complex(lams), 9))
 print("expected :", np.round(np.sort_complex(eigs), 9))
 
 # Spectral points come with eigenvectors; antilinearity turns a single

@@ -447,12 +447,13 @@ class EmptinessCertificates:
     """Outcome of the two spectrum emptiness/nonemptiness criteria.
 
     ``pd_certificate`` is a Cholesky sum of squares proving the spectrum
-    empty; ``real_axis_zero``, the smallest exactly real eigenvalue r >= 0 of
-    ``realify(R)``, is a spectral point proving it nonempty, and ``det_complexification``
-    is ``p(0, 0)`` from the same eigenvalues.  The criteria are one-sided.  ``g_min_eigenvalue``
-    and ``eps_g``, relative to ``max|G|``, are the smallest eigenvalue of G behind
-    the PD test and its error bound; ``h_eigenvalues`` is the spectrum of H, ascending,
-    so ``h_eigenvalues[0]`` is its least eigenvalue.
+    empty; ``real_axis_zero``, an exactly real eigenvalue r of ``realify(R)`` (the
+    least r >= 0, else the r < 0 nearest 0), is a spectral point proving it
+    nonempty, and ``det_complexification`` is ``p(0, 0)`` from the same
+    eigenvalues.  The criteria are one-sided.  ``g_min_eigenvalue`` and ``eps_g``,
+    relative to ``max|G|``, are the smallest eigenvalue of G behind the PD test
+    and its error bound; ``h_eigenvalues`` is the spectrum of H, ascending, so
+    ``h_eigenvalues[0]`` is its least eigenvalue.
     """
 
     pd_certificate: SosDecomposition | None
@@ -481,16 +482,17 @@ def emptiness_certificates(
     The PD test, shared with :func:`cholesky_sos`, runs on the scale-free torus matrix
     G against its error bound ``eps_g``; its Cholesky sum of squares proves the spectrum empty.
     The real-axis test is one eigen solve of ``realify(R)``, line 0 of the ray
-    kernel: ``p(r, r) = det(realify(R) - r I)``, so its smallest exactly real
-    eigenvalue ``r >= 0`` is reported, an exact eigenvalue of ``realify(R) + E``
-    with ``||E|| = O(u ||R||)``.  ``det_complexification``, ``p(0, 0)``, is the
-    product of the same eigenvalues; an even number of them is exactly real, so
-    a negative determinant always comes with a zero.  It is :func:`_values` at
-    t = 0 as one scalar, to the bit: the signs of the exactly real eigenvalues
-    times ``exp(sum log|mu|)``, plus 0.0, and ``NumericalFailure`` beyond double range.
-    ``coeff`` supplies an already extracted H (for example the ``coeff_matrix`` of
-    the operator, or one read back from its JSON) of the operator's own n; another
-    n raises ``DimensionMismatch``.
+    kernel: ``p(r, r) = det(realify(R) - r I)`` vanishes at each of its exactly
+    real eigenvalues r, of either sign, and each is an exact eigenvalue of
+    ``realify(R) + E`` with ``||E|| = O(u ||R||)``.  The least ``r >= 0`` is
+    reported, else the negative r nearest 0.  ``det_complexification``, ``p(0, 0)``,
+    is the product of the same eigenvalues; an even number of them is exactly
+    real, so a negative determinant always comes with a zero ``r >= 0``.  It is
+    :func:`_values` at t = 0 as one scalar, to the bit: the signs of the exactly
+    real eigenvalues times ``exp(sum log|mu|)``, plus 0.0, and
+    ``NumericalFailure`` beyond double range.
+    ``coeff`` supplies an already extracted H (the ``coeff_matrix`` of the
+    operator) of the operator's own n; another n raises ``DimensionMismatch``.
     """
     cm = coeff if coeff is not None else coeff_matrix(R)
     if cm.n != R.n:
@@ -498,14 +500,14 @@ def emptiness_certificates(
     g_min, eps_g, pd_cert = _pd_test(cm)
     ev = np.linalg.eigvals(realify(R))
     real = ev.real[ev.imag == 0.0]
-    roots = real[real >= 0.0]
+    zero = min(real.tolist(), key=lambda r: (r < 0.0, abs(r)), default=None)
     with np.errstate(divide="ignore"):
         logdet = np.sum(np.log(np.abs(ev)))
     if not logdet < _LOG_MAX:
         raise NumericalFailure(f"p(0, 0) overflows double range (n={R.n})")
     return EmptinessCertificates(
         pd_certificate=pd_cert,
-        real_axis_zero=float(roots.min()) if roots.size else None,
+        real_axis_zero=zero,
         det_complexification=float(np.prod(np.sign(real)) * np.exp(logdet) + 0.0),
         h_eigenvalues=tuple(np.linalg.eigvalsh(cm.H).tolist()),
         g_min_eigenvalue=g_min,

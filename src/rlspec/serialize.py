@@ -1,5 +1,7 @@
 """Wire formats: operator/symbol/report JSON, spectrum and table CSV, scatter SVG.
 
+Operator and symbol JSON are read back; every other format is output only.
+
 All floats are written with 17 significant digits in lowercase scientific
 notation, and every container is emitted in a fixed order, so identical
 inputs produce byte-identical files at a fixed BLAS thread count.  One
@@ -37,7 +39,6 @@ __all__ = [
     "operator_from_dict",
     "load_operator",
     "coeff_to_dict",
-    "coeff_from_dict",
     "sos_to_dict",
     "symbol_to_dict",
     "symbol_from_dict",
@@ -198,14 +199,6 @@ def coeff_to_dict(cm: CoeffMatrix) -> dict:
     }
 
 
-def coeff_from_dict(d: dict) -> CoeffMatrix:
-    what = "coefficient JSON"
-    n = _field(d, "n", _dimension, what)
-    H = _mat_from(d, "H", (n + 1, n + 1), what)
-    return CoeffMatrix(n=n, H=H, norm=_field(d, "norm", _number, what),
-                       asymmetry=_field(d, "asymmetry", _number, what))
-
-
 def sos_to_dict(sos: SosDecomposition) -> dict:
     return {
         "d": sos.d.tolist(),
@@ -234,9 +227,12 @@ def symbol_from_dict(d: dict) -> SymbolSeries:
     decay = DecaySpec(tag=_field(decay_d, "tag", str, what), param=param)
     if kind == "circle-hankel":
         size = _field(d, "coeffs_re", len, what)
-        return SymbolSeries(kind=kind, coeffs=_mat_from(d, "coeffs", (size,), what), decay=decay)
+        coeffs = _mat_from(d, "coeffs", (size,), what)
+        return SymbolSeries(kind=kind, coeffs=coeffs, m=d.get("m"), decay=decay)
     if kind == "disk-monomial":
-        return SymbolSeries(kind=kind, m=_field(d, "m", _integer, what), decay=decay)
+        m = _field(d, "m", _integer, what)
+        coeffs = d.get("coeffs_re") or d.get("coeffs_im") or None
+        return SymbolSeries(kind=kind, coeffs=coeffs, m=m, decay=decay)
     raise ValidationError(f"{what}: unknown kind {kind!r}")
 
 

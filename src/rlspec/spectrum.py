@@ -112,33 +112,21 @@ def ray_spectrum(R: RealLinearOperator, theta: float, tol: float = 1e-8) -> list
     return list(zip(r.tolist(), res.tolist()))
 
 
-def spectrum_sweep(
-    R: RealLinearOperator,
-    n_rays: int = 64,
-    *,
-    tol: float = 1e-8,
-    thetas=None,
-) -> SpectrumCloud:
+def spectrum_sweep(R: RealLinearOperator, n_rays: int = 64, *, tol: float = 1e-8) -> SpectrumCloud:
     """Sample the spectrum by sweeping rays through the origin.
 
     ``n_rays`` counts directions on the full circle; each eigenvalue solve
     covers one line (two opposite rays), so ``ceil(n_rays / 2)`` solves are
     performed on [0, pi) and negative radii are remapped to ``theta + pi``.
-    Odd ray counts are rounded up to the next even number.  Explicit line
-    angles can be passed via ``thetas`` (reduced mod pi), which overrides
-    ``n_rays``.  The lines are solved in batched, memory-bounded stacks, an
-    antilinear operator's as one; ``||R||`` is one SVD per sweep.  The hit
-    test and the merge of ``ray_spectrum`` run once over the whole
+    Odd ray counts are rounded up to the next even number; one aimed line is
+    ``ray_spectrum(R, theta)``.  The lines are solved in batched, memory-bounded
+    stacks, an antilinear operator's as one; ``||R||`` is one SVD per sweep.
+    The hit test and the merge of ``ray_spectrum`` run once over the whole
     ``(lines, 2n)`` eigenvalue array, so every line keeps the hits
     ``ray_spectrum`` returns for it.
     The merged cloud is sorted by (theta, r).
     """
-    if thetas is not None and not np.isfinite(thetas).all():  # before % pi, which warns on inf
-        raise ValidationError("line angles must be finite, not NaN or infinity")
-    lines = _line_grid(n_rays) if thetas is None else np.unique(np.asarray(thetas, dtype=float) % np.pi)
-    if not lines.size:
-        raise ValidationError("thetas must contain at least one angle")
-
+    lines = _line_grid(n_rays)
     norm = operator_norm(R)
     line, r, res = _merged_hits(_line_eigvals(R, lines), tol, norm)
     th = lines[line]

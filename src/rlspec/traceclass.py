@@ -62,7 +62,7 @@ class DecaySpec:
     ``geometric`` with ratio q in (0, 1): |a_k| = O(q**k).
     ``polynomial`` with exponent s > 2: |a_k| = O((k+1)**-s); s > 2 keeps
     the weighted tail sum ``sum (k+1) |a_k|`` finite.
-    ``finite``: finitely many nonzero coefficients (the stored ones).
+    ``finite``: finitely many nonzero coefficients (the stored ones); no ``param``.
     """
 
     tag: str
@@ -71,6 +71,8 @@ class DecaySpec:
     def __post_init__(self):
         if self.tag not in _DECAY_TAGS:
             raise ValidationError(f"unknown decay tag {self.tag!r}, expected one of {_DECAY_TAGS}")
+        if self.tag == "finite" and self.param is not None:
+            raise ValidationError(f"finite decay takes no 'param', got {self.param!r}")
         if self.tag == "geometric" and not _between(0.0, self.param, 1.0):
             raise ValidationError("geometric decay requires a ratio in (0, 1)")
         if self.tag == "polynomial" and not _between(2.0, self.param, math.inf):
@@ -91,7 +93,8 @@ class SymbolSeries:
 
     ``circle-hankel``: coefficients a_k, truncation matrix B[l, k] = a_{k+l}
     against Fourier modes.  ``disk-monomial``: monomial degree m, truncation
-    against normalized monomials sqrt(k+1) z**k on the unit disk.
+    against normalized monomials sqrt(k+1) z**k on the unit disk, with a finite
+    decay.  A field of the other kind is refused.
     """
 
     kind: str
@@ -103,6 +106,8 @@ class SymbolSeries:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown symbol kind {self.kind!r}, expected one of {_KINDS}")
         if self.kind == "circle-hankel":
+            if self.m is not None:
+                raise ValidationError(f"circle-hankel symbol takes no degree 'm', got {self.m!r}")
             if self.coeffs is None:
                 raise ValidationError("circle-hankel symbol requires coefficients")
             a = np.atleast_1d(np.asarray(self.coeffs, dtype=complex)).copy()
@@ -111,6 +116,10 @@ class SymbolSeries:
             a.setflags(write=False)
             object.__setattr__(self, "coeffs", a)
         else:
+            if self.coeffs is not None:
+                raise ValidationError("disk-monomial symbol takes no 'coeffs'")
+            if self.decay.tag != "finite":
+                raise ValidationError(f"disk-monomial symbol takes a finite 'decay', got {self.decay.tag!r}")
             if not (_between(-1, self.m, math.inf) and int(self.m) == self.m):
                 raise ValidationError("disk-monomial symbol requires a nonnegative integer degree m")
             object.__setattr__(self, "m", int(self.m))

@@ -154,8 +154,8 @@ def test_criterion_4_spectrum_oracle_equivalence():
         C = crandn(rng, n, n) / (2 * np.sqrt(2 * n))
         R = RealLinearOperator(C, np.zeros((n, n)))
         eigs = np.linalg.eigvals(C)
-        cloud = spectrum_sweep(R, thetas=[float(np.angle(e)) for e in eigs])
-        worst = max(worst, _hausdorff(cloud.lambdas(), eigs))
+        lams = [r * np.exp(1j * th) for th in np.angle(eigs) for r, _ in ray_spectrum(R, th)]
+        worst = max(worst, _hausdorff(lams, eigs))
     tau_cloud = spectrum_sweep(conjugation(1), 64)
     tau_err = max(abs(p.r - 1.0) for p in tau_cloud.points)
     ok = worst <= 1e-8 and tau_err <= 1e-10 and len(tau_cloud.points) == 64

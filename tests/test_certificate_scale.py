@@ -217,7 +217,7 @@ def odd_skew(n, seed, norm):
 def assert_real_axis_zero_is_spectral(R, cert):
     r = cert.real_axis_zero
     A = realify(R) - r * np.eye(2 * R.n)
-    assert np.linalg.svd(A, compute_uv=False)[-1] <= 1e-8 * (operator_norm(R) + r)
+    assert np.linalg.svd(A, compute_uv=False)[-1] <= 1e-8 * (operator_norm(R) + abs(r))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -253,9 +253,9 @@ def test_real_axis_certificate_reads_the_sign_of_an_underflowing_determinant():
 
 
 def backward_error(R, r):
-    """``sigma_min(realify(R) - r I) / (||R|| + r)`` of a real-axis zero r."""
+    """``sigma_min(realify(R) - r I) / (||R|| + |r|)`` of a real-axis zero r."""
     A = realify(R) - r * np.eye(2 * R.n)
-    return np.linalg.svd(A, compute_uv=False)[-1] / (operator_norm(R) + r)
+    return np.linalg.svd(A, compute_uv=False)[-1] / (operator_norm(R) + abs(r))
 
 
 @pytest.mark.parametrize("s", SCALES)
@@ -278,7 +278,7 @@ def test_real_axis_zeros_are_sound_at_every_scale(s):
 
 def test_negative_determinant_comes_with_a_zero():
     # an even number of eigenvalues of realify(R) is exactly real, so when their
-    # product p(0, 0) is negative, one of them is >= 0
+    # product p(0, 0) is negative, one of them is >= 0, and it is the zero
     rng = np.random.default_rng(31)
     ops = [scaled(random_operator(rng, n), norm) for n in range(1, 9) for norm in NORMS
            for _ in range(4)]
@@ -288,6 +288,48 @@ def test_negative_determinant_comes_with_a_zero():
         cert = emptiness_certificates(R)
         if cert.det_complexification < 0.0:
             negative += 1
-            assert cert.real_axis_zero is not None
+            assert cert.real_axis_zero >= 0.0
             assert backward_error(R, cert.real_axis_zero) <= 1e-14
     assert negative >= 20
+
+
+def test_minus_identity_has_the_negative_zero_minus_1():
+    # realify(-I) = -I has no eigenvalue r >= 0; r = -1 is the spectral point
+    cert = emptiness_certificates(RealLinearOperator(-np.eye(2), np.zeros((2, 2))))
+    assert cert.real_axis_zero == -1.0
+    assert cert.verdict == "nonempty"
+
+
+def test_negative_real_axis_zeros_are_spectral():
+    # Complex Gaussian C, then B (default_rng(5), 200 draws per n): a negative
+    # zero is reported only when realify(R) has no exactly real r >= 0, and is
+    # an exact eigenvalue of a nearby matrix, sigma_min <= 10 (2n) u ||R||.
+    # 113 of the 183 draws without a zero r >= 0 have one (0.62 at worst).
+    u = np.finfo(float).eps / 2
+    rng = np.random.default_rng(5)
+    negative = 0
+    for n in (2, 3, 4, 6, 8, 16):
+        for _ in range(200):
+            R = RealLinearOperator(crandn(rng, n, n), crandn(rng, n, n))
+            r = emptiness_certificates(R).real_axis_zero
+            if r is None or r >= 0.0:
+                continue
+            negative += 1
+            ev = np.linalg.eigvals(realify(R))
+            assert not np.any((ev.imag == 0.0) & (ev.real >= 0.0)), n
+            sigma = np.linalg.svd(realify(R) - r * np.eye(2 * n), compute_uv=False)[-1]
+            assert sigma <= 10 * (2 * n) * u * operator_norm(R), (n, r)
+    assert negative >= 50
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_no_real_axis_zero_where_no_eigenvalue_is_certified(n):
+    # C = 0 and B = X - X^T for a complex Gaussian X, ||R|| = 1, seeds 0-9
+    # (odd_skew draws it at any n): realify(R) is normal with eigenvalues
+    # +-i sigma_k, and the skew-dominance test certifies the spectrum empty,
+    # so no real-axis zero of either sign may be issued; nor on the skew
+    # family with a small C
+    ops = [odd_skew(n, seed, 1.0) for seed in range(10)] + [R for R in skew_family() if R.n == n]
+    for R in ops:
+        assert no_eigenvalue_certificate(R).certified
+        assert emptiness_certificates(R).real_axis_zero is None

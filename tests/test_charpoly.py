@@ -612,16 +612,32 @@ def test_real_axis_zero_is_the_smallest_nonnegative_root():
 
 def test_certificates_take_no_zero_from_a_near_real_pair(monkeypatch):
     # only exactly real eigenvalues of realify(R) are zeros: a pair split off
-    # the real axis, even by 1e-12, gives none, and negative ones are skipped
-    # (these eigenvalues stand in for those of realify(conjugation(2)))
+    # the real axis, even by 1e-12, gives none, so the negative one nearest 0
+    # is the zero here, and without it there is none (these eigenvalues stand
+    # in for those of realify(conjugation(2)))
     R = conjugation(2)
     cm = coeff_matrix(R)
-    eigs = np.array([-0.25, -0.5, 1.5 + 1e-12j, 1.5 - 1e-12j])
+    eigs = np.array([-0.5, -0.25, 0.1 + 1e-12j, 0.1 - 1e-12j])
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigs)
     cert = emptiness_certificates(R, coeff=cm)
+    assert cert.real_axis_zero == -0.25
+    assert cert.det_complexification == pytest.approx(0.25 * 0.5 * 0.1**2, rel=1e-12)
+    assert cert.verdict == "nonempty"
+    pairs = np.array([0.5 + 1e-12j, 0.5 - 1e-12j, 1.5 + 1e-12j, 1.5 - 1e-12j])
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: pairs)
+    cert = emptiness_certificates(R, coeff=cm)
     assert cert.real_axis_zero is None
-    assert cert.det_complexification == pytest.approx(0.25 * 0.5 * 1.5**2, rel=1e-14)
+    assert cert.det_complexification == pytest.approx(0.5**2 * 1.5**2, rel=1e-12)
     assert cert.verdict == "inconclusive"
+
+
+def test_certificates_prefer_a_zero_r_at_least_0(monkeypatch):
+    # the least exactly real r >= 0 is kept even when a negative one is nearer 0
+    R = conjugation(2)
+    cm = coeff_matrix(R)
+    eigs = np.array([-0.25, 2.0, -0.5, 1.5])
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigs)
+    assert emptiness_certificates(R, coeff=cm).real_axis_zero == 1.5
 
 
 def test_certificates_read_an_exactly_zero_eigenvalue(monkeypatch):

@@ -63,6 +63,10 @@ def test_parts_from_action_trivial():
     assert op_maxdiff(got, scale(2.0, identity(3))) < 1e-14
 
 
+def test_repr_names_the_dimension():
+    assert repr(identity(3)) == "RealLinearOperator(n=3)"
+
+
 def test_parts_from_action_round_trip():
     rng = np.random.default_rng(11)
     for n in range(1, 9):

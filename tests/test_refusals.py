@@ -155,16 +155,6 @@ REFUSALS = {
         lambda: ser.symbol_from_dict({"kind": "circle-hankel", "coeffs_re": [0.5], "coeffs_im": [0.0],
                                       "decay": {"tag": "geometric", "param": "0.5"}}),
         ValidationError, "symbol JSON: field 'param': must be a number, got '0.5'"),
-    "coefficient document with a text norm": (
-        lambda: ser.coeff_from_dict({**ser.coeff_to_dict(coeff_matrix(identity(1))), "norm": "1.0"}),
-        ValidationError, "coefficient JSON: field 'norm': must be a number, got '1.0'"),
-    "coefficient document with a boolean asymmetry": (
-        lambda: ser.coeff_from_dict({**ser.coeff_to_dict(coeff_matrix(identity(1))), "asymmetry": True}),
-        ValidationError, "coefficient JSON: field 'asymmetry': must be a number, got True"),
-    # spectrum
-    "sweep without angles": (
-        lambda: spectrum_sweep(identity(1), thetas=[]),
-        ValidationError, "thetas must contain at least one angle"),
     # traceclass
     "unknown decay tag": (
         lambda: DecaySpec("linear"),
@@ -189,6 +179,24 @@ REFUSALS = {
     "determinant continuity of a NaN matrix": (
         lambda: det_continuity_check([[np.nan]], [[0.0]]),
         ValidationError, "matrix entries must be finite, not NaN or infinity"),
+    "Hankel symbol with a degree": (
+        lambda: SymbolSeries(kind="circle-hankel", coeffs=[1.0], m="junk"),
+        ValidationError, "circle-hankel symbol takes no degree 'm', got 'junk'"),
+    "Hankel symbol document with a degree": (
+        lambda: ser.symbol_from_dict({"kind": "circle-hankel", "coeffs_re": [1.0], "coeffs_im": [0.0], "m": 2}),
+        ValidationError, "circle-hankel symbol takes no degree 'm', got 2"),
+    "disk symbol with coefficients": (
+        lambda: SymbolSeries(kind="disk-monomial", coeffs=[1.0], m=1),
+        ValidationError, "disk-monomial symbol takes no 'coeffs'"),
+    "disk symbol document with coefficients": (
+        lambda: ser.symbol_from_dict({"kind": "disk-monomial", "coeffs_re": [], "coeffs_im": [1.0], "m": 1}),
+        ValidationError, "disk-monomial symbol takes no 'coeffs'"),
+    "disk symbol with a geometric decay": (
+        lambda: SymbolSeries(kind="disk-monomial", m=1, decay=DecaySpec("geometric", 0.5)),
+        ValidationError, "disk-monomial symbol takes a finite 'decay', got 'geometric'"),
+    "finite decay with a parameter": (
+        lambda: DecaySpec("finite", "abc"),
+        ValidationError, "finite decay takes no 'param', got 'abc'"),
     "unknown symbol kind": (
         lambda: SymbolSeries(kind="annulus"),
         ValidationError, "unknown symbol kind 'annulus'"),

@@ -87,8 +87,7 @@ def test_sweep_conjugation_unit_circle():
 def test_sweep_complex_linear_aimed_rays():
     C = np.diag([1.0 + 0j, 2j])
     R = RealLinearOperator(C, np.zeros((2, 2)))
-    cloud = spectrum_sweep(R, thetas=[0.0, np.pi / 2])
-    lams = cloud.lambdas()
+    lams = np.array([r * np.exp(1j * th) for th in (0.0, np.pi / 2) for r, _ in ray_spectrum(R, th)])
     assert len(lams) == 2
     assert min(abs(lams - 1.0)) < 1e-10
     assert min(abs(lams - 2j)) < 1e-10
@@ -194,17 +193,19 @@ def reference_sweep(R, lines, tol=1e-8):
 def test_sweep_matches_complex_line_reference(n, antilinear):
     rng = np.random.default_rng(100 + n)
     R = (random_antilinear if antilinear else random_operator)(rng, n)
-    thetas = [0.3, 2.0, 4.0, -1.0, 7.5]
-    for cloud, lines in (
-        (spectrum_sweep(R, 63), [math.pi * j / 32 for j in range(32)]),
-        (spectrum_sweep(R, thetas=thetas), sorted({t % math.pi for t in thetas})),
-    ):
+    lines = [math.pi * j / 32 for j in range(32)]
+    cloud = spectrum_sweep(R, 63)
+    assert cloud.n_rays == 2 * len(lines)
+    cases = [([(p.theta, p.r) for p in cloud.points], lines)]
+    # an aimed line is ray_spectrum's, at any angle
+    cases += [(sorted((th if r >= 0 else th + math.pi, abs(r)) for r, _ in ray_spectrum(R, th)), [th])
+              for th in (0.3, 2.0, 4.0, -1.0, 7.5)]
+    for got, lines in cases:
         ref = reference_sweep(R, lines)
-        assert cloud.n_rays == 2 * len(lines)
-        assert len(cloud.points) == len(ref)
-        for p, (th, r) in zip(cloud.points, ref):
-            assert p.theta == th
-            assert abs(p.r - r) <= 1e-9 * (1 + abs(r))
+        assert len(got) == len(ref)
+        for (th, r), (th_ref, r_ref) in zip(got, ref):
+            assert th == th_ref
+            assert abs(r - r_ref) <= 1e-9 * (1 + abs(r_ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -280,26 +281,17 @@ def test_ray_counts_must_be_integers(n_rays):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_angles_and_points_are_refused(bad):
-    # a NaN line used to fail its eigen solve (NumericalFailure, exit 3), a
-    # NaN point reached LAPACK as a raw LinAlgError, and a sweep reduced an
-    # infinite angle mod pi, with an invalid-value warning, before checking it
+    # a NaN line used to fail its eigen solve (NumericalFailure, exit 3), and a
+    # NaN point reached LAPACK as a raw LinAlgError
     R = random_operator(np.random.default_rng(0), 3)
     with pytest.raises(ValidationError, match="angles must be finite"):
         ray_spectrum(R, bad)
-    with pytest.raises(ValidationError, match="angles must be finite"):
-        spectrum_sweep(R, thetas=[0.1, bad])
     for lam in (bad, complex(0.5, bad)):
         with pytest.raises(ValidationError, match="evaluation points must be finite"):
             eigenvector(R, lam)
     # an array lam used to raise a raw ValueError from its finiteness test
     with pytest.raises(ValidationError, match=r"one evaluation point expected, got shape \(2,\)"):
         eigenvector(R, [0.5, bad])
-
-
-def test_sweep_refuses_a_nan_angle():
-    R = random_operator(np.random.default_rng(0), 3)
-    with pytest.raises(ValidationError, match="angles must be finite"):
-        spectrum_sweep(R, thetas=[0.1, math.nan])
 
 
 @pytest.mark.parametrize("n", [1, 4])
@@ -360,7 +352,7 @@ def test_merge_is_single_linkage():
     [(r, res)] = ray_spectrum(R, 0.0)
     assert r == pytest.approx(a[0], abs=1e-15)
     assert res == pytest.approx(b[1] / (norm + abs(a[1] + 1j * b[1])), rel=1e-6)
-    cloud = spectrum_sweep(R, thetas=[0.0, 1.0])
+    cloud = spectrum_sweep(R, 4)
     assert [(p.theta, p.r, p.residual) for p in cloud.points] == [(0.0, r, res)]
 
 
@@ -391,9 +383,6 @@ def test_antilinear_sweep_solves_one_line(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     spectrum_sweep(A, 64)
     assert shapes == [(1, 32, 32)]
-    shapes.clear()
-    spectrum_sweep(A, thetas=[0.3, 2.0, 4.0, -1.0])
-    assert shapes == [(1, 32, 32)]
     # any nonzero complex linear part takes the per-line path
     shapes.clear()
     C = np.zeros((16, 16), dtype=complex)
@@ -403,8 +392,8 @@ def test_antilinear_sweep_solves_one_line(monkeypatch):
 
 
 def test_sweeps_take_no_determinant(monkeypatch):
-    # The line eigen solve certifies its hits, so neither path evaluates p;
-    # the antilinear path still solves one line.
+    # The line eigen solve certifies its hits, so neither a sweep nor an aimed
+    # line evaluates p; the antilinear path still solves one line per call.
     real_eigvals = np.linalg.eigvals
     shapes = []
 
@@ -420,11 +409,12 @@ def test_sweeps_take_no_determinant(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     monkeypatch.setattr(np.linalg, "slogdet", forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
-    for kwargs in ({"n_rays": 64}, {"thetas": np.linspace(0.1, 3.0, 9)}):
+    for hits in (lambda M: spectrum_sweep(M, 64).points,
+                 lambda M: [hit for th in np.linspace(0.1, 3.0, 9) for hit in ray_spectrum(M, th)]):
         shapes.clear()
-        assert spectrum_sweep(A, **kwargs).points
-        assert shapes == [(1, 32, 32)]
-        assert spectrum_sweep(R, **kwargs).points
+        assert hits(A)
+        assert set(shapes) == {(1, 32, 32)}
+        assert hits(R)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -520,6 +510,26 @@ def test_eigenvector_conjugation_phase_circle():
 def test_eigenvector_absent_off_spectrum():
     assert eigenvector(conjugation(2), 2.0) is None
     assert eigenvector(skew_operator(), 1.0) is None
+
+
+def test_eigenvector_rechecks_the_residual(monkeypatch):
+    # A least singular value within tol passes only with a kernel vector.  The
+    # SVD of realify(R - I) is pinned to read 0 last but return the top
+    # singular vector there, which the residual check must refuse.  Without
+    # the pin, C = outer([1, 2/3], [1, -5/7]) at lam = 0 and tol = 1e-17 reaches
+    # the same check through LAPACK's last bits.
+    real_svd = np.linalg.svd
+
+    def top_vector_last(a, compute_uv=True):
+        if not compute_uv:
+            return real_svd(a, compute_uv=False)
+        U, s, Vh = real_svd(a)
+        return U, np.append(s[:-1], 0.0), Vh[::-1]
+
+    R = RealLinearOperator(np.diag([1.0, 2.0]), np.zeros((2, 2)))
+    assert eigenvector(R, 1.0) is not None
+    monkeypatch.setattr(np.linalg, "svd", top_vector_last)
+    assert eigenvector(R, 1.0) is None
 
 
 # --------------------------------------------------- no-eigenvalue certificate

@@ -210,6 +210,14 @@ def test_hankel_decay_ratio_mantissa_rounds_into_the_exponent():
         hankel_truncation(sym, 2)
 
 
+def test_hankel_decay_check_quiet_on_all_zero_coefficients():
+    # no nonzero coefficient, so no ratio: nothing violates the declared decay
+    for decay in (DecaySpec("geometric", 0.5), DecaySpec("polynomial", 3.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not hankel_truncation(SymbolSeries.circle_hankel(np.zeros(8), decay), 4).B.any()
+
+
 def test_hankel_decay_check_quiet_on_conforming_underflowed_tail():
     sym = SymbolSeries.circle_hankel(0.8 ** np.arange(4000.0), DecaySpec("geometric", 0.8))
     with warnings.catch_warnings():
@@ -600,6 +608,11 @@ def test_disk_symbol_scale_is_the_truncation_2_norm():
 def test_det_continuity_equal_pair():
     A = crandn(np.random.default_rng(1), 4, 4)
     assert det_continuity_check(A, A)
+
+
+def test_det_continuity_when_both_determinants_vanish():
+    # det(I + C1) = det(I + C2) = 0 holds the bound with equality: 0 <= 0
+    assert det_continuity_check(-np.eye(3), -np.eye(3))
 
 
 def test_det_continuity_against_zero():
