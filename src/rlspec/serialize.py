@@ -231,7 +231,7 @@ def symbol_from_dict(d: dict) -> SymbolSeries:
         return SymbolSeries(kind=kind, coeffs=coeffs, m=d.get("m"), decay=decay)
     if kind == "disk-monomial":
         m = _field(d, "m", _integer, what)
-        coeffs = d.get("coeffs_re") or d.get("coeffs_im") or None
+        coeffs = [v for k in ("coeffs_re", "coeffs_im") if (v := d.get(k, [])) != []] or None
         return SymbolSeries(kind=kind, coeffs=coeffs, m=m, decay=decay)
     raise ValidationError(f"{what}: unknown kind {kind!r}")
 

@@ -621,13 +621,13 @@ def test_certificates_take_no_zero_from_a_near_real_pair(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigs)
     cert = emptiness_certificates(R, coeff=cm)
     assert cert.real_axis_zero == -0.25
-    assert cert.det_complexification == pytest.approx(0.25 * 0.5 * 0.1**2, rel=1e-12)
+    assert cert.det_complexification == pytest.approx(0.25 * 0.5 * 0.1**2, rel=1e-14)
     assert cert.verdict == "nonempty"
     pairs = np.array([0.5 + 1e-12j, 0.5 - 1e-12j, 1.5 + 1e-12j, 1.5 - 1e-12j])
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: pairs)
     cert = emptiness_certificates(R, coeff=cm)
     assert cert.real_axis_zero is None
-    assert cert.det_complexification == pytest.approx(0.5**2 * 1.5**2, rel=1e-12)
+    assert cert.det_complexification == pytest.approx(0.5**2 * 1.5**2, rel=1e-14)
     assert cert.verdict == "inconclusive"
 
 

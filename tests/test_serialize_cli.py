@@ -118,6 +118,9 @@ MALFORMED_SYMBOLS = [
     ('{"kind": "circle-hankel", "coeffs_re": [0.5], "coeffs_im": [0.0], '
      '"decay": {"tag": "geometric", "param": "0.5"}}', "'param'"),
     ('{"kind": "circle-hankel", "coeffs_re": ["0.5"], "coeffs_im": [0.0]}', "'coeffs_re'"),
+    # a disk monomial takes no coefficients, falsy ones included
+    ('{"kind": "disk-monomial", "m": 1, "coeffs_re": 0}', "'coeffs'"),
+    ('{"kind": "disk-monomial", "m": 1, "coeffs_im": {}}', "'coeffs'"),
 ]
 
 
