@@ -20,7 +20,7 @@ os.makedirs(OUT, exist_ok=True)
 eps = 0.5
 a, b = np.sqrt((1 + eps) / 2), np.sqrt((1 - eps) / 2)
 E = rl.RealLinearOperator(np.zeros((2, 2)), [[a, b], [-b, a]])
-H = rl.coeff_matrix(E)
+cm = rl.coeff_matrix(E)
 
 # Pointwise, from the operator: F(0) is the determinant of the
 # complexification, the limit at infinity is the monic leading coefficient 1,
@@ -30,8 +30,8 @@ print("F(exp(0.3 i)) =", rl.numfun_eval(E, np.exp(0.3j)))
 print("F(100)        =", rl.numfun_eval(E, 100.0))
 
 # Convexity made explicit: barycentric weights against the eigenvalues.
-sos = rl.sos_decompose(H)
-w = rl.convex_weights(H, np.exp(0.3j))
+sos = rl.sos_decompose(cm)
+w = rl.convex_weights(cm, np.exp(0.3j))
 print("\neigenvalues of H:", np.round(sos.d, 9))
 print("weights at exp(0.3 i):", np.round(w, 9), " -> value", float(np.dot(sos.d, w)))
 

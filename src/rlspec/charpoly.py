@@ -16,7 +16,7 @@ decompositions, and derives emptiness/nonemptiness certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -43,7 +43,6 @@ __all__ = [
 _DET_STACK_ENTRIES = 1 << 14
 _HERM_TOL = 1e-6  # largest Hermitian defect max|G - G*| / max|G| that extraction accepts
 _LOG_MAX = np.log(np.finfo(float).max)
-_LOG_TINY = np.log(np.finfo(float).tiny)
 
 
 def _point(lam) -> complex:
@@ -168,61 +167,67 @@ def charpoly_eval(R: RealLinearOperator, lam: complex) -> float:
     return float(sign[0] * np.exp(logabs[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class CoeffMatrix:
-    """Hermitian coefficient matrix of a characteristic polynomial.
-
-    Entry ``H[i, j]`` multiplies ``lam**j * conj(lam)**i``.  ``norm`` is the
-    ``||R||`` of the torus weights (:func:`_torus_log_weights`).  ``asymmetry``
-    is ``max|G - G*| / max|G|`` of the torus matrix G before the symmetrizing
-    projection: a roundoff diagnostic that scaling ``R`` leaves unchanged.
-    """
-
-    n: int
-    H: np.ndarray
-    norm: float
-    asymmetry: float
-
-    def __post_init__(self):
-        if not self.n >= 1:
-            raise ValidationError(f"coefficient matrix needs n >= 1, got n={self.n!r}")
-        H = np.asarray(self.H, dtype=complex)
-        if H.shape != (self.n + 1, self.n + 1):
-            raise ValidationError(
-                f"coefficient matrix must be {(self.n + 1, self.n + 1)}, got {H.shape}"
-            )
-        if not np.isfinite(H).all():
-            raise ValidationError("coefficient matrix has non-finite entries")
-        for name, value in (("norm", self.norm), ("asymmetry", self.asymmetry)):
-            if not 0.0 <= value < np.inf:
-                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
-        H = H.copy()
-        H.setflags(write=False)
-        object.__setattr__(self, "H", H)
-
-
-def _coeff_array(H) -> np.ndarray:
-    """The H of a CoeffMatrix, exactly Hermitian already, or the Hermitian part of a plain one."""
-    if isinstance(H, CoeffMatrix):
-        return H.H
-    A = np.asarray(H, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
-        raise ValidationError(f"nonempty square coefficient matrix expected, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValidationError("coefficient matrix has non-finite entries")
-    return (A + A.conj().T) / 2.0
-
-
-def coeff_poly_eval(H, lam: complex) -> float:
-    """Evaluate ``v* H v`` with ``v = (1, lam, ..., lam**n)``."""
-    A = _coeff_array(H)
-    v = _point(lam) ** np.arange(A.shape[0])
-    return float(np.real(v.conj() @ A @ v))
-
-
 def _torus_log_weights(n: int, norm: float) -> np.ndarray:
     """``log W`` of ``H = W G W``: ``W = diag(s**(n-i) / r**i)``, s = norm or 1, r = 1 + 1/n."""
     return np.arange(n, -1, -1) * np.log(norm or 1.0) - np.arange(n + 1) * np.log(1.0 + 1.0 / n)
+
+
+@dataclass(frozen=True, eq=False)
+class CoeffMatrix:
+    """Coefficient matrix of a characteristic polynomial, held as its torus matrix G.
+
+    ``H = W G W``, W the torus weights of ``norm`` = ``||R||`` (:func:`_torus_log_weights`);
+    ``H[i, j]`` multiplies ``lam**j * conj(lam)**i``.  G is square, at least 2 x 2,
+    finite and not zero, and ``n`` is its size less one.  ``asymmetry``,
+    ``max|G - G*| / max|G|`` of the G given, is a roundoff diagnostic that scaling
+    R leaves unchanged.  ``G`` and ``H`` hold the Hermitian parts of that G and of
+    ``W G W``; a weight or an entry of H beyond double range raises ``NumericalFailure``.
+    """
+
+    G: np.ndarray
+    norm: float
+    n: int = field(init=False)
+    H: np.ndarray = field(init=False)
+    asymmetry: float = field(init=False)
+
+    def __post_init__(self):
+        G = np.asarray(self.G, dtype=complex)
+        if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 2:
+            raise ValidationError(f"coefficient matrix must be square, at least 2 x 2, got {G.shape}")
+        if not np.isfinite(G).all():
+            raise ValidationError("coefficient matrix has non-finite entries")
+        if not G.any():
+            raise ValidationError("coefficient matrix is zero")
+        if not 0.0 <= self.norm < np.inf:
+            raise ValidationError(f"norm must be a finite number >= 0, got {self.norm!r}")
+        n = G.shape[0] - 1
+        absg = np.abs(G)
+        gscale = float(absg.max())
+        lw = _torus_log_weights(n, self.norm)
+        # H_ij = (G_ij W_i) W_j, sized in the log domain first, and then its first factor.
+        with np.errstate(divide="ignore"):
+            logh = np.log(absg) + lw[:, None] + lw
+        if logh.max() >= _LOG_MAX:
+            i, j = np.unravel_index(np.argmax(logh), logh.shape)
+            raise NumericalFailure(
+                f"H[{i}, {j}] of about 1e{logh[i, j] / np.log(10):.0f} overflows double range "
+                f"(n={n}, ||R||={self.norm:.3g})"
+            )
+        if lw[0] + np.log(max(gscale, 1.0)) >= _LOG_MAX:
+            raise NumericalFailure(f"G W overflows double range (n={n}, ||R||={self.norm:.3g})")
+        W = np.exp(lw)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "asymmetry", float(np.abs(G - G.conj().T).max()) / gscale)
+        for name, A in (("G", G), ("H", G * W[:, None] * W)):
+            A = (A + A.conj().T) / 2.0
+            A.setflags(write=False)
+            object.__setattr__(self, name, A)
+
+
+def coeff_poly_eval(cm: CoeffMatrix, lam: complex) -> float:
+    """Evaluate ``v* H v`` with ``v = (1, lam, ..., lam**n)``."""
+    v = _point(lam) ** np.arange(cm.n + 1)
+    return float(np.real(v.conj() @ cm.H @ v))
 
 
 def _coeff_torus(C: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -305,9 +310,9 @@ def coeff_matrix(R: RealLinearOperator) -> CoeffMatrix:
     batched n x n ``solve``, ``eigvals`` and ``det`` of a Schur complement
     (O(n**4) time, O(n**3) memory); when ``C = 0``, with one n x n
     ``eigvals`` of ``B conj(B)``, as ``p = prod_k (lam mu - e_k)``.  The
-    torus matrix ``G`` is read off one 2-D DFT, and ``H = W G W`` (see
-    :func:`_torus_log_weights`).  An entry beyond double range raises
-    ``NumericalFailure``.
+    torus matrix ``G`` is read off one 2-D DFT and held by the
+    :class:`CoeffMatrix`, with ``H = W G W``.  An entry of H beyond double
+    range, or an asymmetry of G of 1e-6 or more, raises ``NumericalFailure``.
 
     ``v* H v`` is then compared with the exactly real
     ``det(realify(R - lam I))`` at 2n+3 off-grid points, one per radius
@@ -324,33 +329,13 @@ def coeff_matrix(R: RealLinearOperator) -> CoeffMatrix:
         ``H[0][0] = det`` of the complexification.
     """
     norm = operator_norm(R)
-    n = R.n
-    lw = _torus_log_weights(n, norm)
     s = norm or 1.0
-    G = _coeff_torus(R.C / s, R.B / s)
-    absg = np.abs(G)
-    gasym = float(np.abs(G - G.conj().T).max())
-    gscale = float(absg.max())
-    # Strict and negated, so a NaN or an all-zero G fails too.
-    if not gasym < _HERM_TOL * gscale:
-        raise NumericalFailure(
-            f"coefficient matrix violates Hermitian symmetry by {gasym:.3e} "
-            f"(scale {gscale:.3e}); extraction is unreliable"
-        )
-    # H = W G W, sized in the log domain first.
-    with np.errstate(divide="ignore"):
-        logh = np.log(absg) + lw[:, None] + lw
-    if logh.max() >= _LOG_MAX:
-        i, j = np.unravel_index(np.argmax(logh), logh.shape)
-        raise NumericalFailure(
-            f"H[{i}, {j}] of about 1e{logh[i, j] / np.log(10):.0f} overflows double range "
-            f"(n={n}, ||R||={norm:.3g})"
-        )
-    W = np.exp(lw)
-    Hraw = G * W[:, None] * W
-    H = (Hraw + Hraw.conj().T) / 2.0
-    _validate_coeff(R, H, 1e-6, norm)
-    return CoeffMatrix(n=n, H=H, norm=norm, asymmetry=gasym / gscale)
+    cm = CoeffMatrix(_coeff_torus(R.C / s, R.B / s), norm)
+    # Negated, so that a NaN fails too.
+    if not cm.asymmetry < _HERM_TOL:
+        raise NumericalFailure(f"G violates Hermitian symmetry by {cm.asymmetry:.3e} of max|G|")
+    _validate_coeff(R, cm.H, 1e-6, norm)
+    return cm
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,54 +364,46 @@ class SosDecomposition:
         object.__setattr__(self, "U", U)
 
 
-def sos_decompose(H) -> SosDecomposition:
+def sos_decompose(cm: CoeffMatrix) -> SosDecomposition:
     """Eigendecomposition-based sum of squares of the coefficient matrix.
 
     Diagonalizing ``H = U* D U`` with unitary U turns ``v* H v`` into
     ``sum d_i |p_i(lam)|**2`` where ``p_i`` has coefficient row ``U[i]``.
-    Weights ascend (eigenvalue order); a plain matrix is read through its Hermitian part.
+    Weights ascend (eigenvalue order).
     """
-    w, V = np.linalg.eigh(_coeff_array(H))
+    w, V = np.linalg.eigh(cm.H)
     return SosDecomposition(d=w, U=V.conj().T, kind="eigen")
 
 
-def _pd_test(H) -> tuple[float, float, SosDecomposition | None]:
+def _pd_test(cm: CoeffMatrix) -> tuple[float, float, SosDecomposition | None]:
     """``(g_min, eps_g, rows)`` of the one positive-definiteness test of every Cholesky certificate.
 
-    ``G = W**-1 H W**-1`` (torus weights of a CoeffMatrix; a plain matrix is its
-    own G) is off by at most ``eps_g max|G|``, ``eps_g = asymmetry + (n+1) u``.
-    By Weyl, ``g_min = lambda_min(G) / max|G| > (n+1) eps_g`` proves H positive
-    definite; only then are the Cholesky rows returned, of exact degrees 0..n.
-    Weights outside the normal double range raise ``NumericalFailure``.
+    The torus matrix G of ``H = W G W`` is off by at most ``eps_g max|G|``,
+    ``eps_g = asymmetry + (n+1) u``.  By Weyl, ``g_min = lambda_min(G) / max|G| > (n+1) eps_g``
+    proves G, and so H, positive definite; only then are the rows returned: the reversed
+    Cholesky factor of G times W, by uniqueness that of H, of exact degrees 0..n unless a
+    weight underflows (and zeroes its column of H too).
     """
-    A = _coeff_array(H)
-    n = A.shape[0] - 1
-    torus = isinstance(H, CoeffMatrix)
-    lw = _torus_log_weights(n, H.norm) if torus else np.zeros(n + 1)
-    if not (lw.min() > _LOG_TINY and lw.max() < _LOG_MAX):
-        raise NumericalFailure(f"torus weights of H leave double range (n={n}, ||R||={H.norm:.3g})")
-    W = np.exp(lw)
-    asymmetry = H.asymmetry if torus else 0.0
-    G = A / W[:, None] / W
+    G, n = cm.G, cm.n
     g_min = float(np.linalg.eigvalsh(G)[0] / np.max(np.abs(G)))
-    eps_g = float(asymmetry + (n + 1) * np.finfo(float).eps / 2)
+    eps_g = float(cm.asymmetry + (n + 1) * np.finfo(float).eps / 2)
     if not g_min > (n + 1) * eps_g:
         return g_min, eps_g, None
-    U = np.linalg.cholesky(A[::-1, ::-1]).conj().T[::-1, ::-1]
+    W = np.exp(_torus_log_weights(n, cm.norm))
+    U = np.linalg.cholesky(G[::-1, ::-1]).conj().T[::-1, ::-1] * W
     return g_min, eps_g, SosDecomposition(d=np.ones(n + 1), U=U, kind="cholesky")
 
 
-def cholesky_sos(H) -> SosDecomposition:
+def cholesky_sos(cm: CoeffMatrix) -> SosDecomposition:
     """Unit-weight sum of squares from a Cholesky factorization.
 
-    ``H`` must pass the scale-free test on G of :func:`emptiness_certificates`
-    (a plain matrix, read through its Hermitian part, is its own G), else
-    ``NotPositiveDefinite`` carries the smallest eigenvalue of H.  Row i has
-    exact degree i, so the rows prove p > 0 and the spectrum empty.
+    ``cm`` must pass the scale-free test on G of :func:`emptiness_certificates`,
+    else ``NotPositiveDefinite`` carries the smallest eigenvalue of H.  Row i
+    has exact degree i, so the rows prove p > 0 and the spectrum empty.
     """
-    g_min, eps_g, rows = _pd_test(H)
+    g_min, eps_g, rows = _pd_test(cm)
     if rows is None:
-        w0 = float(np.linalg.eigvalsh(_coeff_array(H))[0])
+        w0 = float(np.linalg.eigvalsh(cm.H)[0])
         raise NotPositiveDefinite(
             f"coefficient matrix is not positive definite: lambda_min(G) / max|G| {g_min:.3e} "
             f"(eps_g {eps_g:.3e}), smallest eigenvalue of H {w0:.6e}",
@@ -491,8 +468,9 @@ def emptiness_certificates(
     :func:`_values` at t = 0 as one scalar, to the bit: the signs of the exactly
     real eigenvalues times ``exp(sum log|mu|)``, plus 0.0, and
     ``NumericalFailure`` beyond double range.
-    ``coeff`` supplies an already extracted H (the ``coeff_matrix`` of the
-    operator) of the operator's own n; another n raises ``DimensionMismatch``.
+    ``coeff`` supplies an already extracted coefficient matrix (the
+    ``coeff_matrix`` of the operator) of the operator's own n; another n
+    raises ``DimensionMismatch``.
     """
     cm = coeff if coeff is not None else coeff_matrix(R)
     if cm.n != R.n:

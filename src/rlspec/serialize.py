@@ -8,8 +8,8 @@ inputs produce byte-identical files at a fixed BLAS thread count.  One
 recursion, ``_json``, writes every JSON value; a list of Python floats takes
 one ``%.16e`` template, as a CSV row does.  One reader, ``_field``, reads
 every field of an input document, and a field that is missing or malformed
-(2.5 for an integer, text or a boolean for a number, an array that numpy
-does not read as numbers) is a ``ValidationError`` naming it.
+(2.5 for an integer, text or a boolean for a number or an array entry, an
+array that numpy does not read as numbers) is a ``ValidationError`` naming it.
 Files are written by ``write_text``, which overwrites in place and cuts the
 file to length; the package never fsyncs an output.
 """
@@ -17,6 +17,7 @@ file to length; the package never fsyncs an output.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import stat
@@ -148,10 +149,16 @@ def _integer(x, low: int = 0) -> int:
 
 
 def _floats(x) -> np.ndarray:
-    """``x`` read by numpy in one conversion, refused unless its dtype is integer or float."""
+    """``x`` read by numpy in one conversion, refused unless it holds integers and floats only."""
     a = np.asarray(x)
     if a.dtype.kind not in "iuf":
         raise TypeError(f"must hold numbers only, got an array of dtype {a.dtype}")
+    # numpy reads a boolean among numbers as 0 or 1
+    flat = [x]
+    for _ in range(a.ndim):
+        flat = itertools.chain.from_iterable(flat)
+    if bool in set(map(type, flat)):
+        raise TypeError("must hold numbers only, got a boolean")
     return a.astype(float, copy=False)
 
 

@@ -13,7 +13,6 @@ import pytest
 from exact_oracle import exact_h
 from randops import crandn, random_antilinear, random_operator
 from rlspec import (
-    NumericalFailure,
     RealLinearOperator,
     SymbolSeries,
     coeff_matrix,
@@ -108,15 +107,18 @@ def test_antilinear_verdicts_match_the_schur_route(monkeypatch):
     assert {"empty", "nonempty"} <= set(verdicts)
 
 
+@pytest.mark.parametrize("n", [48, 64])
 @pytest.mark.parametrize("make", [random_antilinear, random_operator])
-def test_torus_weights_beyond_double_range_are_refused(make):
-    # At n = 64 and ||R|| = 1e-9 the weight ||R||**64 underflows to 0; G cannot
-    # be read back from H, and the PD test refuses without a RuntimeWarning
-    R = make(np.random.default_rng(64), 64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tiny = scaled(R, 1e-9 / operator_norm(R))
-        with pytest.raises(NumericalFailure, match=r"torus weights .* \(n=64, \|\|R\|\|=1e-09\)"):
-            emptiness_certificates(tiny)
-        cert = emptiness_certificates(scaled(R, 1e-3 / operator_norm(R)))
-    assert cert.verdict in ("nonempty", "inconclusive")
+def test_certificates_read_g_at_any_norm(make, n):
+    # The PD test reads G, which the norm does not change: one verdict and
+    # g_min within 1e-13 from 1e-9 to 1e2, without a warning, also where the
+    # weight ||R||**n underflows (1e-9 at n = 48; 1e-9 and 1e-6 at n = 64)
+    for seed in range(3):
+        R = make(np.random.default_rng(seed), n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            certs = [emptiness_certificates(scaled(R, norm / operator_norm(R)))
+                     for norm in (1e-9, 1e-6, 1e-3, 1.0, 1e2)]
+        assert len({cert.verdict for cert in certs}) == 1, seed
+        g_min = [cert.g_min_eigenvalue for cert in certs]
+        assert max(g_min) - min(g_min) <= 1e-13, seed

@@ -1,6 +1,6 @@
 """Emptiness certificates do not depend on the scale of R, and are sound.
 
-The PD test runs on the torus matrix ``G = W**-1 H W**-1``, which does not
+The PD test runs on the torus matrix G of ``H = W G W``, which does not
 change when R is scaled (``spec(sR) = s spec(R)``), against the entrywise
 error bound ``eps_g = asymmetry + (n+1) u`` (relative to ``max|G|``).
 """
@@ -13,6 +13,7 @@ import pytest
 from exact_oracle import exact_h
 from randops import crandn, random_operator
 from rlspec import (
+    CoeffMatrix,
     NotPositiveDefinite,
     RealLinearOperator,
     charpoly_eval,
@@ -105,13 +106,26 @@ def test_cholesky_sos_agrees_with_the_certificate(s):
 
 @pytest.mark.parametrize("s", [1e-9, 1.0, 1e9])
 def test_cholesky_sos_of_a_plain_matrix_does_not_depend_on_scale(s):
-    # a plain matrix is its own G: its verdict does not move with s
+    # a plain matrix as G: the PD test reads G relative to max|G|, so its
+    # verdict moves neither with the scale of G nor with the norm of W
     rng = np.random.default_rng(24)
     X = crandn(rng, 5, 5)
     A = X @ X.conj().T + 0.1 * np.eye(5)
-    assert_cholesky_rows(cholesky_sos(s * A))
+    assert_cholesky_rows(cholesky_sos(CoeffMatrix(s * A, norm=s)))
     with pytest.raises(NotPositiveDefinite):
-        cholesky_sos(s * (A - 2 * np.linalg.eigvalsh(A)[0] * np.eye(5)))
+        cholesky_sos(CoeffMatrix(s * (A - 2 * np.linalg.eigvalsh(A)[0] * np.eye(5)), norm=s))
+
+
+@pytest.mark.parametrize("s", SCALES)
+def test_cholesky_rows_of_g_are_those_of_h(s):
+    # The rows are the reversed Cholesky factor of G times W: by uniqueness,
+    # that of H = W G W.  Each column matches H's own factor to 1e-14 of its
+    # largest entry.
+    for R in skew_family():
+        cm = coeff_matrix(scaled(R, s))
+        ref = np.linalg.cholesky(cm.H[::-1, ::-1]).conj().T[::-1, ::-1]
+        err = np.max(np.abs(cholesky_sos(cm).U - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert err.max() <= 1e-14, (R.n, s, err.max())
 
 
 def error_model_operators(sizes=range(1, 9)):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -146,8 +147,9 @@ def test_exact_oracle_agrees_with_determinant_pointwise():
         H = exact_h(R)
         for _ in range(8):
             lam = complex(crandn(rng))
+            v = lam ** np.arange(n + 1)
             ref = charpoly_eval(R, lam)
-            assert abs(coeff_poly_eval(H, lam) - ref) < 1e-10 * (1 + abs(ref))
+            assert abs((v.conj() @ H @ v).real - ref) < 1e-10 * (1 + abs(ref))
 
 
 def coeff_exact_by_subset(R):
@@ -416,7 +418,8 @@ def test_validate_coeff_reports_first_failing_point():
     for r, th in zip(radii, thetas):
         lam = r * np.exp(1j * th)
         lams.append(lam)
-        err = abs(coeff_poly_eval(H, lam) - charpoly_eval(R, lam))
+        v = lam ** np.arange(n + 1)
+        err = abs((v.conj() @ H @ v).real - charpoly_eval(R, lam))
         excess.append(err / (tol * (s + r) ** (2 * n)))
     failing = [k for k, e in enumerate(excess) if e > 1.0]
     first = failing[0]
@@ -468,7 +471,8 @@ def test_sos_eps_example_monomials():
 
 
 def test_sos_pure_square_modulus():
-    sos = sos_decompose(np.diag([0.0, 1.0]))
+    # the zero operator at n = 1: p = |lam|**2 and H = diag(0, 1)
+    sos = sos_decompose(coeff_matrix(RealLinearOperator(np.zeros((1, 1)), np.zeros((1, 1)))))
     assert np.allclose(sorted(sos.d), [0.0, 1.0])
 
 
@@ -521,7 +525,8 @@ def test_cholesky_sos_skew_example():
 
 
 def test_cholesky_sos_identity_matrix():
-    sos = cholesky_sos(np.eye(4))
+    # H = W G W = I at n = 3 and norm 1, with W = diag(r**-i), r = 4/3
+    sos = cholesky_sos(CoeffMatrix(np.diag((4 / 3) ** (2 * np.arange(4))), norm=1.0))
     for i, row in enumerate(sos.U):
         assert abs(row[i] - 1.0) < 1e-14
         assert np.all(row[i + 1 :] == 0.0)
@@ -666,16 +671,30 @@ def test_real_axis_certificate_solves_line_0_of_the_ray_kernel():
 
 
 def test_coeff_matrix_refuses_bad_fields():
-    H = np.eye(2)
+    G = np.eye(2)
     for bad in (np.nan, np.inf, -2.0):
         with pytest.raises(ValidationError, match="norm"):
-            CoeffMatrix(n=1, H=H, norm=bad, asymmetry=0.0)
-        with pytest.raises(ValidationError, match="asymmetry"):
-            CoeffMatrix(n=1, H=H, norm=1.0, asymmetry=bad)
+            CoeffMatrix(G, norm=bad)
     with pytest.raises(ValidationError, match="non-finite"):
-        CoeffMatrix(n=1, H=[[1.0, np.nan], [np.nan, 1.0]], norm=1.0, asymmetry=0.0)
-    # zero is allowed: the zero operator has norm 0, an exact H asymmetry 0
-    assert CoeffMatrix(n=1, H=H, norm=0.0, asymmetry=0.0).norm == 0.0
+        CoeffMatrix([[1.0, np.nan], [np.nan, 1.0]], norm=1.0)
+    with pytest.raises(ValidationError, match="is zero"):
+        CoeffMatrix(np.zeros((2, 2)), norm=1.0)
+    # zero is allowed: the zero operator has norm 0, a Hermitian G asymmetry 0
+    cm = CoeffMatrix(G, norm=0.0)
+    assert (cm.n, cm.norm, cm.asymmetry) == (1, 0.0, 0.0)
+    # G and norm are the only fields set; n, H and asymmetry are derived
+    assert [f.name for f in fields(CoeffMatrix) if f.init] == ["G", "norm"]
+
+
+def test_a_hand_built_inconsistent_matrix_is_read_through_its_hermitian_part():
+    # G = [[1, 2], [0, 1]] has asymmetry 1: G, H and every reader of H take
+    # the Hermitian parts, and the PD test, with eps_g above 1, refuses
+    cm = CoeffMatrix(G=[[1.0, 2.0], [0.0, 1.0]], norm=1.0)
+    assert cm.asymmetry == 1.0
+    assert np.array_equal(cm.G, np.ones((2, 2)))
+    assert coeff_poly_eval(cm, 0.5) == pytest.approx(sos_eval(sos_decompose(cm), 0.5), rel=1e-14)
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_sos(cm)
 
 
 def test_charpoly_eval_overflow_is_a_typed_failure():

@@ -11,7 +11,6 @@ from rlspec import (
     RealLinearOperator,
     charpoly_eval,
     coeff_matrix,
-    coeff_poly_eval,
     SymbolSeries,
     ValidationError,
     conjugation,
@@ -41,10 +40,10 @@ def eps_operator(eps):
 
 
 def h_numfun(H, lam):
-    # F read from the entries of H, a cross-check independent of the ray
-    # kernel; accurate at desk scale only
+    # F read from the entries of the array H, a cross-check independent of
+    # the ray kernel; accurate at desk scale only
     v = np.asarray(lam, dtype=complex) ** np.arange(H.shape[0])
-    return coeff_poly_eval(H, lam) / float(np.sum(np.abs(v) ** 2))
+    return float(np.real(v.conj() @ H @ v)) / float(np.sum(np.abs(v) ** 2))
 
 
 # ----------------------------------------------------------------- evaluation

@@ -79,38 +79,50 @@ REFUSALS = {
         ValidationError, "map is not real-homogeneous within tolerance"),
     # charpoly
     "CoeffMatrix of the wrong shape": (
-        lambda: CoeffMatrix(n=2, H=np.eye(2), norm=1.0, asymmetry=0.0),
-        ValidationError, "coefficient matrix must be (3, 3), got (2, 2)"),
+        lambda: CoeffMatrix(np.ones(3), norm=1.0),
+        ValidationError, "coefficient matrix must be square, at least 2 x 2, got (3,)"),
     "sos of a non-square matrix": (
-        lambda: sos_decompose(np.zeros((2, 3))),
-        ValidationError, "square coefficient matrix expected, got shape (2, 3)"),
+        lambda: sos_decompose(CoeffMatrix(np.zeros((2, 3)), norm=1.0)),
+        ValidationError, "coefficient matrix must be square, at least 2 x 2, got (2, 3)"),
     # the next six reached LAPACK or arithmetic: NaN answers without a word,
     # RuntimeWarnings, a raw ValueError, or NotPositiveDefinite quoting nan
     "sos of a NaN matrix": (
-        lambda: sos_decompose(np.full((2, 2), np.nan)),
+        lambda: sos_decompose(CoeffMatrix(np.full((2, 2), np.nan), norm=1.0)),
         ValidationError, "coefficient matrix has non-finite entries"),
     "convex weights of a NaN matrix": (
-        lambda: convex_weights(np.full((2, 2), np.nan), 0.5),
+        lambda: convex_weights(CoeffMatrix([[1.0, np.nan], [0.0, 1.0]], norm=1.0), 0.5),
         ValidationError, "coefficient matrix has non-finite entries"),
     "Cholesky sos of a NaN matrix": (
-        lambda: cholesky_sos([[np.nan]]),
+        lambda: cholesky_sos(CoeffMatrix([[np.nan, 0.0], [0.0, 1.0]], norm=1.0)),
         ValidationError, "coefficient matrix has non-finite entries"),
     "Cholesky sos of an infinite matrix": (
-        lambda: cholesky_sos([[np.inf]]),
+        lambda: cholesky_sos(CoeffMatrix([[np.inf, 0.0], [0.0, 1.0]], norm=1.0)),
         ValidationError, "coefficient matrix has non-finite entries"),
     "coefficient polynomial of an infinite matrix": (
-        lambda: coeff_poly_eval(np.array([[np.inf, 0.0], [0.0, 1.0]]), 0.5),
+        lambda: coeff_poly_eval(CoeffMatrix([[1.0, complex(0.0, np.inf)], [0.0, 1.0]], norm=1.0), 0.5),
         ValidationError, "coefficient matrix has non-finite entries"),
     "Cholesky sos of an empty matrix": (
-        lambda: cholesky_sos(np.zeros((0, 0))),
-        ValidationError, "nonempty square coefficient matrix expected, got shape (0, 0)"),
+        lambda: cholesky_sos(CoeffMatrix([], norm=1.0)),
+        ValidationError, "coefficient matrix must be square, at least 2 x 2, got (0,)"),
+    # a zero G has no scale: asymmetry and g_min read 0 / 0
+    "Cholesky sos of a zero matrix": (
+        lambda: cholesky_sos(CoeffMatrix(np.zeros((2, 2)), norm=1.0)),
+        ValidationError, "coefficient matrix is zero"),
+    # H = (G W_i) W_j fits, but W_0 or G_01 W_0 does not: a NaN H and a
+    # RuntimeWarning
+    "CoeffMatrix whose torus weight overflows": (
+        lambda: CoeffMatrix(np.diag([0.0, 0.0, 1.0]), norm=1e200),
+        NumericalFailure, "G W overflows double range (n=2, ||R||=1e+200)"),
+    "CoeffMatrix whose weighted row overflows": (
+        lambda: CoeffMatrix([[1e-300, 3e8], [3e8, 1.0]], norm=1e300),
+        NumericalFailure, "G W overflows double range (n=1, ||R||=1e+300)"),
     # built, then a raw ZeroDivisionError in the torus weights
     "CoeffMatrix of n = 0": (
-        lambda: CoeffMatrix(n=0, H=[[2.0]], norm=1.0, asymmetry=0.0),
-        ValidationError, "coefficient matrix needs n >= 1, got n=0"),
+        lambda: CoeffMatrix([[2.0]], norm=1.0),
+        ValidationError, "coefficient matrix must be square, at least 2 x 2, got (1, 1)"),
     "CoeffMatrix of n = -1": (
-        lambda: CoeffMatrix(n=-1, H=np.zeros((0, 0)), norm=1.0, asymmetry=0.0),
-        ValidationError, "coefficient matrix needs n >= 1, got n=-1"),
+        lambda: CoeffMatrix(np.zeros((0, 0)), norm=1.0),
+        ValidationError, "coefficient matrix must be square, at least 2 x 2, got (0, 0)"),
     # a 3 x 3 H with a 2 x 2 operator read "nonempty"
     "certificates from the H of another n": (
         lambda: emptiness_certificates(identity(2), coeff=coeff_matrix(identity(3))),
@@ -128,14 +140,14 @@ REFUSALS = {
         lambda: charpoly_eval(identity(1), []),
         ValidationError, "one evaluation point expected, got shape (0,)"),
     "coefficient polynomial at NaN": (
-        lambda: coeff_poly_eval(np.eye(2), np.nan),
+        lambda: coeff_poly_eval(CoeffMatrix(np.eye(2), norm=1.0), np.nan),
         ValidationError, "evaluation points must be finite, not NaN or infinity"),
     "sum of squares at NaN": (
-        lambda: sos_eval(sos_decompose(np.eye(2)), complex(0.5, np.nan)),
+        lambda: sos_eval(sos_decompose(CoeffMatrix(np.eye(2), norm=1.0)), complex(0.5, np.nan)),
         ValidationError, "evaluation points must be finite, not NaN or infinity"),
     # numfun
     "convex weights at NaN": (
-        lambda: convex_weights(np.eye(2), np.nan),
+        lambda: convex_weights(CoeffMatrix(np.eye(2), norm=1.0), np.nan),
         ValidationError, "evaluation points must be finite, not NaN or infinity"),
     # serialize
     "symbol document of an unknown kind": (
@@ -148,6 +160,14 @@ REFUSALS = {
     "operator document with a text entry": (
         lambda: ser.operator_from_dict({**ser.operator_to_dict(identity(1)), "C_re": [["0.5"]]}),
         ValidationError, "operator JSON: field 'C_re': must hold numbers only, got an array of dtype <U3"),
+    # numpy reads a boolean among floats or integers as 0 or 1
+    "operator document with a boolean among floats": (
+        lambda: ser.operator_from_dict({**ser.operator_to_dict(identity(2)),
+                                        "C_re": [[True, 0.5], [0.0, 1.0]]}),
+        ValidationError, "operator JSON: field 'C_re': must hold numbers only, got a boolean"),
+    "operator document with a boolean among integers": (
+        lambda: ser.operator_from_dict({**ser.operator_to_dict(identity(2)), "B_im": [[True, 2], [0, 1]]}),
+        ValidationError, "operator JSON: field 'B_im': must hold numbers only, got a boolean"),
     "disk symbol document with a boolean degree": (
         lambda: ser.symbol_from_dict({"kind": "disk-monomial", "m": True}),
         ValidationError, "symbol JSON: field 'm': must be an integer >= 0, got True"),

@@ -121,6 +121,8 @@ MALFORMED_SYMBOLS = [
     # a disk monomial takes no coefficients, falsy ones included
     ('{"kind": "disk-monomial", "m": 1, "coeffs_re": 0}', "'coeffs'"),
     ('{"kind": "disk-monomial", "m": 1, "coeffs_im": {}}', "'coeffs'"),
+    # numpy reads a boolean among numbers as 0 or 1
+    ('{"kind": "circle-hankel", "coeffs_re": [0.5, 0.25], "coeffs_im": [false, 0.0]}', "'coeffs_im'"),
 ]
 
 
