@@ -17,6 +17,7 @@ decompositions, and derives emptiness/nonemptiness certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -178,20 +179,18 @@ class CoeffMatrix:
 
     ``H = W G W``, W the torus weights of ``norm`` = ``||R||`` (:func:`_torus_log_weights`);
     ``H[i, j]`` multiplies ``lam**j * conj(lam)**i``.  G is square, at least 2 x 2,
-    finite and not zero, and ``n`` is its size less one.  ``asymmetry``,
-    ``max|G - G*| / max|G|`` of the G given, is a roundoff diagnostic that scaling
-    R leaves unchanged.  ``G`` and ``H`` hold the Hermitian parts of that G and of
-    ``W G W``; a weight or an entry of H beyond double range raises ``NumericalFailure``.
+    finite and not zero, and ``n`` is its size less one; ``G`` holds a read-only
+    copy of the G given.  ``asymmetry``, ``max|G - G*| / max|G|``, is a roundoff
+    diagnostic that scaling R leaves unchanged.  ``H`` is formed where it is read.
     """
 
     G: np.ndarray
     norm: float
     n: int = field(init=False)
-    H: np.ndarray = field(init=False)
     asymmetry: float = field(init=False)
 
     def __post_init__(self):
-        G = np.asarray(self.G, dtype=complex)
+        G = np.array(self.G, dtype=complex)
         if G.ndim != 2 or G.shape[0] != G.shape[1] or G.shape[0] < 2:
             raise ValidationError(f"coefficient matrix must be square, at least 2 x 2, got {G.shape}")
         if not np.isfinite(G).all():
@@ -200,28 +199,23 @@ class CoeffMatrix:
             raise ValidationError("coefficient matrix is zero")
         if not 0.0 <= self.norm < np.inf:
             raise ValidationError(f"norm must be a finite number >= 0, got {self.norm!r}")
-        n = G.shape[0] - 1
-        absg = np.abs(G)
-        gscale = float(absg.max())
-        lw = _torus_log_weights(n, self.norm)
-        # H_ij = (G_ij W_i) W_j, sized in the log domain first, and then its first factor.
-        with np.errstate(divide="ignore"):
-            logh = np.log(absg) + lw[:, None] + lw
-        if logh.max() >= _LOG_MAX:
-            i, j = np.unravel_index(np.argmax(logh), logh.shape)
-            raise NumericalFailure(
-                f"H[{i}, {j}] of about 1e{logh[i, j] / np.log(10):.0f} overflows double range "
-                f"(n={n}, ||R||={self.norm:.3g})"
-            )
-        if lw[0] + np.log(max(gscale, 1.0)) >= _LOG_MAX:
-            raise NumericalFailure(f"G W overflows double range (n={n}, ||R||={self.norm:.3g})")
-        W = np.exp(lw)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "asymmetry", float(np.abs(G - G.conj().T).max()) / gscale)
-        for name, A in (("G", G), ("H", G * W[:, None] * W)):
-            A = (A + A.conj().T) / 2.0
-            A.setflags(write=False)
-            object.__setattr__(self, name, A)
+        G.setflags(write=False)
+        object.__setattr__(self, "G", G)
+        object.__setattr__(self, "n", G.shape[0] - 1)
+        object.__setattr__(self, "asymmetry", float(np.abs(G - G.conj().T).max()) / float(np.abs(G).max()))
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Hermitian part of ``W G W``, read-only; an entry beyond double range raises ``NumericalFailure``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            W = np.exp(_torus_log_weights(self.n, self.norm))
+            A = self.G * W[:, None] * W
+            H = (A + A.conj().T) / 2.0
+        if not np.isfinite(H).all():
+            i, j = np.argwhere(~np.isfinite(H))[0]
+            raise NumericalFailure(f"H[{i}, {j}] overflows double range (n={self.n}, ||R||={self.norm:.3g})")
+        H.setflags(write=False)
+        return H
 
 
 def coeff_poly_eval(cm: CoeffMatrix, lam: complex) -> float:
@@ -267,28 +261,29 @@ def _coeff_torus(C: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.fft.fft(np.fft.fft(P, axis=1), axis=0) / (n + 1) ** 2
 
 
-def _validate_coeff(R: RealLinearOperator, H: np.ndarray, tol: float, norm: float) -> None:
-    """Check ``v* H v`` against ``det(realify(R - lam I))`` at 2n+3 off-grid points.
+def _validate_coeff(R: RealLinearOperator, cm: CoeffMatrix, tol: float) -> None:
+    """Check ``(W v)* G (W v)`` of ``cm`` against ``det(realify(R - lam I))`` at 2n+3 off-grid points.
 
     Point k = 0..2n+2 has radius k of ``linspace(0.6 s, 1.9 s, 2n+3)``,
-    ``s = 1 + norm`` (``norm`` is ``||R||``), built as ``np.linspace`` builds
+    ``s = 1 + cm.norm`` (``||R||``), built as ``np.linspace`` builds
     it (``k * step + 0.6 s``, the last radius ``1.9 s``) to the bit, and angle
     ``2 pi (k + 0.37) / (2n+3)``.  The first point where the two differ by
     more than ``tol * (s + |lam|)**(2n)`` is reported.  Both are divided by
-    that scale in the log domain (the monomials taken as
-    ``lam**j / (s + |lam|)**n``), so nothing overflows; ``v* H v`` is one
-    matmul and a row sum over the 2n+3 points.
+    that scale in the log domain (the weighted monomials taken as
+    ``W_j lam**j / (s + |lam|)**n``), so nothing overflows and H is never
+    formed; the quadratic form is one matmul and a row sum over the 2n+3 points.
     """
-    n = R.n
-    s = 1.0 + norm
+    n = cm.n
+    s = 1.0 + cm.norm
     m = 2 * n + 3
     radii = np.arange(m) * ((1.9 * s - 0.6 * s) / (m - 1)) + 0.6 * s
     radii[-1] = 1.9 * s
     thetas = 2.0 * np.pi * (np.arange(m) + 0.37) / m
     lams = radii * np.exp(1j * thetas)
     logt = np.log(s + radii)
-    V = np.exp((np.log(radii) + 1j * thetas)[:, None] * np.arange(n + 1) - n * logt[:, None])
-    gots = (V.conj() @ H * V).sum(axis=1).real
+    logv = (np.log(radii) + 1j * thetas)[:, None] * np.arange(n + 1) - n * logt[:, None]
+    V = np.exp(logv + _torus_log_weights(n, cm.norm))
+    gots = (V.conj() @ cm.G * V).sum(axis=1).real
     sign, logabs = _real_slogdets(R, lams)
     refs = sign * np.exp(logabs - 2 * n * logt)
     # Negated, so that a NaN fails.
@@ -311,10 +306,10 @@ def coeff_matrix(R: RealLinearOperator) -> CoeffMatrix:
     (O(n**4) time, O(n**3) memory); when ``C = 0``, with one n x n
     ``eigvals`` of ``B conj(B)``, as ``p = prod_k (lam mu - e_k)``.  The
     torus matrix ``G`` is read off one 2-D DFT and held by the
-    :class:`CoeffMatrix`, with ``H = W G W``.  An entry of H beyond double
-    range, or an asymmetry of G of 1e-6 or more, raises ``NumericalFailure``.
+    :class:`CoeffMatrix`, with ``H = W G W``.  An asymmetry of G of 1e-6 or
+    more raises ``NumericalFailure``.
 
-    ``v* H v`` is then compared with the exactly real
+    ``(W v)* G (W v) = v* H v`` is then compared with the exactly real
     ``det(realify(R - lam I))`` at 2n+3 off-grid points, one per radius
     between ``0.6 s`` and ``1.9 s`` (``s = 1 + ||R||``), and a difference of
     more than ``1e-6 (s + |lam|)**(2n)`` raises ``NumericalFailure``; the
@@ -334,7 +329,7 @@ def coeff_matrix(R: RealLinearOperator) -> CoeffMatrix:
     # Negated, so that a NaN fails too.
     if not cm.asymmetry < _HERM_TOL:
         raise NumericalFailure(f"G violates Hermitian symmetry by {cm.asymmetry:.3e} of max|G|")
-    _validate_coeff(R, cm.H, 1e-6, norm)
+    _validate_coeff(R, cm, 1e-6)
     return cm
 
 
@@ -384,7 +379,7 @@ def _pd_test(cm: CoeffMatrix) -> tuple[float, float, SosDecomposition | None]:
     Cholesky factor of G times W, by uniqueness that of H, of exact degrees 0..n unless a
     weight underflows (and zeroes its column of H too).
     """
-    G, n = cm.G, cm.n
+    G, n = (cm.G + cm.G.conj().T) / 2.0, cm.n
     g_min = float(np.linalg.eigvalsh(G)[0] / np.max(np.abs(G)))
     eps_g = float(cm.asymmetry + (n + 1) * np.finfo(float).eps / 2)
     if not g_min > (n + 1) * eps_g:
@@ -398,8 +393,8 @@ def cholesky_sos(cm: CoeffMatrix) -> SosDecomposition:
     """Unit-weight sum of squares from a Cholesky factorization.
 
     ``cm`` must pass the scale-free test on G of :func:`emptiness_certificates`,
-    else ``NotPositiveDefinite`` carries the smallest eigenvalue of H.  Row i
-    has exact degree i, so the rows prove p > 0 and the spectrum empty.
+    else ``NotPositiveDefinite`` carries the smallest eigenvalue of ``cm.H``.  Row
+    i has exact degree i, so the rows prove p > 0 and the spectrum empty.
     """
     g_min, eps_g, rows = _pd_test(cm)
     if rows is None:

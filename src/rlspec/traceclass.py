@@ -53,6 +53,7 @@ __all__ = [
 
 _KINDS = ("circle-hankel", "disk-monomial")
 _DECAY_TAGS = ("finite", "geometric", "polynomial")
+_MAX_DISK_DEGREE = 1 << 24  # tail_weight holds O(m) floats; truncations are zero once m >= 2n - 1
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,10 @@ class SymbolSeries:
                 raise ValidationError("disk-monomial symbol takes no 'coeffs'")
             if self.decay.tag != "finite":
                 raise ValidationError(f"disk-monomial symbol takes a finite 'decay', got {self.decay.tag!r}")
-            if not (_between(-1, self.m, math.inf) and int(self.m) == self.m):
-                raise ValidationError("disk-monomial symbol requires a nonnegative integer degree m")
+            if not (_between(-1, self.m, _MAX_DISK_DEGREE + 1) and int(self.m) == self.m):
+                raise ValidationError(
+                    "disk-monomial symbol requires a nonnegative integer degree m of at most 2**24 in 'm'"
+                )
             object.__setattr__(self, "m", int(self.m))
 
     @classmethod

@@ -67,15 +67,15 @@ def assert_g_close(G, ref, tol, label):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_antilinear_g_matches_the_exact_oracle(n):
-    # G of the extracted H (weights applied and removed) against the exact
-    # expansion of R / ||R||, relative to max|G|, at norms 1e-9 to 1e9
+    # the Hermitian part of the extracted G against the exact expansion of
+    # R / ||R||, relative to max|G|, at norms 1e-9 to 1e9
     rng = np.random.default_rng(2600 + n)
     for kind, R in antilinear_family(n, rng):
         exact = exact_h(scaled(R, 1.0 / operator_norm(R)))
         for norm in EXACT_NORMS:
             Rs = scaled(R, norm / operator_norm(R))
             cm = coeff_matrix(Rs)
-            assert_g_close(torus_g(cm.H, cm.norm), torus_g(exact, 1.0), 1e-13, (kind, n, norm))
+            assert_g_close((cm.G + cm.G.conj().T) / 2, torus_g(exact, 1.0), 1e-13, (kind, n, norm))
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])

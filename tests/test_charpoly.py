@@ -1,5 +1,6 @@
 """Characteristic polynomial extraction, sums of squares, certificates."""
 
+import json
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from exact_oracle import exact_h
-from randops import crandn, random_operator
+from randops import crandn, random_antilinear, random_operator
 from rlspec import (
     CoeffMatrix,
     NotPositiveDefinite,
@@ -30,8 +31,10 @@ from rlspec import (
     sos_decompose,
     sos_eval,
 )
+from rlspec import serialize as ser
 import rlspec.charpoly as charpoly_module
-from rlspec.charpoly import _DET_STACK_ENTRIES, _validate_coeff
+from rlspec.charpoly import _DET_STACK_ENTRIES, _torus_log_weights, _validate_coeff
+from rlspec.cli import main
 
 
 def eps_operator(eps: float) -> RealLinearOperator:
@@ -294,12 +297,50 @@ def test_coeff_matrix_extracts_and_validates_at_n64(norm):
 
 
 def test_coeff_matrix_overflow_is_a_typed_failure():
-    # H[0, 0] = det of the complexification is about 1e368 here.
+    # H[0, 0] = det of the complexification is about 1e368 here: G extracts
+    # and validates, and H is refused where it is read.
     R = with_norm(random_operator(np.random.default_rng(1), 64), 1e3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalFailure, match=r"H\[0, 0\] of about 1e3\d\d overflows double range"):
-            coeff_matrix(R)
+        cm = coeff_matrix(R)
+        with pytest.raises(NumericalFailure, match=r"H\[0, 0\] overflows double range \(n=64, "):
+            cm.H
+
+
+def block_skew(n, norm):
+    """``C = 0`` and n/2 blocks ``[[0, norm], [-norm, 0]]`` of B: H is PD, at any norm."""
+    return RealLinearOperator(np.zeros((n, n)), np.kron(np.eye(n // 2), [[0.0, norm], [-norm, 0.0]]))
+
+
+# At n = 64 even the block-skew G is too graded for the PD test (graded radii, ROADMAP item 4).
+@pytest.mark.parametrize("n, norm, proved", [(20, 1e9, [False, False, True]), (64, 1e3, [False, False, False])])
+def test_g_extracts_where_h_leaves_double_range(n, norm, proved, tmp_path, capsys):
+    # coeff_matrix returns G and the PD test reads it; H, about ||R||**(2n)
+    # at H[0, 0], is refused where it is read.  Where G is PD, cholesky_sos
+    # returns its rows; where not, its refusal reads the least eigenvalue of H,
+    # so the view's NumericalFailure is what results.  info (p(0, 0)) and
+    # charpoly (the H of --out) exit 3.
+    ops = [with_norm(make(np.random.default_rng(1), n), norm) for make in (random_operator, random_antilinear)]
+    pd = []
+    for R in (*ops, block_skew(n, norm)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = coeff_matrix(R)
+            with pytest.raises(NumericalFailure, match=rf"H\[0, 0\] overflows double range \(n={n}, "):
+                cm.H
+            pd.append(charpoly_module._pd_test(cm)[2] is not None)
+            if pd[-1]:
+                rows = cholesky_sos(cm)
+                assert np.isfinite(rows.U).all() and rows.U[0, 0] != 0
+            else:
+                with pytest.raises(NumericalFailure, match=r"H\[0, 0\] overflows"):
+                    cholesky_sos(cm)
+        op = tmp_path / "op.json"
+        ser.write_text(str(op), ser.dump_json(ser.operator_to_dict(R)))
+        for cmd in (["info", str(op)], ["charpoly", str(op), "--out", str(tmp_path / "H.json")]):
+            assert main([*cmd, "--error-json"]) == 3
+            assert json.loads(capsys.readouterr().out)["type"] == "NumericalFailure"
+    assert pd == proved
 
 
 def test_coeff_matrix_takes_no_2n_determinant(monkeypatch):
@@ -366,7 +407,7 @@ def test_validation_takes_2n_plus_3_real_determinants_in_bounded_stacks(monkeypa
 
     n = 32
     R = random_operator(rng, n)
-    H = coeff_matrix(R).H
+    cm = coeff_matrix(R)
     stacks = []
     slogdet = np.linalg.slogdet
 
@@ -375,7 +416,7 @@ def test_validation_takes_2n_plus_3_real_determinants_in_bounded_stacks(monkeypa
         return slogdet(S)
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
-    _validate_coeff(R, H, 1e-6, operator_norm(R))
+    _validate_coeff(R, cm, 1e-6)
     per_stack = _DET_STACK_ENTRIES // (2 * n) ** 2
     assert sum(shape[0] for shape in stacks) == 2 * n + 3
     assert len(stacks) == -(-(2 * n + 3) // per_stack)
@@ -396,7 +437,7 @@ def test_coeff_matrix_memory_stays_bounded_at_n32():
     assert peak < 8 * 2**20
 
 
-def test_validate_coeff_reports_first_failing_point():
+def test_validate_coeff_reports_first_failing_point(monkeypatch):
     n, tol = 4, 1e-6
     R = random_operator(np.random.default_rng(10), n)
     # The documented points, in their order: point k has radius k of
@@ -405,14 +446,18 @@ def test_validate_coeff_reports_first_failing_point():
     m = 2 * n + 3
     radii = np.linspace(0.6 * s, 1.9 * s, m)
     thetas = 2.0 * np.pi * (np.arange(m) + 0.37) / m
-    # Perturbing H[n-1, n] by delta adds Re(delta * |lam|**(2n-2) * lam) to
-    # v* H v.  Aimed at a middle point, it fails there or just before, and by
-    # more at larger radii later on: the first failure is neither the worst
-    # nor the last one.
+    # Perturbing G[n-1, n] by delta / (W[n-1] W[n]) adds
+    # Re(delta * |lam|**(2n-2) * lam) to v* H v.  Aimed at a middle point, it
+    # fails there or just before, and by more at larger radii later on: the
+    # first failure is neither the worst nor the last one.
     k0 = m // 2
     mag = 2.0 * tol * (s + radii[k0]) ** (2 * n) / radii[k0] ** (2 * n - 1)
-    H = coeff_matrix(R).H.copy()
-    H[n - 1, n] += mag * np.exp(-1j * thetas[k0])
+    good = coeff_matrix(R)
+    W = np.exp(_torus_log_weights(n, good.norm))
+    G = good.G.copy()
+    G[n - 1, n] += mag * np.exp(-1j * thetas[k0]) / (W[n - 1] * W[n])
+    bad = CoeffMatrix(G, good.norm)
+    H = bad.H
 
     lams, excess = [], []
     for r, th in zip(radii, thetas):
@@ -426,30 +471,34 @@ def test_validate_coeff_reports_first_failing_point():
     assert 0 < first < failing[-1] and excess[first] < max(excess)
 
     with pytest.raises(NumericalFailure) as info:
-        _validate_coeff(R, H, tol, operator_norm(R))
+        _validate_coeff(R, bad, tol)
     assert f"at lam={lams[first]:.4g}:" in str(info.value)
-    _validate_coeff(R, coeff_matrix(R).H, tol, operator_norm(R))
-    H[0, 0] = np.nan
+    _validate_coeff(R, good, tol)
+    # a NaN fails: CoeffMatrix refuses one in G, so the determinant gives it
+    slogdets = charpoly_module._real_slogdets
+    monkeypatch.setattr(charpoly_module, "_real_slogdets",
+                        lambda R, lams: (slogdets(R, lams)[0], np.full(len(lams), np.nan)))
     with pytest.raises(NumericalFailure):
-        _validate_coeff(R, H, tol, operator_norm(R))
+        _validate_coeff(R, good, tol)
 
 
 def test_validate_coeff_bound_stays_finite_beyond_double_range():
     # At n = 46 and norm 1e3, (s + r)**(2n) is about 1e318: a bound formed
     # directly overflows to inf and accepts any H.  The leading coefficient
     # dominates v* H v at the outer radii; the bound still sits 1e17 above
-    # its term there, so it is corrupted by more than that.
+    # its term there, so it is corrupted by more than that: H[n, n] gains 1e20
+    # when G[n, n] gains 1e20 / W[n]**2.
     n, tol = 46, 1e-6
     R = with_norm(random_operator(np.random.default_rng(0), n), 1e3)
     assert 2 * n * np.log10(2.9 * (1.0 + operator_norm(R))) > 308
-    H = coeff_matrix(R).H
-    bad = H.copy()
-    bad[n, n] += 1e20
+    cm = coeff_matrix(R)
+    G = cm.G.copy()
+    G[n, n] += 1e20 / np.exp(_torus_log_weights(n, cm.norm)[n]) ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _validate_coeff(R, H, tol, operator_norm(R))
+        _validate_coeff(R, cm, tol)
         with pytest.raises(NumericalFailure, match="disagree with the determinant"):
-            _validate_coeff(R, bad, tol, operator_norm(R))
+            _validate_coeff(R, CoeffMatrix(G, cm.norm), tol)
 
 
 # ------------------------------------------------------------------------ sos
@@ -687,11 +736,13 @@ def test_coeff_matrix_refuses_bad_fields():
 
 
 def test_a_hand_built_inconsistent_matrix_is_read_through_its_hermitian_part():
-    # G = [[1, 2], [0, 1]] has asymmetry 1: G, H and every reader of H take
-    # the Hermitian parts, and the PD test, with eps_g above 1, refuses
+    # G = [[1, 2], [0, 1]] has asymmetry 1 and is held as given: H and every
+    # reader of H take the Hermitian part, and the PD test, with eps_g above 1,
+    # refuses
     cm = CoeffMatrix(G=[[1.0, 2.0], [0.0, 1.0]], norm=1.0)
     assert cm.asymmetry == 1.0
-    assert np.array_equal(cm.G, np.ones((2, 2)))
+    assert np.array_equal(cm.G, [[1.0, 2.0], [0.0, 1.0]])
+    assert np.array_equal(cm.H, [[1.0, 0.5], [0.5, 0.25]])
     assert coeff_poly_eval(cm, 0.5) == pytest.approx(sos_eval(sos_decompose(cm), 0.5), rel=1e-14)
     with pytest.raises(NotPositiveDefinite):
         cholesky_sos(cm)

@@ -1,7 +1,8 @@
 """Bitwise pins of the short forms that H extraction and the certificates use.
 
 The torus DFT is taken as two 1-D passes, the validation radii are built
-without ``np.linspace`` and ``p(0, 0)`` is read as one scalar.  Each form must
+without ``np.linspace``, H is formed where it is read, and ``p(0, 0)`` is
+read as one scalar.  Each form must
 give the bits of the numpy route it replaces, so a drift of one bit fails here.
 """
 
@@ -10,6 +11,7 @@ import pytest
 
 from randops import random_antilinear, random_operator
 from rlspec import (
+    CoeffMatrix,
     NumericalFailure,
     RealLinearOperator,
     SymbolSeries,
@@ -19,7 +21,7 @@ from rlspec import (
     realify,
 )
 import rlspec.charpoly as charpoly_module
-from rlspec.charpoly import _LOG_MAX, _validate_coeff, _values
+from rlspec.charpoly import _LOG_MAX, _torus_log_weights, _validate_coeff, _values
 
 
 class _Captured(Exception):
@@ -67,6 +69,52 @@ def test_torus_dft_matches_fft2_to_the_bit(make, monkeypatch):
     assert len(seen) == 54
 
 
+def eager_coeff(G, norm):
+    """The Hermitian parts of G and of ``H = W G W`` as an eager constructor formed them.
+
+    None where it refused: an entry of H sized beyond double range in the log
+    domain, or a first row of ``G W`` that overflows.
+    """
+    n = G.shape[0] - 1
+    absg = np.abs(G)
+    lw = _torus_log_weights(n, norm)
+    with np.errstate(divide="ignore"):
+        logh = np.log(absg) + lw[:, None] + lw
+    if logh.max() >= _LOG_MAX or lw[0] + np.log(max(float(absg.max()), 1.0)) >= _LOG_MAX:
+        return None
+    W = np.exp(lw)
+    return [(A + A.conj().T) / 2.0 for A in (G, G * W[:, None] * W)]
+
+
+@pytest.mark.parametrize("make", [random_antilinear, random_operator])
+def test_h_view_and_pd_matrix_match_the_eager_construction_to_the_bit(make, monkeypatch):
+    # the operators of test_torus_dft_matches_fft2_to_the_bit
+    factored = []
+    for name in ("eigvalsh", "cholesky"):
+        call = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, call=call: factored.append(a) or call(a))
+    rng = np.random.default_rng(27)
+    refused = proved = 0
+    for n in [*range(1, 17), 32, 64]:
+        for norm in (1e-3, 1.0, 1e3):
+            cm = coeff_matrix(make(rng, n, norm))
+            eager = eager_coeff(cm.G, cm.norm)
+            factored.clear()
+            charpoly_module._pd_test(cm)
+            if eager is None:
+                refused += 1
+                with pytest.raises(NumericalFailure, match="overflows double range"):
+                    cm.H
+                continue
+            G, H = eager
+            assert same_bits(cm.H, H), (n, norm)
+            # eigvalsh of G, then cholesky of G reversed where the test passes
+            assert same_bits(factored[0], G) and len(factored) <= 2, (n, norm)
+            assert all(same_bits(a, G[::-1, ::-1]) for a in factored[1:]), (n, norm)
+            proved += len(factored) == 2
+    assert (refused, proved) == (1, 1)
+
+
 def test_validation_points_match_linspace_to_the_bit(monkeypatch):
     seen = []
 
@@ -79,7 +127,7 @@ def test_validation_points_match_linspace_to_the_bit(monkeypatch):
         R = RealLinearOperator(np.zeros((n, n)), np.zeros((n, n)))
         for norm in (0.0, 1e-9, 1.0, 1e9):
             with pytest.raises(_Captured):
-                _validate_coeff(R, np.zeros((n + 1, n + 1)), 1e-6, norm)
+                _validate_coeff(R, CoeffMatrix(np.eye(n + 1), norm), 1e-6)
             s = 1.0 + norm
             m = 2 * n + 3
             radii = np.linspace(0.6 * s, 1.9 * s, m)

@@ -111,11 +111,11 @@ REFUSALS = {
     # H = (G W_i) W_j fits, but W_0 or G_01 W_0 does not: a NaN H and a
     # RuntimeWarning
     "CoeffMatrix whose torus weight overflows": (
-        lambda: CoeffMatrix(np.diag([0.0, 0.0, 1.0]), norm=1e200),
-        NumericalFailure, "G W overflows double range (n=2, ||R||=1e+200)"),
+        lambda: CoeffMatrix(np.diag([0.0, 0.0, 1.0]), norm=1e200).H,
+        NumericalFailure, "H[0, 0] overflows double range (n=2, ||R||=1e+200)"),
     "CoeffMatrix whose weighted row overflows": (
-        lambda: CoeffMatrix([[1e-300, 3e8], [3e8, 1.0]], norm=1e300),
-        NumericalFailure, "G W overflows double range (n=1, ||R||=1e+300)"),
+        lambda: CoeffMatrix([[1e-300, 3e8], [3e8, 1.0]], norm=1e300).H,
+        NumericalFailure, "H[0, 1] overflows double range (n=1, ||R||=1e+300)"),
     # built, then a raw ZeroDivisionError in the torus weights
     "CoeffMatrix of n = 0": (
         lambda: CoeffMatrix([[2.0]], norm=1.0),
@@ -186,6 +186,19 @@ REFUSALS = {
     "infinite disk degree": (
         lambda: SymbolSeries.disk_monomial(np.inf),
         ValidationError, "disk-monomial symbol requires a nonnegative integer degree m"),
+    # numpy could not convert 10**20 to a C long, nor size an array of it
+    "disk degree 10**20": (
+        lambda: SymbolSeries.disk_monomial(10**20),
+        ValidationError, "degree m of at most 2**24 in 'm'"),
+    "disk degree 10**400": (
+        lambda: SymbolSeries.disk_monomial(10**400),
+        ValidationError, "degree m of at most 2**24 in 'm'"),
+    "disk degree 2**24 + 1": (
+        lambda: SymbolSeries.disk_monomial(2**24 + 1),
+        ValidationError, "degree m of at most 2**24 in 'm'"),
+    "disk symbol document with degree 10**400": (
+        lambda: ser.symbol_from_dict({"kind": "disk-monomial", "m": 10**400}),
+        ValidationError, "degree m of at most 2**24 in 'm'"),
     "text decay ratio": (
         lambda: DecaySpec("geometric", "0.5"),
         ValidationError, "geometric decay requires a ratio in (0, 1)"),

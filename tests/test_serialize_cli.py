@@ -123,6 +123,10 @@ MALFORMED_SYMBOLS = [
     ('{"kind": "disk-monomial", "m": 1, "coeffs_im": {}}', "'coeffs'"),
     # numpy reads a boolean among numbers as 0 or 1
     ('{"kind": "circle-hankel", "coeffs_re": [0.5, 0.25], "coeffs_im": [false, 0.0]}', "'coeffs_im'"),
+    # integers that numpy cannot convert or size an array of, and the bound + 1
+    ('{"kind": "disk-monomial", "m": 100000000000000000000}', "'m'"),
+    pytest.param('{"kind": "disk-monomial", "m": 1%s}' % ("0" * 400), "'m'", id="m-10**400"),
+    ('{"kind": "disk-monomial", "m": 16777217}', "'m'"),
 ]
 
 
@@ -142,10 +146,11 @@ def test_malformed_symbol_file_is_a_validation_error_naming_its_field(tmp_path, 
     path.write_text(text)
     with pytest.raises(ValidationError, match=field):
         ser.load_symbol(str(path))
-    assert main(["charfun", "--symbol", str(path), "--nmax", "2", "--error-json"]) == 2
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["type"] == "ValidationError" and payload["exit_code"] == 2
-    assert field in payload["error"]
+    for cmd in (["charfun", "--nmax", "2"], ["friedrichs", "--n", "3", "--out", str(tmp_path / "op.json")]):
+        assert main([*cmd, "--symbol", str(path), "--error-json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["type"] == "ValidationError" and payload["exit_code"] == 2
+        assert field in payload["error"]
 
 
 @pytest.mark.parametrize("n", ["x", 2.5, float("inf"), float("nan"), [2], None, 0, -1])
