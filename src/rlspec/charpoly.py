@@ -339,7 +339,7 @@ class SosDecomposition:
 
     Row i of ``U`` holds the coefficients of ``p_i`` (constant term first).
     ``kind == "eigen"``: U is unitary and d are the eigenvalues of H.
-    ``kind == "cholesky"``: all weights are 1 and ``deg p_i = i``.
+    ``kind == "cholesky"``: all weights are 1 and ``deg p_i = i``, unless a torus weight underflows.
     """
 
     d: np.ndarray
@@ -393,17 +393,14 @@ def cholesky_sos(cm: CoeffMatrix) -> SosDecomposition:
     """Unit-weight sum of squares from a Cholesky factorization.
 
     ``cm`` must pass the scale-free test on G of :func:`emptiness_certificates`,
-    else ``NotPositiveDefinite`` carries the smallest eigenvalue of ``cm.H``.  Row
-    i has exact degree i, so the rows prove p > 0 and the spectrum empty.
+    else ``NotPositiveDefinite`` names ``lambda_min(G) / max|G|`` and ``eps_g``;
+    H is not read.  Row i has exact degree i unless a torus weight underflows
+    (:func:`_pd_test`); the test on G proves p > 0 and the spectrum empty.
     """
     g_min, eps_g, rows = _pd_test(cm)
     if rows is None:
-        w0 = float(np.linalg.eigvalsh(cm.H)[0])
-        raise NotPositiveDefinite(
-            f"coefficient matrix is not positive definite: lambda_min(G) / max|G| {g_min:.3e} "
-            f"(eps_g {eps_g:.3e}), smallest eigenvalue of H {w0:.6e}",
-            min_eigenvalue=w0,
-        )
+        raise NotPositiveDefinite(f"coefficient matrix is not positive definite: lambda_min(G) / max|G| "
+                                  f"{g_min:.3e} (eps_g {eps_g:.3e})")
     return rows
 
 
@@ -424,14 +421,12 @@ class EmptinessCertificates:
     nonempty, and ``det_complexification`` is ``p(0, 0)`` from the same
     eigenvalues.  The criteria are one-sided.  ``g_min_eigenvalue`` and ``eps_g``,
     relative to ``max|G|``, are the smallest eigenvalue of G behind the PD test
-    and its error bound; ``h_eigenvalues`` is the spectrum of H, ascending, so
-    ``h_eigenvalues[0]`` is its least eigenvalue.
+    and its error bound.
     """
 
     pd_certificate: SosDecomposition | None
     real_axis_zero: float | None
     det_complexification: float
-    h_eigenvalues: tuple[float, ...]
     g_min_eigenvalue: float
     eps_g: float
 
@@ -482,7 +477,6 @@ def emptiness_certificates(
         pd_certificate=pd_cert,
         real_axis_zero=zero,
         det_complexification=float(np.prod(np.sign(real)) * np.exp(logdet) + 0.0),
-        h_eigenvalues=tuple(np.linalg.eigvalsh(cm.H).tolist()),
         g_min_eigenvalue=g_min,
         eps_g=eps_g,
     )

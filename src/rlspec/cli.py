@@ -79,6 +79,7 @@ def _cmd_info(args) -> int:
     R = ser.load_operator(args.opfile)
     cm = coeff_matrix(R)
     cert = emptiness_certificates(R, coeff=cm)
+    h_eigenvalues = np.linalg.eigvalsh(cm.H).tolist()
     schatten_1, schatten_2 = _schatten_norms(R, 1.0, 2.0)
     payload = {
         "n": R.n,
@@ -86,7 +87,7 @@ def _cmd_info(args) -> int:
         "schatten_1": schatten_1,
         "schatten_2": schatten_2,
         "det_complexification": cert.det_complexification,
-        "h_eigenvalues": list(cert.h_eigenvalues),
+        "h_eigenvalues": h_eigenvalues,
         "h_asymmetry": cm.asymmetry,
         "g_min_eigenvalue": cert.g_min_eigenvalue,
         "eps_g": cert.eps_g,

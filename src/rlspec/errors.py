@@ -16,11 +16,4 @@ class NumericalFailure(RuntimeError):
 
 
 class NotPositiveDefinite(ValidationError):
-    """A matrix required to be positive definite is not.
-
-    Carries the offending smallest eigenvalue in ``min_eigenvalue``.
-    """
-
-    def __init__(self, message: str, min_eigenvalue: float):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
+    """A matrix required to be positive definite is not."""

@@ -86,6 +86,8 @@ def read_json(path: str) -> dict:
         raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ValidationError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 

@@ -15,6 +15,7 @@ from rlspec import (
     NotPositiveDefinite,
     NumericalFailure,
     RealLinearOperator,
+    SymbolSeries,
     ValidationError,
     adjoint,
     charpoly_eval,
@@ -24,6 +25,7 @@ from rlspec import (
     complexify,
     conjugation,
     emptiness_certificates,
+    hankel_truncation,
     operator_norm,
     realify,
     rotate,
@@ -317,9 +319,8 @@ def block_skew(n, norm):
 def test_g_extracts_where_h_leaves_double_range(n, norm, proved, tmp_path, capsys):
     # coeff_matrix returns G and the PD test reads it; H, about ||R||**(2n)
     # at H[0, 0], is refused where it is read.  Where G is PD, cholesky_sos
-    # returns its rows; where not, its refusal reads the least eigenvalue of H,
-    # so the view's NumericalFailure is what results.  info (p(0, 0)) and
-    # charpoly (the H of --out) exit 3.
+    # returns its rows; where not, it raises NotPositiveDefinite, read from G
+    # alone.  info (p(0, 0)) and charpoly (the H of --out) exit 3.
     ops = [with_norm(make(np.random.default_rng(1), n), norm) for make in (random_operator, random_antilinear)]
     pd = []
     for R in (*ops, block_skew(n, norm)):
@@ -333,7 +334,7 @@ def test_g_extracts_where_h_leaves_double_range(n, norm, proved, tmp_path, capsy
                 rows = cholesky_sos(cm)
                 assert np.isfinite(rows.U).all() and rows.U[0, 0] != 0
             else:
-                with pytest.raises(NumericalFailure, match=r"H\[0, 0\] overflows"):
+                with pytest.raises(NotPositiveDefinite, match=r"lambda_min\(G\) / max\|G\| "):
                     cholesky_sos(cm)
         op = tmp_path / "op.json"
         ser.write_text(str(op), ser.dump_json(ser.operator_to_dict(R)))
@@ -341,6 +342,74 @@ def test_g_extracts_where_h_leaves_double_range(n, norm, proved, tmp_path, capsy
             assert main([*cmd, "--error-json"]) == 3
             assert json.loads(capsys.readouterr().out)["type"] == "NumericalFailure"
     assert pd == proved
+
+
+def refuse_h(monkeypatch):
+    def read(cm):
+        raise AssertionError("H was read")
+
+    monkeypatch.setattr(CoeffMatrix, "H", property(read))
+
+
+def g_alone_operators():
+    rng = np.random.default_rng(36)
+    hankels = (SymbolSeries.circle_hankel([0.9, 0.3j, 0.2]), SymbolSeries.circle_hankel(0.5 ** np.arange(15)))
+    for n in range(1, 9):
+        for norm in (1e-9, 1e-3, 1.0, 1e3):
+            yield with_norm(random_operator(rng, n), norm)
+            yield with_norm(random_antilinear(rng, n), norm)
+            if n % 2 == 0:
+                yield block_skew(n, norm)
+        for sym in hankels:
+            yield hankel_truncation(sym, n)
+
+
+def test_certificates_read_g_alone(monkeypatch):
+    # With H refused, the certificate and cholesky_sos give what they give
+    # with it, to the bit, and refuse an indefinite G by its own type.
+    ops = list(g_alone_operators())
+    want = []
+    for R in ops:
+        cm = coeff_matrix(R)
+        cert = emptiness_certificates(R, coeff=cm)
+        want.append((cert, cholesky_sos(cm) if cert.verdict == "empty" else None))
+    refuse_h(monkeypatch)
+    for R, (ref, ref_rows) in zip(ops, want):
+        cm = coeff_matrix(R)
+        cert = emptiness_certificates(R, coeff=cm)
+        names = ("verdict", "g_min_eigenvalue", "eps_g", "real_axis_zero", "det_complexification")
+        assert [repr(getattr(cert, k)) for k in names] == [repr(getattr(ref, k)) for k in names]
+        if ref_rows is None:
+            with pytest.raises(NotPositiveDefinite):
+                cholesky_sos(cm)
+        else:
+            rows = cholesky_sos(cm)
+            assert rows.U.tobytes() == ref_rows.U.tobytes() == cert.pd_certificate.U.tobytes()
+            assert rows.d.tobytes() == ref_rows.d.tobytes()
+    verdicts = [ref.verdict for ref, _ in want]
+    assert verdicts.count("empty") >= 16 and verdicts.count("nonempty") > 0
+
+
+def test_certificates_read_g_alone_where_h_leaves_double_range(tmp_path, capsys, monkeypatch):
+    # A block-skew B with its first block zeroed: p(0, 0) = 0, yet H[0, 0],
+    # the roundoff of G[0, 0] times ||R||**(2n), leaves double range.  The
+    # certificate reads G and realify(R); info reads H, and exits 3.
+    R0 = block_skew(20, 1e9)
+    B = R0.B.copy()
+    B[:2, :2] = 0.0
+    R = RealLinearOperator(R0.C, B)
+    op = tmp_path / "op.json"
+    ser.write_text(str(op), ser.dump_json(ser.operator_to_dict(R)))
+    assert main(["info", str(op), "--error-json"]) == 3
+    assert json.loads(capsys.readouterr().out)["error"] == "H[0, 0] overflows double range (n=20, ||R||=1e+09)"
+    refuse_h(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cm = coeff_matrix(R)
+        cert = emptiness_certificates(R, coeff=cm)
+        assert (cert.verdict, cert.real_axis_zero, cert.det_complexification) == ("nonempty", 0.0, 0.0)
+        with pytest.raises(NotPositiveDefinite, match=r"lambda_min\(G\) / max\|G\| "):
+            cholesky_sos(cm)
 
 
 def test_coeff_matrix_takes_no_2n_determinant(monkeypatch):
@@ -586,9 +655,12 @@ def test_cholesky_sos_identity_matrix():
 def test_cholesky_sos_refuses_indefinite():
     eps = 0.5
     cm = coeff_matrix(eps_operator(eps))
+    g_min, eps_g, _ = charpoly_module._pd_test(cm)
     with pytest.raises(NotPositiveDefinite) as err:
         cholesky_sos(cm)
-    assert abs(err.value.min_eigenvalue - (-2 * eps)) < 1e-9
+    assert str(err.value) == (f"coefficient matrix is not positive definite: "
+                              f"lambda_min(G) / max|G| {g_min:.3e} (eps_g {eps_g:.3e})")
+    assert g_min < 0.0
 
 
 # --------------------------------------------------------------- certificates
@@ -617,8 +689,7 @@ def test_certificates_eps_inconclusive():
     cert = emptiness_certificates(R)
     assert cert.verdict == "inconclusive"
     assert cert.det_complexification == pytest.approx(1.0)
-    assert cert.h_eigenvalues[0] == pytest.approx(-2 * eps, abs=1e-9)
-    assert cert.h_eigenvalues == tuple(np.linalg.eigvalsh(coeff_matrix(R).H).tolist())
+    assert np.linalg.eigvalsh(coeff_matrix(R).H)[0] == pytest.approx(-2 * eps, abs=1e-9)
     mus = np.roots([1.0, -2 * eps, 1.0])
     assert np.all(np.abs(mus.imag) > 0.1)
     grid = [r * np.exp(1j * t) for r in np.linspace(0, 3, 40) for t in np.linspace(0, np.pi, 7)]

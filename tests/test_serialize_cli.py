@@ -5,6 +5,7 @@ import errno
 import importlib.util
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -1057,6 +1058,27 @@ def test_cli_non_utf8_input_file_exits_2(tmp_path, capsys, argv):
     assert code == 2
     assert json.loads(out) == {"error": f"{bad}: byte 22: not UTF-8 (invalid start byte)",
                                "type": "ValidationError", "exit_code": 2}
+
+
+DIGITS = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["charfun", "--symbol", "{f}", "--nmax", "2"], '{"kind": "disk-monomial", "m": %s}' % DIGITS),
+    (["info", "{f}"], '{"n": %s, "C_re": [[0.5]], "C_im": [[0.0]], "B_re": [[0.25]], "B_im": [[0.0]]}' % DIGITS),
+    (["spectrum", "{f}"], '{"n": %s, "C_re": [[0.5]], "C_im": [[0.0]], "B_re": [[0.25]], "B_im": [[0.0]]}' % DIGITS),
+], ids=["charfun-m", "info-n", "spectrum-n"])
+def test_cli_integer_of_5001_digits_exits_2(tmp_path, capsys, argv, text):
+    # json.loads refuses an integer literal beyond Python's digit limit with a
+    # plain ValueError, which escaped read_json (exit 1, a traceback); where
+    # the limit is off, m fails its 2**24 bound and n the shape check instead
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, out, err = run_main([a.format(f=path) for a in argv] + ["--error-json"], capsys)
+    payload = json.loads(out)
+    assert code == 2 and payload["type"] == "ValidationError" and payload["exit_code"] == 2
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        assert payload["error"].startswith(f"{path}: Exceeds the limit (")
 
 
 def test_cli_operator_norm_beyond_double_range_exits_3(tmp_path, capsys):
