@@ -65,12 +65,11 @@ def _real_slogdets(R: RealLinearOperator, lams) -> tuple[np.ndarray, np.ndarray]
     lams = np.asarray(lams, dtype=complex).ravel()
     P, Q, eye = R.C + R.B, R.C - R.B, np.eye(R.n)
     chunk = max(1, _DET_STACK_ENTRIES // (2 * R.n) ** 2)
-    sign, logabs = np.empty(lams.size), np.empty(lams.size)
+    out = np.empty((2, lams.size))
     for start in range(0, lams.size, chunk):
         shift = lams[start:start + chunk, None, None] * eye
-        part = slice(start, start + chunk)
-        sign[part], logabs[part] = np.linalg.slogdet(_real_block(P - shift, Q - shift))
-    return sign, logabs
+        out[:, start:start + chunk] = np.linalg.slogdet(_real_block(P - shift, Q - shift))
+    return out[0], out[1]
 
 
 def _stacked_eigvals(build, lines: np.ndarray, size: int) -> np.ndarray:
@@ -181,13 +180,15 @@ class CoeffMatrix:
     ``H[i, j]`` multiplies ``lam**j * conj(lam)**i``.  G is square, at least 2 x 2,
     finite and not zero, and ``n`` is its size less one; ``G`` holds a read-only
     copy of the G given.  ``asymmetry``, ``max|G - G*| / max|G|``, is a roundoff
-    diagnostic that scaling R leaves unchanged.  ``H`` is formed where it is read.
+    diagnostic that scaling R leaves unchanged.  ``H`` is formed where it is read;
+    ``log W``, which validation, H and the Cholesky rows read, is taken once, here.
     """
 
     G: np.ndarray
     norm: float
     n: int = field(init=False)
     asymmetry: float = field(init=False)
+    _log_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         G = np.array(self.G, dtype=complex)
@@ -203,12 +204,13 @@ class CoeffMatrix:
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "n", G.shape[0] - 1)
         object.__setattr__(self, "asymmetry", float(np.abs(G - G.conj().T).max()) / float(np.abs(G).max()))
+        object.__setattr__(self, "_log_weights", _torus_log_weights(self.n, self.norm))
 
     @cached_property
     def H(self) -> np.ndarray:
         """Hermitian part of ``W G W``, read-only; an entry beyond double range raises ``NumericalFailure``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            W = np.exp(_torus_log_weights(self.n, self.norm))
+            W = np.exp(self._log_weights)
             A = self.G * W[:, None] * W
             H = (A + A.conj().T) / 2.0
         if not np.isfinite(H).all():
@@ -252,8 +254,8 @@ def _coeff_torus(C: np.ndarray, B: np.ndarray) -> np.ndarray:
     z = r * np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
     if C.any():
         D = C.conj() - z[:, None, None] * np.eye(n)
-        # Right-hand sides as a full stack: numpy < 2 reads an (n, n) one as n vectors.
-        X = np.linalg.solve(D, np.broadcast_to(B.conj(), D.shape))
+        # Right-hand sides as a stack of one: numpy < 2 reads an (n, n) one as n vectors.
+        X = np.linalg.solve(D, B.conj()[None])
         s = np.linalg.eigvals(C - B @ X)
         P = np.linalg.det(D)[:, None] * (s[:, None, :] - z[:, None]).prod(axis=-1)
     else:
@@ -270,26 +272,25 @@ def _validate_coeff(R: RealLinearOperator, cm: CoeffMatrix, tol: float) -> None:
     ``2 pi (k + 0.37) / (2n+3)``.  The first point where the two differ by
     more than ``tol * (s + |lam|)**(2n)`` is reported.  Both are divided by
     that scale in the log domain (the weighted monomials taken as
-    ``W_j lam**j / (s + |lam|)**n``), so nothing overflows and H is never
-    formed; the quadratic form is one matmul and a row sum over the 2n+3 points.
+    ``W_j lam**j / (s + |lam|)**n``, ``log W`` read off ``cm``), so nothing overflows
+    and H is never formed; the quadratic form is one matmul and a row sum over the 2n+3 points.
     """
     n = cm.n
     s = 1.0 + cm.norm
     m = 2 * n + 3
     radii = np.arange(m) * ((1.9 * s - 0.6 * s) / (m - 1)) + 0.6 * s
     radii[-1] = 1.9 * s
-    thetas = 2.0 * np.pi * (np.arange(m) + 0.37) / m
-    lams = radii * np.exp(1j * thetas)
+    itheta = 1j * (2.0 * np.pi * (np.arange(m) + 0.37) / m)
+    lams = radii * np.exp(itheta)
     logt = np.log(s + radii)
-    logv = (np.log(radii) + 1j * thetas)[:, None] * np.arange(n + 1) - n * logt[:, None]
-    V = np.exp(logv + _torus_log_weights(n, cm.norm))
+    logv = (np.log(radii) + itheta)[:, None] * np.arange(n + 1) - n * logt[:, None]
+    V = np.exp(logv + cm._log_weights)
     gots = (V.conj() @ cm.G * V).sum(axis=1).real
     sign, logabs = _real_slogdets(R, lams)
     refs = sign * np.exp(logabs - 2 * n * logt)
-    # Negated, so that a NaN fails.
-    bad = ~(np.abs(gots - refs) <= tol)
-    if bad.any():
-        k = int(np.argmax(bad))
+    ok = np.abs(gots - refs) <= tol  # False at a NaN, so that a NaN fails
+    if not ok.all():
+        k = int(np.argmin(ok))
         raise NumericalFailure(
             f"extracted coefficients disagree with the determinant at lam={lams[k]:.4g}: "
             f"|{gots[k]:.6e} - {refs[k]:.6e}| exceeds tolerance "
@@ -380,11 +381,11 @@ def _pd_test(cm: CoeffMatrix) -> tuple[float, float, SosDecomposition | None]:
     weight underflows (and zeroes its column of H too).
     """
     G, n = (cm.G + cm.G.conj().T) / 2.0, cm.n
-    g_min = float(np.linalg.eigvalsh(G)[0] / np.max(np.abs(G)))
+    g_min = float(np.linalg.eigvalsh(G)[0] / np.abs(G).max())
     eps_g = float(cm.asymmetry + (n + 1) * np.finfo(float).eps / 2)
     if not g_min > (n + 1) * eps_g:
         return g_min, eps_g, None
-    W = np.exp(_torus_log_weights(n, cm.norm))
+    W = np.exp(cm._log_weights)
     U = np.linalg.cholesky(G[::-1, ::-1]).conj().T[::-1, ::-1] * W
     return g_min, eps_g, SosDecomposition(d=np.ones(n + 1), U=U, kind="cholesky")
 
@@ -470,13 +471,13 @@ def emptiness_certificates(
     real = ev.real[ev.imag == 0.0]
     zero = min(real.tolist(), key=lambda r: (r < 0.0, abs(r)), default=None)
     with np.errstate(divide="ignore"):
-        logdet = np.sum(np.log(np.abs(ev)))
+        logdet = np.log(np.abs(ev)).sum()
     if not logdet < _LOG_MAX:
         raise NumericalFailure(f"p(0, 0) overflows double range (n={R.n})")
     return EmptinessCertificates(
         pd_certificate=pd_cert,
         real_axis_zero=zero,
-        det_complexification=float(np.prod(np.sign(real)) * np.exp(logdet) + 0.0),
+        det_complexification=float(np.sign(real).prod() * np.exp(logdet) + 0.0),
         g_min_eigenvalue=g_min,
         eps_g=eps_g,
     )

@@ -41,7 +41,8 @@ __all__ = [
 
 
 def _as_square(M, name: str) -> np.ndarray:
-    A = np.asarray(M, dtype=complex)
+    """A C-ordered complex copy of ``M``, refused unless it is a square matrix of size >= 1."""
+    A = np.array(M, dtype=complex, order="C")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {A.shape}")
     if A.shape[0] < 1:
@@ -65,8 +66,6 @@ class RealLinearOperator:
             )
         if not (np.isfinite(C).all() and np.isfinite(B).all()):
             raise ValidationError("C and B must be finite, not NaN or infinity")
-        C = C.copy()
-        B = B.copy()
         C.setflags(write=False)
         B.setflags(write=False)
         object.__setattr__(self, "C", C)
@@ -259,7 +258,7 @@ def _schatten_norms(R: RealLinearOperator, *ps: float) -> tuple[float, ...]:
             raise ValidationError(f"Schatten order must satisfy p >= 1, got {p}")
     sC = np.linalg.svd(R.C, compute_uv=False)
     sB = np.linalg.svd(R.B, compute_uv=False)
-    return tuple(float(np.sum(sC**p) ** (1.0 / p) + np.sum(sB**p) ** (1.0 / p)) for p in ps)
+    return tuple(float((sC**p).sum() ** (1.0 / p) + (sB**p).sum() ** (1.0 / p)) for p in ps)
 
 
 def poly_apply(coeffs, R: RealLinearOperator) -> RealLinearOperator:

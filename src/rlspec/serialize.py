@@ -5,8 +5,10 @@ Operator and symbol JSON are read back; every other format is output only.
 All floats are written with 17 significant digits in lowercase scientific
 notation, and every container is emitted in a fixed order, so identical
 inputs produce byte-identical files at a fixed BLAS thread count.  One
-recursion, ``_json``, writes every JSON value; a list of Python floats takes
-one ``%.16e`` template, as a CSV row does.  One reader, ``_field``, reads
+recursion, ``_json``, writes every JSON value: a Python float is tested for
+first, a list of them takes one ``%.16e`` template, as a CSV row does, and
+keys and strings go to ``json.encoder.encode_basestring_ascii``, as in
+``json.dumps``.  Input files are read unbuffered.  One reader, ``_field``, reads
 every field of an input document, and a field that is missing or malformed
 (2.5 for an integer, text or a boolean for a number or an array entry, an
 array that numpy does not read as numbers) is a ``ValidationError`` naming it.
@@ -16,11 +18,11 @@ file to length; the package never fsyncs an output.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
 import stat
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -63,14 +65,18 @@ def dump_json(obj) -> str:
 
 
 def _json(obj) -> str:
-    if isinstance(obj, dict):
-        return "{" + ", ".join([json.dumps(k) + ": " + _json(v) for k, v in obj.items()]) + "}"
+    if type(obj) is float:
+        return "%.16e" % obj
     if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) <= {float}:
             return "[" + ", ".join(["%.16e"] * len(obj)) % tuple(obj) + "]"
-        return "[" + ", ".join([_json(v) for v in obj]) + "]"
-    if isinstance(obj, (bool, str)) or obj is None:
-        return json.dumps(obj)
+        return "[" + ", ".join(map(_json, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join([_string(k) + ": " + _json(v) for k, v in obj.items()]) + "}"
+    if isinstance(obj, str):
+        return _string(obj)
+    if isinstance(obj, bool) or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -80,8 +86,8 @@ def _json(obj) -> str:
 
 def read_json(path: str) -> dict:
     try:
-        with open(path, "rb") as fh:
-            return json.loads(fh.read().decode("utf-8"))
+        with open(path, "rb", buffering=0) as fh:
+            return json.loads(fh.readall().decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
@@ -159,12 +165,16 @@ def _floats(x) -> np.ndarray:
     flat = [x]
     for _ in range(a.ndim):
         flat = itertools.chain.from_iterable(flat)
-    if bool in set(map(type, flat)):
+    if bool in map(type, flat):
         raise TypeError("must hold numbers only, got a boolean")
     return a.astype(float, copy=False)
 
 
-_dimension = functools.partial(_integer, low=1)
+def _dimension(x) -> int:
+    """``_integer(x, low=1)`` below 2**63, numpy's bound; a larger n is named by its bits, not quoted in full."""
+    if type(x) in (int, float) and abs(x) >= 1 << 63:
+        raise ValueError(f"must be an integer below 2**63, got a number of {int(x).bit_length()} bits")
+    return _integer(x, low=1)
 
 
 def _mat_from(d: dict, name: str, shape: tuple, what: str) -> np.ndarray:
@@ -288,13 +298,6 @@ def spectrum_svg(cloud: SpectrumCloud) -> str:
     size, half = 640, 320.0
     rmax = max(cloud.norm, max((p.r for p in cloud.points), default=0.0), 1e-12)
     scl = 0.45 * size / rmax
-
-    def x(v: float) -> str:
-        return f"{half + scl * v:.2f}"
-
-    def y(v: float) -> str:
-        return f"{half - scl * v:.2f}"
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -304,9 +307,6 @@ def spectrum_svg(cloud: SpectrumCloud) -> str:
         f'<circle cx="{half:.2f}" cy="{half:.2f}" r="{scl * cloud.norm:.2f}" '
         f'fill="none" stroke="#888888" stroke-dasharray="4 4"/>',
     ]
-    for p in cloud.points:
-        parts.append(
-            f'<circle cx="{x(p.lam.real)}" cy="{y(p.lam.imag)}" r="2.5" fill="#c0392b"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts += [f'<circle cx="{half + scl * p.lam.real:.2f}" cy="{half - scl * p.lam.imag:.2f}" '
+              f'r="2.5" fill="#c0392b"/>' for p in cloud.points]
+    return "\n".join(parts + ["</svg>"]) + "\n"

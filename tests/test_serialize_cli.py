@@ -327,6 +327,10 @@ SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931
     [[], [1.0], [[2.0, 3.0]]],
     {},
     {"a": {"b": {"c": [1.0, {"d": ()}]}, "e": []}, "\u00e9": [-0.0]},
+    # keys and strings that need escaping: a quote, a backslash, control characters, non-ASCII
+    {"q\"uote": "a\"b", "back\\slash": "c\\d", "new\nline": "e\nf", "unit\x1fsep": "g\x1fh"},
+    {"\u00e9t\u00e9": "caf\u00e9", "\U0001f600": ["\U0001f600", 0.5, "\"\\\n\x1f\u00e9\U0001f600"]},
+    ["\"", "\\", "\n", "\x1f", "\u00e9", "\U0001f600", ""],
 ])
 def test_dump_json_matches_the_recursive_reference(obj):
     assert ser.dump_json(obj) == reference_json(obj)
@@ -501,26 +505,33 @@ def record_linalg(monkeypatch):
     return calls
 
 
-def test_cli_charpoly_and_info_lapack_work_is_pinned(tmp_path, capsys, monkeypatch):
-    # The LAPACK calls of `charpoly --out --sos` and `info --json` at n = 4, in
-    # order; glue around them may change, these may not.  `info` solves
+@pytest.mark.parametrize("n, zeros", [(1, (True, True)), (4, (True, False)), (7, (True, True))],
+                         ids=["n1", "n4", "n7"])
+def test_cli_charpoly_and_info_lapack_work_is_pinned(tmp_path, capsys, monkeypatch, n, zeros):
+    # The LAPACK calls of `charpoly --out --sos` and `info --json`, in order,
+    # at the smallest and largest general sizes of the certify benchmark and
+    # at n = 4; glue around them may change, these may not.  H extraction
+    # samples the n+1 torus points and validates at 2n+3; `info` solves
     # realify(R) once, for the real-axis zero and the determinant alike.  An
     # antilinear operator (C = 0) extracts H from one eigen solve of B conj(B).
-    general = [("svd", 1, 8, 8), ("solve", 5, 4, 4), ("eigvals", 5, 4, 4), ("det", 5, 4, 4),
-               ("slogdet", 11, 8, 8)]
-    antilinear = [("svd", 1, 8, 8), ("eigvals", 1, 4, 4), ("slogdet", 11, 8, 8)]
+    # `zeros` says whether each operator's report has a real-axis zero: with
+    # one or without, the calls are the same.
+    m, k = 2 * n, n + 1
+    general = [("svd", 1, m, m), ("solve", k, n, n), ("eigvals", k, n, n), ("det", k, n, n),
+               ("slogdet", 2 * n + 3, m, m)]
+    antilinear = [("svd", 1, m, m), ("eigvals", 1, n, n), ("slogdet", 2 * n + 3, m, m)]
     calls = record_linalg(monkeypatch)
-    for make, extract, zero in ((random_operator, general, True),
-                                (random_antilinear, antilinear, False)):
-        op = write_operator(tmp_path / "r.json", make(np.random.default_rng(2), 4))
+    for make, extract, zero in ((random_operator, general, zeros[0]),
+                                (random_antilinear, antilinear, zeros[1])):
+        op = write_operator(tmp_path / "r.json", make(np.random.default_rng(2), n))
         calls.clear()
         assert main(["charpoly", op, "--out", str(tmp_path / "H.json"),
                      "--sos", str(tmp_path / "sos.json")]) == 0
-        assert calls == extract + [("eigh", 1, 5, 5)]
+        assert calls == extract + [("eigh", 1, k, k)]
         calls.clear()
         assert main(["info", op, "--json"]) == 0
-        assert calls == extract + [("eigvalsh", 1, 5, 5), ("eigvals", 1, 8, 8),
-                                   ("eigvalsh", 1, 5, 5), ("svd", 1, 4, 4), ("svd", 1, 4, 4)]
+        assert calls == extract + [("eigvalsh", 1, k, k), ("eigvals", 1, m, m),
+                                   ("eigvalsh", 1, k, k), ("svd", 1, n, n), ("svd", 1, n, n)]
         assert (json.loads(capsys.readouterr().out)["real_axis_zero"] is not None) == zero
 
 
@@ -1071,7 +1082,7 @@ DIGITS = "1" + "0" * 5000
 def test_cli_integer_of_5001_digits_exits_2(tmp_path, capsys, argv, text):
     # json.loads refuses an integer literal beyond Python's digit limit with a
     # plain ValueError, which escaped read_json (exit 1, a traceback); where
-    # the limit is off, m fails its 2**24 bound and n the shape check instead
+    # the limit is off, m fails its 2**24 bound and n its 2**63 bound instead
     path = tmp_path / "big.json"
     path.write_text(text)
     code, out, err = run_main([a.format(f=path) for a in argv] + ["--error-json"], capsys)
@@ -1079,6 +1090,24 @@ def test_cli_integer_of_5001_digits_exits_2(tmp_path, capsys, argv, text):
     assert code == 2 and payload["type"] == "ValidationError" and payload["exit_code"] == 2
     if getattr(sys, "get_int_max_str_digits", lambda: 0)():
         assert payload["error"].startswith(f"{path}: Exceeds the limit (")
+
+
+@pytest.mark.parametrize("n", [10**5000, -10**5000, 1e300], ids=["5001-digits", "negative", "1e300"])
+def test_operator_n_beyond_any_dimension_is_named_not_quoted(n):
+    # n must be below 2**63 and is refused by its bit count: quoted in full, a
+    # 5,001-digit n made a message of over 10,000 characters where Python's
+    # integer digit limit is off, and 1e300 one of over 600
+    doc = {"n": n, "C_re": [[0.5]], "C_im": [[0.0]], "B_re": [[0.25]], "B_im": [[0.0]]}
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        with pytest.raises(ValidationError, match="operator JSON: field 'n': ") as exc:
+            ser.operator_from_dict(doc)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert len(str(exc.value)) <= 200
 
 
 def test_cli_operator_norm_beyond_double_range_exits_3(tmp_path, capsys):
